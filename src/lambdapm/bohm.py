@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lamcalc
-from .distance import DistanceValue, bracket, dyadic, exact
-from .lamcalc import Abs, App, LambdaTerm, Var, solvability
+from .distance import (DistanceValue, agreement_level, bracket, dyadic, exact,
+                       truncation_below)
+from .lamcalc import Abs, LambdaTerm, Var, db_index, solvability
 
 
 class PartialTerm:
@@ -50,31 +51,12 @@ def node(binders, head, args) -> PartialTerm:
     return Node(tuple(binders), head, tuple(args))
 
 
-def abs_(binder: str, body: PartialTerm) -> PartialTerm:
-    """Smart abstraction: lambda x. bottom absorbs to bottom."""
-    if isinstance(body, Bottom):
-        return BOT
-    return Node((binder,) + body.binders, body.head, body.args)
-
-
-def var(name: str) -> PartialTerm:
-    return Node((), name, ())
-
-
-def _hkey(name, env):
-    """Head identity: de Bruijn index into env, or the free name."""
-    for i in range(len(env) - 1, -1, -1):
-        if env[i] == name:
-            return ("b", len(env) - 1 - i)
-    return ("f", name)
-
-
 def pkey(t: PartialTerm, env=()):
     """Hashable de Bruijn encoding; alpha-equivalent terms share keys."""
     if isinstance(t, Bottom):
         return ("bot",)
-    inner = env + t.binders
-    return ("n", len(t.binders), _hkey(t.head, inner),
+    inner = t.binders[::-1] + env
+    return ("n", len(t.binders), db_index(t.head, inner),
             tuple(pkey(a, inner) for a in t.args))
 
 
@@ -114,12 +96,7 @@ def to_lambda(t: PartialTerm) -> LambdaTerm:
     """Embed a bottom-free partial term back into the lambda syntax."""
     if isinstance(t, Bottom):
         raise ValueError("bottom has no lambda-term embedding")
-    out: LambdaTerm = Var(t.head)
-    for a in t.args:
-        out = App(out, to_lambda(a))
-    for b in reversed(t.binders):
-        out = Abs(b, out)
-    return out
+    return lamcalc.spine(t.binders, Var(t.head), [to_lambda(a) for a in t.args])
 
 
 def height(t: PartialTerm) -> int:
@@ -127,12 +104,6 @@ def height(t: PartialTerm) -> int:
     if isinstance(t, Bottom):
         return 0
     return 1 + max((height(a) for a in t.args), default=0)
-
-
-def size(t: PartialTerm) -> int:
-    if isinstance(t, Bottom):
-        return 0
-    return 1 + sum(size(a) for a in t.args)
 
 
 def truncate(t: PartialTerm, n: int) -> PartialTerm:
@@ -157,15 +128,15 @@ def _pleq(a, b, enva, envb):
         return False
     if len(a.binders) != len(b.binders) or len(a.args) != len(b.args):
         return False
-    ea, eb = enva + a.binders, envb + b.binders
-    if _hkey(a.head, ea) != _hkey(b.head, eb):
+    ea, eb = a.binders[::-1] + enva, b.binders[::-1] + envb
+    if db_index(a.head, ea) != db_index(b.head, eb):
         return False
     return all(_pleq(x, y, ea, eb) for x, y in zip(a.args, b.args))
 
 
 def truncation_leq(a: PartialTerm, b: PartialTerm) -> bool:
     """The order the tree metric induces: a is a full level-truncation of b."""
-    return height(b) >= height(a) and truncate(b, height(a)) == a
+    return truncation_below(a, b, height, truncate)
 
 
 def direct_approximant(t: LambdaTerm) -> PartialTerm:
@@ -227,14 +198,7 @@ def bohm_truncate(t: LambdaTerm, depth: int, fuel: int) -> BohmTruncation:
 
 def divergence_level(a: PartialTerm, b: PartialTerm) -> int:
     """Largest n with both truncations defined (height >= n) and equal."""
-    top = min(height(a), height(b))
-    div = 0
-    for n in range(1, top + 1):
-        if truncate(a, n) == truncate(b, n):
-            div = n
-        else:
-            break
-    return div
+    return agreement_level(a, b, height, truncate)
 
 
 def p_tree(a: PartialTerm, b: PartialTerm) -> DistanceValue:
@@ -271,8 +235,8 @@ def _posmap(tr: BohmTruncation) -> dict:
         if isinstance(t, Bottom):
             out[pos] = ("unk",) if (pos in cut or pos in tentative) else ("bot",)
             return
-        env2 = env + t.binders
-        out[pos] = ("node", (len(t.binders), _hkey(t.head, env2), len(t.args)))
+        env2 = t.binders[::-1] + env
+        out[pos] = ("node", (len(t.binders), db_index(t.head, env2), len(t.args)))
         for i, a in enumerate(t.args):
             walk(a, pos + (i,), env2)
 

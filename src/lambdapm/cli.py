@@ -296,13 +296,7 @@ def _dispatch(args) -> int:
         if args.suite == "all":
             reports = verify.run_all(seed=args.seed)
         else:
-            try:
-                fn = verify.ALL_SUITES[args.suite]
-            except KeyError:
-                raise ValueError(f"unknown suite {args.suite!r}") from None
-            import inspect
-            reports = [fn(seed=args.seed)
-                       if "seed" in inspect.signature(fn).parameters else fn()]
+            reports = [verify.run_suite(args.suite, args.seed)]
         for rep in reports:
             status = "PASS" if rep["passed"] else "FAIL"
             print(f"[{status}] {rep['name']} ({rep['seconds']}s)",

@@ -8,9 +8,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distance import DistanceValue, bracket, dyadic
-from .lamcalc import Abs, App, LambdaTerm, Var, solvability
+from .lamcalc import Abs, App, LambdaTerm, Var, show, solvability
 
-HOLE = Var("_HOLE_")
+# The hole is a variable whose name the parser cannot produce, so no term
+# contains it; `show` prints a context with the hole as [-].
+HOLE = Var("[-]")
 
 _TERM_VARS = ("x", "y", "z")
 
@@ -53,30 +55,16 @@ class Context:
         return _plug(self.term, m)
 
     def __str__(self):
-        return _show_ctx(self.term)
+        return show(self.term)
 
 
 def _plug(t: LambdaTerm, m: LambdaTerm) -> LambdaTerm:
     """Literal, capture-permitting hole replacement."""
     if isinstance(t, Var):
-        return m if t.name == "_HOLE_" else t
+        return m if t.name == HOLE.name else t
     if isinstance(t, Abs):
         return Abs(t.binder, _plug(t.body, m))
     return App(_plug(t.fun, m), _plug(t.arg, m))
-
-
-def _show_ctx(t: LambdaTerm) -> str:
-    if isinstance(t, Var):
-        return "[-]" if t.name == "_HOLE_" else t.name
-    if isinstance(t, Abs):
-        return f"\\{t.binder}. {_show_ctx(t.body)}"
-    f = _show_ctx(t.fun)
-    if isinstance(t.fun, Abs):
-        f = f"({f})"
-    a = _show_ctx(t.arg)
-    if not isinstance(t.arg, Var):
-        a = f"({a})"
-    return f"{f} {a}"
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,13 @@ DEFAULT_CAP = 100_000
 
 
 def _cap() -> int:
-    return int(os.environ.get("LAMBDA_PM_CAP", DEFAULT_CAP))
+    raw = os.environ.get("LAMBDA_PM_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"LAMBDA_PM_CAP must be an integer, got {raw!r}") from None
 
 
 class CapExceeded(RuntimeError):
@@ -82,21 +88,6 @@ class FinitePoset:
                     return None
                 table[i][j] = least[0]
         return table
-
-    def lub(self, i: int, j: int):
-        ubs = self.upper_bounds(i, j)
-        if not ubs:
-            return None
-        for u in ubs:
-            if all(self.leq[u][v] for v in ubs):
-                return u
-        return None
-
-    def upset(self, i: int):
-        return frozenset(j for j in self.elements() if self.leq[i][j])
-
-    def is_upset(self, s) -> bool:
-        return all(j in s for i in s for j in self.elements() if self.leq[i][j])
 
     def directed_subsets(self):
         """All nonempty directed subsets; exponential, only for small posets."""
@@ -168,11 +159,6 @@ class MonotoneMap:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        return MonotoneMap(inner.domain, self.codomain,
-                           tuple(self.table[inner.table[x]]
-                                 for x in range(inner.domain.size)))
 
 
 def monotone_tables(x: FinitePoset, y: FinitePoset, cap: int = None):
@@ -429,8 +415,10 @@ def p_infinity_prefix(tower: Tower, a: TowerProfile, b: TowerProfile) -> Distanc
 # Lazy handling of one level above a built tower, for bases whose next
 # function space is enumerable but too large to materialize as a poset
 
-def iter_monotone_tables(x: FinitePoset, y: FinitePoset):
-    """Yield monotone tables without collecting them."""
+def iter_monotone_tables(x: FinitePoset, y: FinitePoset, rng=None):
+    """Yield monotone tables without collecting them, by DFS over the
+    elements of x in an order that puts each after the elements below it.
+    With `rng`, each element's candidate values are tried in shuffled order."""
     n = x.size
     order = sorted(range(n), key=lambda i: sum(x.leq[j][i] for j in range(n)))
     pos = {e: k for k, e in enumerate(order)}
@@ -443,7 +431,11 @@ def iter_monotone_tables(x: FinitePoset, y: FinitePoset):
             yield tuple(table)
             return
         e = order[k]
-        for v in range(y.size):
+        vals = range(y.size)
+        if rng is not None:
+            vals = list(vals)
+            rng.shuffle(vals)
+        for v in vals:
             ok = True
             for e2 in order[:k]:
                 if x.le(e2, e) and not y.le(partial[pos[e2]], v):
@@ -508,35 +500,7 @@ class LazyTop:
 
     def random_table(self, rng) -> tuple:
         """A random monotone table via randomized DFS."""
-        n = self.poset.size
-        order = sorted(range(n), key=lambda i: sum(self.poset.leq[j][i]
-                                                   for j in range(n)))
-        pos = {e: k for k, e in enumerate(order)}
-
-        def assign(k, partial):
-            if k == n:
-                table = [None] * n
-                for e, v in zip(order, partial):
-                    table[e] = v
-                return tuple(table)
-            e = order[k]
-            vals = list(range(n))
-            rng.shuffle(vals)
-            for v in vals:
-                ok = all(not (self.poset.le(e2, e)
-                              and not self.poset.le(partial[pos[e2]], v))
-                         and not (self.poset.le(e, e2)
-                                  and not self.poset.le(v, partial[pos[e2]]))
-                         for e2 in order[:k])
-                if ok:
-                    res = assign(k + 1, partial + (v,))
-                    if res is not None:
-                        return res
-            return None
-
-        table = assign(0, ())
-        assert table is not None
-        return table
+        return next(iter_monotone_tables(self.poset, self.poset, rng))
 
 
 def eval_on_basis(tower: Tower, i: int, x: int, ks: tuple) -> int:

@@ -41,16 +41,19 @@ class App(LambdaTerm):
     arg: LambdaTerm
 
 
+def db_index(name: str, env: tuple):
+    """De Bruijn identity of a variable: ("b", i) for the i-th enclosing
+    binder, counting from the innermost, which `env` lists first; else
+    ("f", name).  The closest binder wins."""
+    return ("b", env.index(name)) if name in env else ("f", name)
+
+
 def key(t: LambdaTerm, env=()):
     """Hashable de Bruijn encoding; alpha-equivalent terms share keys."""
     if isinstance(t, Var):
-        # closest binder wins: search from the right
-        for i in range(len(env) - 1, -1, -1):
-            if env[i] == t.name:
-                return ("b", len(env) - 1 - i)
-        return ("f", t.name)
+        return db_index(t.name, env)
     if isinstance(t, Abs):
-        return ("l", key(t.body, env + (t.binder,)))
+        return ("l", key(t.body, (t.binder,) + env))
     return ("a", key(t.fun, env), key(t.arg, env))
 
 
@@ -103,13 +106,19 @@ class ParseError(ValueError):
 
 
 class _Parser:
+    """Recursive-descent reader of the lambda grammar.  Subclasses reuse the
+    tokenizer and `atom`, and read their own application syntax in `term`."""
+
+    error_type = ParseError
+    make_var, make_abs = Var, Abs
+
     def __init__(self, text: str, allow_bottom: bool = False):
         self.text = text
         self.pos = 0
         self.allow_bottom = allow_bottom
 
     def error(self, msg):
-        raise ParseError(msg, self.pos)
+        raise self.error_type(msg, self.pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -142,10 +151,7 @@ class _Parser:
                 parts.append(self.atom())
             else:
                 break
-        t = parts[0]
-        for p in parts[1:]:
-            t = App(t, p)
-        return t
+        return spine((), parts[0], parts[1:])
 
     def atom(self) -> LambdaTerm:
         c = self.peek()
@@ -158,17 +164,20 @@ class _Parser:
             self.pos += 1
             binder = self.ident()
             self.eat(".")
-            return Abs(binder, self.term())
+            return self.make_abs(binder, self.term())
         self.skip_ws()
         if self.text.startswith("_|_", self.pos):
             if not self.allow_bottom:
                 self.error("'_|_' is reserved for partial terms")
             self.pos += 3
             return Var("_|_")
-        return Var(self.ident())
+        return self.make_var(self.ident())
 
-    def parse(self) -> LambdaTerm:
-        t = self.term()
+    def parse(self):
+        try:
+            t = self.term()
+        except RecursionError:
+            raise self.error_type("term nested too deeply", self.pos) from None
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
@@ -230,12 +239,16 @@ class HeadForm:
     args: tuple
 
     def to_term(self) -> LambdaTerm:
-        t: LambdaTerm = Var(self.head)
-        for a in self.args:
-            t = App(t, a)
-        for b in reversed(self.binders):
-            t = Abs(b, t)
-        return t
+        return spine(self.binders, Var(self.head), self.args)
+
+
+def spine(binders, head: LambdaTerm, args) -> LambdaTerm:
+    """lambda binders. head args, the inverse of `decompose`."""
+    for a in args:
+        head = App(head, a)
+    for b in reversed(binders):
+        head = Abs(b, head)
+    return head
 
 
 def decompose(t: LambdaTerm):
@@ -266,12 +279,7 @@ def head_reduce_step(t: LambdaTerm):
     if isinstance(h, Var):
         return None
     assert isinstance(h, Abs) and args
-    reduced = subst(h.body, h.binder, args[0])
-    for a in args[1:]:
-        reduced = App(reduced, a)
-    for b in reversed(binders):
-        reduced = Abs(b, reduced)
-    return reduced
+    return spine(binders, subst(h.body, h.binder, args[0]), args[1:])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@ heights, truncations and the resource partial metric."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import permutations
 
-from .distance import DistanceValue, dyadic, exact
+from .distance import (DistanceValue, agreement_level, dyadic, exact,
+                       truncation_below)
+from .lamcalc import ParseError, _fresh, _Parser, db_index
 
 
 class ResourceTerm:
@@ -43,17 +44,10 @@ class RApp(ResourceTerm):
 def rkey(t: ResourceTerm, env=()):
     """De Bruijn encoding with bags canonically sorted; alpha-stable."""
     if isinstance(t, RVar):
-        for i in range(len(env) - 1, -1, -1):
-            if env[i] == t.name:
-                return ("b", len(env) - 1 - i)
-        return ("f", t.name)
+        return db_index(t.name, env)
     if isinstance(t, RAbs):
-        return ("l", rkey(t.body, env + (t.binder,)))
+        return ("l", rkey(t.body, (t.binder,) + env))
     return ("a", rkey(t.fun, env), tuple(sorted(rkey(u, env) for u in t.bag)))
-
-
-def bag(*terms) -> tuple:
-    return tuple(terms)
 
 
 def rsize(t: ResourceTerm) -> int:
@@ -75,14 +69,6 @@ def free_rvars(t: ResourceTerm, bound=frozenset()) -> frozenset:
     return out
 
 
-def _fresh(base, avoid):
-    cand, n = base, 0
-    while cand in avoid:
-        cand = f"{base}{n}"
-        n += 1
-    return cand
-
-
 # ---------------------------------------------------------------------------
 # Parsing / printing:  bags are written <t1, t2>, the empty bag <>
 
@@ -98,87 +84,38 @@ def show_resource(t: ResourceTerm) -> str:
     return f"{f}<{inner}>"
 
 
-IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9']*")
-
-
-class ResourceParseError(ValueError):
+class ResourceParseError(ParseError):
     pass
 
 
-def parse_resource(text: str) -> ResourceTerm:
-    pos = 0
+class _ResourceParser(_Parser):
+    """The lambda tokenizer and atoms, with `<...>` bags for application."""
 
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+    error_type = ResourceParseError
+    make_var, make_abs = RVar, RAbs
 
-    def peek():
-        skip()
-        return text[pos] if pos < len(text) else ""
-
-    def ident():
-        nonlocal pos
-        skip()
-        m = IDENT.match(text, pos)
-        if not m:
-            raise ResourceParseError(f"expected identifier at {pos}")
-        pos = m.end()
-        return m.group()
-
-    def atom():
-        nonlocal pos
-        c = peek()
-        if c == "(":
-            pos += 1
-            t = term()
-            skip()
-            if peek() != ")":
-                raise ResourceParseError(f"expected ')' at {pos}")
-            pos += 1
-            return t
-        if c == "\\" or c == "λ":
-            pos += 1
-            b = ident()
-            skip()
-            if peek() != ".":
-                raise ResourceParseError(f"expected '.' at {pos}")
-            pos += 1
-            return RAbs(b, term())
-        return RVar(ident())
-
-    def term():
-        nonlocal pos
-        t = atom()
-        while True:
-            c = peek()
-            if c == "<":
-                pos += 1
-                items = []
-                skip()
-                if peek() == ">":
-                    pos += 1
-                else:
-                    while True:
-                        items.append(term())
-                        skip()
-                        if peek() == ",":
-                            pos += 1
-                            continue
-                        if peek() == ">":
-                            pos += 1
-                            break
-                        raise ResourceParseError(f"expected ',' or '>' at {pos}")
-                t = RApp(t, tuple(items))
+    def term(self) -> ResourceTerm:
+        t = self.atom()
+        while self.peek() == "<":
+            self.pos += 1
+            items = []
+            if self.peek() == ">":
+                self.pos += 1
             else:
-                break
+                while True:
+                    items.append(self.term())
+                    c = self.peek()
+                    if c not in (",", ">"):
+                        self.error("expected ',' or '>'")
+                    self.pos += 1
+                    if c == ">":
+                        break
+            t = RApp(t, tuple(items))
         return t
 
-    t = term()
-    skip()
-    if pos != len(text):
-        raise ResourceParseError(f"trailing input at {pos}")
-    return t
+
+def parse_resource(text: str) -> ResourceTerm:
+    return _ResourceParser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +141,12 @@ def _subst_assignment(t: ResourceTerm, name: str, queue: list) -> ResourceTerm:
             avoid |= free_rvars(u)
         if t.binder in avoid and _occurrences(t.body, name) > 0:
             nb = _fresh(t.binder, avoid | free_rvars(t.body) | {name})
-            body = _rename(t.body, t.binder, nb)
+            body = _subst_assignment(t.body, t.binder,
+                                     [RVar(nb)] * _occurrences(t.body, t.binder))
             return RAbs(nb, _subst_assignment(body, name, queue))
         return RAbs(t.binder, _subst_assignment(t.body, name, queue))
     fun = _subst_assignment(t.fun, name, queue)
     return RApp(fun, tuple(_subst_assignment(u, name, queue) for u in t.bag))
-
-
-def _rename(t, old, new):
-    if isinstance(t, RVar):
-        return RVar(new) if t.name == old else t
-    if isinstance(t, RAbs):
-        return t if t.binder == old else RAbs(t.binder, _rename(t.body, old, new))
-    return RApp(_rename(t.fun, old, new), tuple(_rename(u, old, new) for u in t.bag))
 
 
 def canonical_binders(t: ResourceTerm) -> ResourceTerm:
@@ -299,7 +229,8 @@ def resource_reduce(t: ResourceTerm) -> frozenset:
 # Normal forms: heights, truncations, the metric r
 
 def normal_view(t: ResourceTerm):
-    """Split a normal term into (binders, head, bags); raises if not normal."""
+    """Split a term into (binders, head, bags); raises ValueError unless the
+    head is a variable, as it is in a normal term."""
     binders = []
     while isinstance(t, RAbs):
         binders.append(t.binder)
@@ -312,6 +243,16 @@ def normal_view(t: ResourceTerm):
         raise ValueError("term is not in normal form")
     bags.reverse()
     return tuple(binders), t.name, tuple(bags)
+
+
+def spine(binders, head: ResourceTerm, bags) -> ResourceTerm:
+    """lambda binders. head bags, each bag a tuple; `normal_view` inverts it
+    for a variable head."""
+    for items in bags:
+        head = RApp(head, items)
+    for b in reversed(binders):
+        head = RAbs(b, head)
+    return head
 
 
 def height(t: ResourceTerm) -> int:
@@ -344,32 +285,19 @@ def truncate(t: ResourceTerm, n: int):
         return EMPTY_MARK
     binders, head, bags = normal_view(t)
     if n == 1:
-        new_bags = [() for _ in bags]
-    else:
-        new_bags = [tuple(truncate(u, n - 1) for u in b) for b in bags]
-    out: ResourceTerm = RVar(head)
-    for b in new_bags:
-        out = RApp(out, b)
-    for b in reversed(binders):
-        out = RAbs(b, out)
-    return out
+        return spine(binders, RVar(head), [() for _ in bags])
+    return spine(binders, RVar(head),
+                 [tuple(truncate(u, n - 1) for u in b) for b in bags])
 
 
 def r_metric(t: ResourceTerm, u: ResourceTerm) -> DistanceValue:
     """2**-n for the deepest n with both heights >= n and equal truncations."""
-    top = min(height(t), height(u))
-    best = 0
-    for n in range(1, top + 1):
-        if truncate(t, n) == truncate(u, n):
-            best = n
-        else:
-            break
-    return exact(dyadic(best))
+    return exact(dyadic(agreement_level(t, u, height, truncate)))
 
 
 def r_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
     """The order induced by r: t is a full truncation of u."""
-    return height(u) >= height(t) and truncate(u, height(t)) == t
+    return truncation_below(t, u, height, truncate)
 
 
 def bag_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
@@ -379,9 +307,9 @@ def bag_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
 
 def _bag_leq(t, u, envt, envu):
     if isinstance(t, RVar) and isinstance(u, RVar):
-        return _vkey(t.name, envt) == _vkey(u.name, envu)
+        return db_index(t.name, envt) == db_index(u.name, envu)
     if isinstance(t, RAbs) and isinstance(u, RAbs):
-        return _bag_leq(t.body, u.body, envt + (t.binder,), envu + (u.binder,))
+        return _bag_leq(t.body, u.body, (t.binder,) + envt, (u.binder,) + envu)
     if isinstance(t, RApp) and isinstance(u, RApp):
         if not _bag_leq(t.fun, u.fun, envt, envu):
             return False
@@ -401,10 +329,3 @@ def _bag_embeds(small, big, envt, envu):
             if _bag_embeds(rest, big[:i] + big[i + 1:], envt, envu):
                 return True
     return False
-
-
-def _vkey(name, env):
-    for i in range(len(env) - 1, -1, -1):
-        if env[i] == name:
-            return ("b", len(env) - 1 - i)
-    return ("f", name)

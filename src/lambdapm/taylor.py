@@ -4,16 +4,17 @@ commutation check."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
 from .distance import bracket, dyadic, exact
-from .lamcalc import Abs, LambdaTerm, Var
-from .resource import RAbs, RApp, ResourceTerm, RVar, rkey
+from .lamcalc import Abs, LambdaTerm, Var, db_index
+from .resource import RAbs, RApp, ResourceTerm, RVar, normal_view, rkey
 
 
 # ---------------------------------------------------------------------------
@@ -27,41 +28,20 @@ def box_relation(t: ResourceTerm, a: PartialTerm) -> bool:
 def _box(t, a, envt, enva):
     if isinstance(a, Bottom):
         return False
-    binders, head, bags = _rview(t)
-    if binders is None:
+    try:
+        binders, head, bags = normal_view(t)
+    except ValueError:
         return False
     if len(binders) != len(a.binders) or len(bags) != len(a.args):
         return False
-    et, ea = envt + binders, enva + a.binders
-    if _vk(head, et) != _vk(a.head, ea):
+    et, ea = binders[::-1] + envt, a.binders[::-1] + enva
+    if db_index(head, et) != db_index(a.head, ea):
         return False
     for items, arg in zip(bags, a.args):
         for u in items:
             if not _box(u, arg, et, ea):
                 return False
     return True
-
-
-def _rview(t):
-    binders = []
-    while isinstance(t, RAbs):
-        binders.append(t.binder)
-        t = t.body
-    bags = []
-    while isinstance(t, RApp):
-        bags.append(t.bag)
-        t = t.fun
-    if not isinstance(t, RVar):
-        return None, None, None
-    bags.reverse()
-    return tuple(binders), t.name, tuple(bags)
-
-
-def _vk(name, env):
-    for i in range(len(env) - 1, -1, -1):
-        if env[i] == name:
-            return ("b", len(env) - 1 - i)
-    return ("f", name)
 
 
 def min_source(t: ResourceTerm) -> PartialTerm | None:
@@ -75,8 +55,9 @@ def min_source(t: ResourceTerm) -> PartialTerm | None:
 
 
 def _min_source(t: ResourceTerm) -> PartialTerm | None:
-    binders, head, bags = _rview(t)
-    if binders is None:
+    try:
+        binders, head, bags = normal_view(t)
+    except ValueError:
         return None
     args = []
     for items in bags:
@@ -130,40 +111,31 @@ def taylor_expand(a: PartialTerm, mult_bound: int, height_bound: int) -> TaylorF
     if mult_bound < 1 or height_bound < 1:
         raise ValueError("bounds must be >= 1")
     return TaylorFragment(a, mult_bound, height_bound,
-                          frozenset(_expand(a, mult_bound, height_bound)))
+                          frozenset(_expand(a, range(mult_bound + 1), height_bound)))
 
 
-def _expand(a: PartialTerm, b: int, h: int) -> list:
+def _bags(elems, sizes) -> list:
+    """Every multiset of `elems` whose size is in `sizes`, in a fixed order."""
+    pool = []
+    for k in sizes:
+        pool.extend(combinations_with_replacement(elems, k))
+    return pool
+
+
+def _expand(a: PartialTerm, sizes, h) -> list:
+    """Expansion elements of `a` of height <= h (math.inf: any height) whose
+    bags over non-bottom arguments have sizes in `sizes`; a bottom argument
+    takes only the empty bag."""
     if isinstance(a, Bottom) or h < 1:
         return []
-    arg_pools = []
+    pools = []
     for arg in a.args:
         if isinstance(arg, Bottom):
-            arg_pools.append([()])  # only the empty bag over a bottom child
-            continue
-        elems = _expand(arg, b, h - 1)
-        pool = [()]
-        for k in range(1, b + 1):
-            pool.extend(combinations_with_replacement(elems, k))
-        arg_pools.append(pool)
-    out = []
-    for bags in _product(arg_pools):
-        t: ResourceTerm = RVar(a.head)
-        for items in bags:
-            t = RApp(t, tuple(items))
-        for bnd in reversed(a.binders):
-            t = RAbs(bnd, t)
-        out.append(t)
-    return out
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
+            pools.append([()])
+        else:
+            pools.append(_bags(_expand(arg, sizes, h - 1), sizes))
+    binders, head, spine = a.binders, RVar(a.head), resource.spine
+    return [spine(binders, head, bags) for bags in product(*pools)]
 
 
 def gen_height(t: ResourceTerm) -> int:
@@ -187,11 +159,8 @@ def taylor_of_term(m: LambdaTerm, mult_bound: int, height_bound: int) -> TaylorF
         if isinstance(u, Abs):
             return [RAbs(u.binder, t) for t in go(u.body)]
         funs = go(u.fun)
-        args = go(u.arg)
+        pool = _bags(go(u.arg), range(mult_bound + 1))
         out = []
-        pool = [()]
-        for k in range(1, mult_bound + 1):
-            pool.extend(combinations_with_replacement(args, k))
         for f in funs:
             for items in pool:
                 out.append(RApp(f, tuple(items)))
@@ -208,28 +177,8 @@ def taylor_of_term(m: LambdaTerm, mult_bound: int, height_bound: int) -> TaylorF
 # elements (every element extends to one, and extending never increases the
 # inner inf), and for a maximal element the upward moves are exhausted, so the
 # inner inf is the deepest truncation level realizable inside the other
-# fragment -- a membership test, not an enumeration.
-
-def _maximal_elements(a: PartialTerm, b: int) -> list:
-    if isinstance(a, Bottom):
-        return []
-    pools = []
-    for arg in a.args:
-        if isinstance(arg, Bottom):
-            pools.append([()])
-        else:
-            sub = _maximal_elements(arg, b)
-            pools.append(list(combinations_with_replacement(sub, b)))
-    out = []
-    for bags in _product(pools):
-        t: ResourceTerm = RVar(a.head)
-        for items in bags:
-            t = RApp(t, tuple(items))
-        for bnd in reversed(a.binders):
-            t = RAbs(bnd, t)
-        out.append(t)
-    return out
-
+# fragment -- a membership test, not an enumeration.  The maximal elements
+# are those whose bags over non-bottom arguments all have exactly b items.
 
 def _bags_within(t: ResourceTerm, b: int) -> bool:
     if isinstance(t, RVar):
@@ -247,7 +196,7 @@ def _side_fast(a: PartialTerm, other: PartialTerm, b: int) -> Fraction:
     if isinstance(other, Bottom):
         return Fraction(1)  # inf over the empty set
     worst = Fraction(0)
-    for t in _maximal_elements(a, b):
+    for t in _expand(a, (b,), math.inf):
         h = resource.height(t)
         best_n = 0
         for n in range(1, h + 1):
@@ -384,8 +333,8 @@ def _pt_sort_key(t: PartialTerm):
 def _pt_code(t, env):
     if isinstance(t, Bottom):
         return (0,)
-    env2 = env + t.binders
-    hk = _vk(t.head, env2)
+    env2 = t.binders[::-1] + env
+    hk = db_index(t.head, env2)
     hcode = (1, hk[1]) if hk[0] == "b" else (2, hk[1])
     return (1, len(t.binders), hcode, len(t.args),
             tuple(_pt_code(a, env2) for a in t.args))
@@ -414,7 +363,7 @@ def faithful_pool(a: PartialTerm) -> tuple:
     """
     k = bohm.pkey(a)
     if k not in _POOLS:
-        pool = [t for t in _expand(a, 2, max(1, bohm.height(a)))
+        pool = [t for t in _expand(a, range(3), max(1, bohm.height(a)))
                 if min_source(t) == a]
         if not pool:
             raise RuntimeError(f"no faithful element for {a}")  # unreachable

@@ -4,6 +4,7 @@ boolean `passed`, a `details` list, and its runtime."""
 
 from __future__ import annotations
 
+import inspect
 import time
 from fractions import Fraction
 from . import bohm, contextual, corpus, resource, taylor
@@ -589,13 +590,16 @@ ALL_SUITES = {
 }
 
 
-def run_all(seed: int = 7):
-    import inspect
+def run_suite(name: str, seed: int = 7) -> dict:
+    """Run the suite `name` of ALL_SUITES, passing `seed` if it takes one."""
+    try:
+        fn = ALL_SUITES[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}") from None
+    if "seed" in inspect.signature(fn).parameters:
+        return fn(seed=seed)
+    return fn()
 
-    reports = []
-    for fn in ALL_SUITES.values():
-        if "seed" in inspect.signature(fn).parameters:
-            reports.append(fn(seed=seed))
-        else:
-            reports.append(fn())
-    return reports
+
+def run_all(seed: int = 7):
+    return [run_suite(name, seed) for name in ALL_SUITES]

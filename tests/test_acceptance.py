@@ -4,9 +4,25 @@ order it provably induces; that order is strictly contained in the
 approximant order, and the test also pins the gap between the two (proof and
 counterexamples in docs/DECISIONS.md)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from lambdapm import verify
+
+# The recorded reports, `seconds` dropped: refactors must leave them
+# unchanged.  tests/golden/regen.py writes them.
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "suites.json").read_text())
+
+
+def _json(value):
+    """`value` as the CLI prints it, read back: Fractions become strings."""
+    return json.loads(json.dumps(value, sort_keys=True, default=str))
+
+
+def _untimed(report):
+    return _json({k: v for k, v in report.items() if k != "seconds"})
 
 
 def _line(criterion, report):
@@ -25,6 +41,7 @@ def test_criterion_1_axiom_suites():
     _line(1, rep)
     assert rep["passed"], rep["details"]
     assert rep["seconds"] < 60
+    assert _untimed(rep) == GOLDEN["axioms"]
 
 
 def test_criterion_2a_order_capture_p_tree(order_capture):
@@ -49,6 +66,7 @@ def test_criterion_2a_order_capture_p_tree(order_capture):
     # the documented witness: x _|_ y is below x y y as an approximant, yet
     # p_tree sets them 1/2 apart against a self-distance of 1/4
     assert ("x _|_ y", "x y y") in detail["approximant_gap"]
+    assert _json(detail) == GOLDEN["order-capture"]["details"][0]
 
 
 def test_criterion_2b_order_capture_p_int(order_capture):
@@ -56,6 +74,7 @@ def test_criterion_2b_order_capture_p_int(order_capture):
     _line("2b", {"name": "order capture: p_int vs reverse inclusion",
                  "passed": detail["count"] == 0, "seconds": 0})
     assert detail["count"] == 0
+    assert _json(detail) == GOLDEN["order-capture"]["details"][1]
 
 
 def test_criterion_2c_order_capture_applicative(order_capture):
@@ -65,6 +84,7 @@ def test_criterion_2c_order_capture_applicative(order_capture):
     _line("2c", {"name": "order capture: applicative vs pointwise",
                  "passed": ok, "seconds": 0})
     assert ok
+    assert _json(details) == GOLDEN["order-capture"]["details"][2:4]
 
 
 def test_criterion_2d_order_capture_hausdorff(order_capture):
@@ -73,12 +93,14 @@ def test_criterion_2d_order_capture_hausdorff(order_capture):
     _line("2d", {"name": "order capture: H* on ideals vs inclusion",
                  "passed": detail["count"] == 0, "seconds": 0})
     assert detail["count"] == 0
+    assert _untimed(order_capture) == GOLDEN["order-capture"]
 
 
 def test_criterion_3_paper_identities():
     rep = verify.suite_identities()
     _line(3, rep)
     assert rep["passed"], [d for d in rep["details"] if not d["passed"]]
+    assert _untimed(rep) == GOLDEN["identities"]
 
 
 def test_criterion_4_taylor_isometry():
@@ -87,12 +109,14 @@ def test_criterion_4_taylor_isometry():
     assert rep["passed"], rep["details"]
     assert rep["details"][0]["pairs"] >= 300
     assert rep["seconds"] < 300
+    assert _untimed(rep) == GOLDEN["isometry"]
 
 
 def test_criterion_5_enumeration_isometry():
     rep = verify.suite_enumeration_isometry(seed=5, pairs=50, k=12)
     _line(5, rep)
     assert rep["passed"], rep["details"]
+    assert _untimed(rep) == GOLDEN["enum-isometry"]
 
 
 def test_criterion_6_commutation():
@@ -100,12 +124,14 @@ def test_criterion_6_commutation():
     _line(6, rep)
     assert rep["passed"], rep["details"]
     assert rep["details"][0]["terms"] == 30
+    assert _untimed(rep) == GOLDEN["commutation"]
 
 
 def test_criterion_7_quantification():
     rep = verify.suite_quantification(seed=7)
     _line(7, rep)
     assert rep["passed"], rep["details"]
+    assert _untimed(rep) == GOLDEN["quantification"]
 
 
 def test_criterion_8_tower_laws():
@@ -113,15 +139,18 @@ def test_criterion_8_tower_laws():
     _line(8, rep)
     assert rep["passed"], rep["details"]
     assert rep["seconds"] < 120
+    assert _untimed(rep) == GOLDEN["tower"]
 
 
 def test_criterion_9_genericity():
     rep = verify.suite_genericity()
     _line(9, rep)
     assert rep["passed"], rep["details"]
+    assert _untimed(rep) == GOLDEN["genericity"]
 
 
 def test_criterion_10_bracket_soundness():
     rep = verify.suite_brackets(seed=13, pairs=100)
     _line(10, rep)
     assert rep["passed"], rep["details"]
+    assert _untimed(rep) == GOLDEN["brackets"]

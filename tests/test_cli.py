@@ -75,3 +75,23 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["value"] == {"kind": "exact", "num": 1, "den_pow2": 1}
+
+
+def test_malformed_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("LAMBDA_PM_CAP", "abc")
+    code = main(["pexp", "--base", "sierpinski", "--f", "0", "--g", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "LAMBDA_PM_CAP" in captured.err and "'abc'" in captured.err
+
+
+def test_deeply_nested_term_is_a_parse_error(capsys):
+    code = main(["parse", "--term", "(" * 1200 + "x" + ")" * 1200])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_verify_unknown_suite(capsys):
+    code = main(["verify", "--suite", "nope"])
+    assert code == 2
+    assert "unknown suite 'nope'" in capsys.readouterr().err

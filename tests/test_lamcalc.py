@@ -35,6 +35,13 @@ def test_parse_errors_have_positions():
         parse("x _|_")  # reserved for partial terms
 
 
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 1200 + "x" + ")" * 1200)
+    # the parser still works after unwinding
+    assert parse("((x))") == Var("x")
+
+
 def test_strict_mode_rejects_free_variables():
     with pytest.raises(ParseError):
         parse("x y", strict=True)

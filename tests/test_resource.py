@@ -4,9 +4,11 @@ import pytest
 
 from lambdapm import corpus
 from lambdapm.distance import dyadic, exact
-from lambdapm.resource import (EMPTY_MARK, RAbs, RApp, RVar, bag_leq, height,
-                               is_normal, parse_resource, r_leq, r_metric,
-                               resource_reduce, rsize, truncate, _step)
+from lambdapm.lamcalc import ParseError
+from lambdapm.resource import (EMPTY_MARK, RAbs, RApp, RVar, ResourceParseError,
+                               bag_leq, height, is_normal, parse_resource,
+                               r_leq, r_metric, resource_reduce, rsize,
+                               truncate, _step)
 
 
 def nf_all_positions(t):
@@ -96,6 +98,26 @@ def test_substitution_avoids_capture():
         cur = cur.body
     assert isinstance(cur, RApp)
     assert isinstance(cur.fun, RVar) and cur.fun.name not in binders
+
+
+def test_renamed_binder_is_not_captured_by_an_inner_binder():
+    # renaming \y away from the free y must not pick the name of the inner
+    # \y0, which would then capture the renamed occurrence
+    t = parse_resource("(\\x. \\y. \\y0. y<x>) <y>")
+    assert resource_reduce(t) == {parse_resource("\\a. \\b. a<y>")}
+
+
+def test_parse_errors_are_typed_with_positions():
+    with pytest.raises(ResourceParseError) as err:
+        parse_resource("x<y")
+    assert isinstance(err.value, ParseError) and err.value.pos == 3
+    with pytest.raises(ResourceParseError):
+        parse_resource("x _|_")
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ResourceParseError, match="nested too deeply"):
+        parse_resource("(" * 1200 + "x" + ")" * 1200)
 
 
 def test_heights():
