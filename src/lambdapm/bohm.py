@@ -3,6 +3,7 @@ Boehm-tree truncations, the tree partial metric and the Boehm distance."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -209,97 +210,55 @@ def p_tree(a: PartialTerm, b: PartialTerm) -> DistanceValue:
 # ---------------------------------------------------------------------------
 # Boehm distance with sound brackets
 
-_CT, _CF, _UNK = 1, 0, None  # three-valued logic
+def _fuel_horizon(tr: BohmTruncation):
+    """First level holding a fuel-unknown bottom, or inf if there is none."""
+    return 1 + min(map(len, tr.tentative), default=math.inf)
 
 
-def _and3(*vals):
-    if any(v == _CF for v in vals):
-        return _CF
-    if all(v == _CT for v in vals):
-        return _CT
-    return _UNK
+def _first_difference(ta: BohmTruncation, tb: BohmTruncation):
+    """First level at which both truncations are certain and differ, or inf.
 
+    Nothing at or below a fuel-unknown position is certain."""
+    unknown = set(ta.tentative) | set(tb.tentative)
 
-def _posmap(tr: BohmTruncation) -> dict:
-    """Map position -> ("node", data) | ("bot",) | ("unk",) for levels <= depth.
+    def go(a, b, pos, enva, envb):
+        if pos in unknown:
+            return math.inf
+        if isinstance(a, Bottom) or isinstance(b, Bottom):
+            same = isinstance(a, Bottom) and isinstance(b, Bottom)
+            return math.inf if same else len(pos) + 1
+        ea, eb = a.binders[::-1] + enva, b.binders[::-1] + envb
+        if (len(a.binders), db_index(a.head, ea), len(a.args)) != \
+                (len(b.binders), db_index(b.head, eb), len(b.args)):
+            return len(pos) + 1
+        return min((go(x, y, pos + (i,), ea, eb)
+                    for i, (x, y) in enumerate(zip(a.args, b.args))),
+                   default=math.inf)
 
-    "bot" is a certified-divergent leaf (certainly empty); "unk" covers bottoms
-    from fuel exhaustion and nodes cut at the depth horizon.
-    """
-    tentative, cut = set(tr.tentative), set(tr.cut)
-    out = {}
-
-    def walk(t, pos, env):
-        if len(pos) >= tr.depth:
-            return
-        if isinstance(t, Bottom):
-            out[pos] = ("unk",) if (pos in cut or pos in tentative) else ("bot",)
-            return
-        env2 = t.binders[::-1] + env
-        out[pos] = ("node", (len(t.binders), db_index(t.head, env2), len(t.args)))
-        for i, a in enumerate(t.args):
-            walk(a, pos + (i,), env2)
-
-    walk(tr.tree, (), ())
-    return out
-
-
-def _status(pm: dict, pos: tuple):
-    """("node", data) | ("bot",) | ("unk",) for any position within the horizon."""
-    if pos in pm:
-        return pm[pos]
-    for k in range(len(pos) - 1, -1, -1):
-        anc = pm.get(pos[:k])
-        if anc is not None:
-            # under an unknown everything is unknown; under a certain node or
-            # certain bottom, unlisted descendants are certainly absent
-            return ("unk",) if anc[0] == "unk" else ("bot",)
-    return ("bot",)
+    return go(ta.tree, tb.tree, (), (), ())
 
 
 def p_bohm(m: LambdaTerm, n: LambdaTerm, depth: int, fuel: int) -> DistanceValue:
-    """Distance between Boehm trees, exact when certifiable, else a bracket."""
+    """Distance between Boehm trees, exact when certifiable, else a bracket.
+
+    Level k is certainly agreed when both trees reach height k and their
+    level-k truncations are certainly equal, and certainly refuted when a
+    tree certainly stops below k or the truncations certainly differ.  Each
+    of these switches once as k grows, so five levels give the bracket
+    (docs/DECISIONS.md D4)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ta = bohm_truncate(m, depth, fuel)
     tb = bohm_truncate(n, depth, fuel)
     if ta.complete and tb.complete:
         return p_tree(ta.tree, tb.tree)
-
-    pa, pb = _posmap(ta), _posmap(tb)
-
-    def defined(pm, lvl):
-        """Three-valued: does the tree reach height lvl?"""
-        kinds = [v[0] for p, v in pm.items() if len(p) == lvl - 1]
-        if "node" in kinds:
-            return _CT
-        if any(v[0] == "unk" for p, v in pm.items() if len(p) <= lvl - 1):
-            return _UNK
-        return _CF
-
-    def eq(lvl):
-        """Three-valued equality of the level-lvl truncations."""
-        verdict = _CT
-        positions = {p for p in set(pa) | set(pb) if len(p) <= lvl - 1}
-        for p in positions:
-            sa, sb = _status(pa, p), _status(pb, p)
-            if sa[0] == "unk" or sb[0] == "unk":
-                verdict = _UNK
-            elif sa != sb:
-                return _CF
-        return verdict
-
-    dlo, first_cf = 0, None
-    for lvl in range(1, depth + 1):
-        a3 = _and3(defined(pa, lvl), defined(pb, lvl), eq(lvl))
-        if a3 == _CT:
-            dlo = lvl
-        elif a3 == _CF:
-            first_cf = lvl
-            break
-    if first_cf is not None:
-        dhi = first_cf - 1
-        if dlo == dhi:
-            return exact(dyadic(dlo))
-        return bracket(dyadic(dhi), dyadic(dlo))
-    return bracket(Fraction(0), dyadic(dlo))
+    ha, hb = height(ta.tree), height(tb.tree)
+    ua, ub = _fuel_horizon(ta), _fuel_horizon(tb)
+    diff = _first_difference(ta, tb)
+    agreed = min(ha, hb, ua - 1, ub - 1, diff - 1)
+    refuted = min([diff] + [h + 1 for h, u in ((ha, ua), (hb, ub)) if h + 1 < u])
+    if refuted > depth:
+        return bracket(Fraction(0), dyadic(agreed))
+    if agreed == refuted - 1:
+        return exact(dyadic(agreed))
+    return bracket(dyadic(refuted - 1), dyadic(agreed))

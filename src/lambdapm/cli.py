@@ -174,6 +174,11 @@ def _named_poset(name: str):
         return domains.FinitePoset.from_json(json.load(fh))
 
 
+def _base_metric(name: str, base):
+    """The D_0 metric of a tower over the named base poset."""
+    return verify.s_metric if name == "sierpinski" else verify.wb_space(base).d
+
+
 def _dispatch(args) -> int:
     v = args.verb
     if v == "parse":
@@ -254,9 +259,7 @@ def _dispatch(args) -> int:
                "gap": str(res["gap"]), "tail": str(res["tail"])}, args)
     elif v == "tower":
         base = _named_poset(args.base)
-        sp = verify.wb_space(base) if args.base != "sierpinski" else None
-        metric = verify.s_metric if args.base == "sierpinski" else sp.d
-        tw = domains.build_tower(base, metric, args.depth)
+        tw = domains.build_tower(base, _base_metric(args.base, base), args.depth)
         _emit({"sizes": [tw.level(i).poset.size for i in range(args.depth + 1)]},
               args)
     elif v == "pexp":
@@ -269,9 +272,7 @@ def _dispatch(args) -> int:
         _emit(_metric_report("p_exp", val), args)
     elif v == "pinf":
         base = _named_poset(args.base)
-        sp = verify.wb_space(base)
-        metric = verify.s_metric if args.base == "sierpinski" else sp.d
-        tw = domains.build_tower(base, metric, args.depth)
+        tw = domains.build_tower(base, _base_metric(args.base, base), args.depth)
         a = domains.TowerProfile.from_top(tw, args.x)
         b = domains.TowerProfile.from_top(tw, args.y)
         _emit(_metric_report("p_inf", domains.p_infinity_prefix(tw, a, b)),
@@ -318,11 +319,7 @@ def _axiom_space(args):
     if args.space == "r":
         return verify.r_space(corpus.resource_corpus(14))
     if args.space == "pint":
-        rng = corpus.rng_for(args.seed)
-        ivs = corpus.interval_corpus(rng, 12)
-        from .intervals import p_int
-        return verify.PartialMetricSpace(
-            ivs, lambda a, b: p_int(a, b).value, "p_int")
+        return verify.pint_space(args.seed)
     raise ValueError(f"unknown space {args.space!r}")
 
 

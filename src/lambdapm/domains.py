@@ -55,8 +55,11 @@ class FinitePoset:
                             raise ValueError("not transitive")
         if any(not self.leq[self.bottom][i] for i in range(n)):
             raise ValueError("bottom is not least")
-        if self.lub_table() is None:
-            raise ValueError("not bounded complete")
+        for i in range(n):
+            for j in range(i + 1, n):
+                ubs = [k for k in range(n) if self.leq[i][k] and self.leq[j][k]]
+                if ubs and not any(all(self.leq[u][v] for v in ubs) for u in ubs):
+                    raise ValueError("not bounded complete")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must align with carrier")
 
@@ -69,25 +72,6 @@ class FinitePoset:
 
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
-
-    def upper_bounds(self, i: int, j: int):
-        return [k for k in self.elements() if self.leq[i][k] and self.leq[j][k]]
-
-    def lub_table(self):
-        """Pairwise least upper bounds where they exist, else None entries;
-        returns None overall if some bounded pair lacks a least upper bound."""
-        n = len(self.leq)
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ubs = self.upper_bounds(i, j)
-                if not ubs:
-                    continue
-                least = [u for u in ubs if all(self.leq[u][v] for v in ubs)]
-                if not least:
-                    return None
-                table[i][j] = least[0]
-        return table
 
     def directed_subsets(self):
         """All nonempty directed subsets; exponential, only for small posets."""
@@ -282,6 +266,7 @@ class TowerLevel:
     metric: object = None        # callable (i, j) -> Fraction
     inj: object = None           # i_n : D_n -> D_{n+1}, as an index table
     proj: object = None          # j_n : D_{n+1} -> D_n, as an index table
+    index: dict = None           # table -> carrier index, when n > 0
 
 
 @dataclass
@@ -335,38 +320,47 @@ def build_tower(d0: FinitePoset, p0, depth: int, cap: int = None) -> Tower:
     for n in range(depth):
         prev = levels[n]
         poset, maps = function_space(prev.poset, prev.poset, cap)
-        table_index = {m.table: i for i, m in enumerate(maps)}
-
-        if n == 0:
-            # i_0(x) = const x, j_0(f) = f(bottom)
-            inj = tuple(table_index[(x,) * prev.poset.size]
-                        for x in range(prev.poset.size))
-            proj = tuple(maps[f](prev.poset.bottom) for f in range(poset.size))
-        else:
-            below = levels[n - 1]
-            inj = tuple(
-                table_index[tuple(below.inj[prev.maps[f](below.proj[g])]
-                                  for g in range(prev.poset.size))]
-                for f in range(prev.poset.size))
-            prev_index = {m.table: i for i, m in enumerate(prev.maps)}
-            proj = tuple(
-                prev_index[tuple(below.proj[maps[g](below.inj[x])]
-                                 for x in range(below.poset.size))]
-                for g in range(poset.size))
-
-        def make_metric(maps_, prev_metric_, prev_size_):
-            def m(f, g):
-                total = Fraction(0)
-                for i in range(prev_size_):
-                    total += dyadic(i + 1) * prev_metric_(maps_[f](i), maps_[g](i))
-                return total
-            return _memo2(m)
-
-        prev.inj, prev.proj = inj, proj
         levels.append(TowerLevel(n + 1, poset, maps=maps,
-                                 metric=make_metric(maps, prev.metric,
-                                                    prev.poset.size)))
+                                 metric=_level_metric(prev.metric, maps),
+                                 index={m.table: i for i, m in enumerate(maps)}))
+        prev.inj = tuple(levels[n + 1].index[_inject_table(levels, n, f)]
+                         for f in range(prev.poset.size))
+        prev.proj = tuple(_project_table(levels, n, m.table) for m in maps)
     return Tower(levels, p0)
+
+
+def _inject_table(levels, n: int, f: int) -> tuple:
+    """i_n(f) for f an index of D_n, as a table over D_n:
+    i_0(x) = const x, i_n(f) = i_{n-1} . f . j_{n-1}."""
+    size = levels[n].poset.size
+    if n == 0:
+        return (f,) * size
+    below = levels[n - 1]
+    fmap = levels[n].maps[f]
+    return tuple(below.inj[fmap(below.proj[g])] for g in range(size))
+
+
+def _project_table(levels, n: int, table: tuple) -> int:
+    """j_n of a table over D_n, as an index of D_n:
+    j_0(f) = f(bottom), j_n(g) = j_{n-1} . g . i_{n-1}.  Raises KeyError
+    when the result is not a table of D_n."""
+    if n == 0:
+        return table[levels[0].poset.bottom]
+    below = levels[n - 1]
+    return levels[n].index[tuple(below.proj[table[below.inj[x]]]
+                                 for x in range(below.poset.size))]
+
+
+def _table_metric(inner, t1: tuple, t2: tuple) -> Fraction:
+    """Sum over i of 2**-(i+1) * inner(t1[i], t2[i])."""
+    total = Fraction(0)
+    for i, (a, b) in enumerate(zip(t1, t2)):
+        total += dyadic(i + 1) * inner(a, b)
+    return total
+
+
+def _level_metric(inner, maps):
+    return _memo2(lambda f, g: _table_metric(inner, maps[f].table, maps[g].table))
 
 
 def _memo2(fn):
@@ -458,42 +452,23 @@ class LazyTop:
         self.tower = tower
         self.n = tower.depth  # tables act on D_n
         self.poset = tower.level(self.n).poset
-        maps = tower.level(self.n).maps
-        self._index = ({m.table: i for i, m in enumerate(maps)}
-                       if maps is not None else None)
 
     def le(self, t1: tuple, t2: tuple) -> bool:
         return all(self.poset.le(a, b) for a, b in zip(t1, t2))
 
     def inject_from_below(self, f: int) -> tuple:
         """i_n(f) for f an index of D_n, as a table over D_n."""
-        tw, n = self.tower, self.n
-        if n == 0:
-            return (f,) * self.poset.size
-        below = tw.level(n - 1)
-        fmap = tw.level(n).maps[f]
-        return tuple(below.inj[fmap(below.proj[g])]
-                     for g in range(self.poset.size))
+        return _inject_table(self.tower.levels, self.n, f)
 
     def project(self, table: tuple) -> int:
         """j_n of a table, as an index of D_n."""
-        tw, n = self.tower, self.n
-        if n == 0:
-            return table[self.poset.bottom]
-        below = tw.level(n - 1)
-        target = tuple(below.proj[table[below.inj[x]]]
-                       for x in range(below.poset.size))
         try:
-            return self._index[target]
+            return _project_table(self.tower.levels, self.n, table)
         except KeyError:
             raise ValueError("projection left the function space") from None
 
     def metric(self, t1: tuple, t2: tuple) -> Fraction:
-        inner = self.tower.metric(self.n)
-        total = Fraction(0)
-        for i in range(self.poset.size):
-            total += dyadic(i + 1) * inner(t1[i], t2[i])
-        return total
+        return _table_metric(self.tower.metric(self.n), t1, t2)
 
     def tables(self):
         return iter_monotone_tables(self.poset, self.poset)

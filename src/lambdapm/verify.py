@@ -66,6 +66,12 @@ def applicative_space(poset: FinitePoset, name="app") -> PartialMetricSpace:
     return sp
 
 
+def pint_space(seed: int) -> PartialMetricSpace:
+    """Twelve seeded random intervals under p_int."""
+    ivs = corpus.interval_corpus(corpus.rng_for(seed), 12)
+    return PartialMetricSpace(ivs, lambda a, b: p_int(a, b).value, "p_int")
+
+
 def ptree_space(terms) -> PartialMetricSpace:
     return PartialMetricSpace(list(terms),
                               lambda a, b: p_tree(a, b).value, "p_tree")
@@ -116,10 +122,7 @@ def suite_axioms(seed: int = 7) -> dict:
         ok = ok and not bad
 
     run(ptree_space(corpus.partial_corpus(3, 4)[:12]), "pum", "p_tree corpus")
-    rng = corpus.rng_for(seed)
-    ivs = corpus.interval_corpus(rng, 12)
-    run(PartialMetricSpace(ivs, lambda a, b: p_int(a, b).value, "p_int"),
-        "pm", "p_int corpus")
+    run(pint_space(seed), "pm", "p_int corpus")
     run(r_space(corpus.resource_corpus(14)), "pum", "r corpus")
     run(sierpinski_space(), "pm", "sierpinski")
 
@@ -188,11 +191,9 @@ def suite_order_capture() -> dict:
                     "gap_explained": explained})
     ok = ok and not mism and within and explained
 
-    rng = corpus.rng_for(11)
-    ivs = corpus.interval_corpus(rng, 12)
-    spi = PartialMetricSpace(ivs, lambda a, b: p_int(a, b).value, "p_int")
+    spi = pint_space(11)
     ind = induced_order(spi)
-    mism = [(str(a), str(b)) for a in ivs for b in ivs
+    mism = [(str(a), str(b)) for a in spi.carrier for b in spi.carrier
             if ((a, b) in ind) != int_leq(a, b)]
     details.append({"space": "p_int", "declared": "reverse inclusion",
                     "count": len(mism)})
@@ -413,9 +414,6 @@ def suite_tower(seed: int = 7, profile_pairs: int = 500,
     f_tower = build_tower(fbase, fspace.d, 1)
     ok = _strict_tower_laws(f_tower, details) and ok
     top = LazyTop(f_tower)
-    index = {}
-    for i, m in enumerate(f_tower.level(1).maps):
-        index[m.table] = i
     ji_ok = True
     for f in range(f_tower.level(1).poset.size):
         if top.project(top.inject_from_below(f)) != f:

@@ -54,6 +54,15 @@ CLI_EXAMPLES = [
     ["pexp", "--base", "chain3", "--f", "0", "--g", "3"],
     ["pinf", "--base", "sierpinski", "--depth", "2", "--x", "0", "--y", "9"],
     ["pbohm", "--m", "(((", "--n", "x", "--depth", "2"],
+    # p_bohm brackets: fuel-unknown subtrees (Omega_3) and the depth horizon
+    ["pbohm", "--m", "x ((\\x.x x x)(\\x.x x x))", "--n", "x y", "--depth",
+     "3", "--fuel", "10"],
+    ["pbohm", "--m", "x z ((\\x.x x x)(\\x.x x x))", "--n", "x y w",
+     "--depth", "3", "--fuel", "10"],
+    ["pbohm", "--m", "(\\x.x x x)(\\x.x x x)", "--n", "(\\x.x x x)(\\x.x x x)",
+     "--depth", "2", "--fuel", "6"],
+    ["pbohm", "--m", "x (y (z w))", "--n", "x (y (z w))", "--depth", "2",
+     "--fuel", "5"],
 ]
 
 # Each acceptance report, called with the arguments tests/test_acceptance.py

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdapm import bohm
 from lambdapm.bohm import (BOT, bohm_truncate, direct_approximant, height,
                            p_bohm, p_tree, parse_partial, partial_leq,
                            truncate, truncation_leq)
 from lambdapm.distance import bracket, dyadic, exact
-from lambdapm.lamcalc import App, parse
+from lambdapm.lamcalc import Abs, App, Var, parse
 
 I = parse("\\x. x")
 OMEGA = parse("(\\x. x x)(\\x. x x)")
@@ -128,6 +129,11 @@ def test_p_bohm_brackets_for_undecided_inputs():
     v = p_bohm(OMEGA3, OMEGA3, 3, 5)  # unknown at the root on both sides
     assert not v.is_exact
     assert v.lower == 0 and v.upper == 1
+    # an undecided argument caps the agreement where the rest goes deeper
+    slow = parse("x ((\\a.a)(\\a.a)(\\a.a)(\\a.a) y) (z w)")
+    other = parse("x u (z w)")
+    assert p_bohm(slow, other, 3, 2) == bracket(0, Fraction(1, 2))
+    assert p_bohm(slow, other, 3, 40) == exact(Fraction(1, 2))
 
 
 def test_p_bohm_bracket_for_infinite_equal_trees():
@@ -142,6 +148,68 @@ def test_p_bohm_narrows_with_depth_and_fuel():
     exact_v = p_bohm(OMEGA, I, 2, 50)
     assert exact_v.is_exact
     assert p_bohm(OMEGA, I, 4, 100) == exact_v
+
+
+@st.composite
+def salted_terms(draw, depth=0):
+    """Random terms whose subterms are sometimes Omega or Omega_3, so that
+    solvability is refuted at some positions and undecided at others."""
+    kinds = (["var", "abs", "app", "spine", "spine", "omega"]
+             if depth < 4 else ["var", "omega"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return Var(draw(st.sampled_from("xyz")))
+    if kind == "spine":  # a head variable, so the Boehm tree branches
+        t = Var(draw(st.sampled_from("xyz")))
+        for _ in range(draw(st.integers(1, 2))):
+            t = App(t, draw(salted_terms(depth + 1)))
+        return t
+    if kind == "omega":
+        return draw(st.sampled_from([OMEGA, OMEGA3]))
+    if kind == "abs":
+        return Abs(draw(st.sampled_from("xyz")), draw(salted_terms(depth + 1)))
+    return App(draw(salted_terms(depth + 1)), draw(salted_terms(depth + 1)))
+
+
+def _variant(t, rng):
+    """t with some subterms delayed by identity redexes and some variables
+    renamed to w: the same Boehm tree, or one that differs from t deep down,
+    with solvability decided at different fuel."""
+    if isinstance(t, Var):
+        u = Var("w") if rng.random() < 0.1 else t
+    elif isinstance(t, Abs):
+        u = Abs(t.binder, _variant(t.body, rng))
+    else:
+        u = App(_variant(t.fun, rng), _variant(t.arg, rng))
+    for _ in range(rng.randint(1, 12) if rng.random() < 0.25 else 0):
+        u = App(I, u)
+    return u
+
+
+@st.composite
+def term_pairs(draw):
+    """Two variants of one salted term."""
+    t = draw(salted_terms())
+    rng = draw(st.randoms(use_true_random=False))
+    return _variant(t, rng), _variant(t, rng)
+
+
+@st.composite
+def budget_pairs(draw):
+    """Depths d <= d2 and fuels f <= f2."""
+    d, d2 = sorted(draw(st.integers(1, 5)) for _ in range(2))
+    f, f2 = sorted(draw(st.integers(1, 16)) for _ in range(2))
+    return d, f, d2, f2
+
+
+@given(term_pairs(), budget_pairs())
+@settings(max_examples=200, deadline=None)
+def test_p_bohm_brackets_nest_as_budgets_grow(pair, budgets):
+    d, f, d2, f2 = budgets
+    base, refined = p_bohm(*pair, d, f), p_bohm(*pair, d2, f2)
+    assert base.contains(refined)
+    if base.is_exact:
+        assert refined == base
 
 
 def test_p_bohm_requires_depth():
