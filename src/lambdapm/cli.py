@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -266,6 +266,9 @@ def _dispatch(args) -> int:
         base = _named_poset(args.base)
         fs, maps = domains.function_space(base, base)
         sp = verify.wb_space(base)
+        for flag, i in (("--f", args.f), ("--g", args.g)):
+            if not 0 <= i < len(maps):
+                raise ValueError(f"{flag} {i} is not a map index in 0..{len(maps) - 1}")
         val = domains.applicative_metric(sp.d, list(range(base.size)),
                                          _parse_fraction(args.theta),
                                          maps[args.f], maps[args.g])

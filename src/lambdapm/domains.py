@@ -5,9 +5,10 @@ finite approximation tower with its level metrics."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, islice, product
 
 from .distance import DistanceValue, bracket, dyadic, exact
 from .pmetric import PartialMetricSpace
@@ -32,33 +33,42 @@ class CapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class FinitePoset:
     """Explicit finite order: reflexive, antisymmetric, transitive, with a
-    least element; bounded-completeness is checked on construction."""
+    least element; bounded-completeness is checked on construction.
+
+    `up[i]` is the up-set of i as a bitmask (bit j set iff i <= j), derived
+    from `leq` once; it is neither compared nor serialized."""
 
     leq: tuple  # tuple of tuples of bool
     bottom: int
     labels: tuple = None
+    up: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.leq)
-        if any(len(row) != n for row in self.leq):
+        leq, n = self.leq, len(self.leq)
+        if any(len(row) != n for row in leq):
             raise ValueError("leq must be square")
+        up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in leq)
+        object.__setattr__(self, "up", up)
         for i in range(n):
-            if not self.leq[i][i]:
+            if not leq[i][i]:
                 raise ValueError("not reflexive")
         for i in range(n):
             for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+                if i != j and leq[i][j] and leq[j][i]:
                     raise ValueError("not antisymmetric")
-                if self.leq[i][j]:
-                    for k in range(n):
-                        if self.leq[j][k] and not self.leq[i][k]:
-                            raise ValueError("not transitive")
-        if any(not self.leq[self.bottom][i] for i in range(n)):
+                if leq[i][j] and up[j] & ~up[i]:
+                    raise ValueError("not transitive")
+        if not 0 <= self.bottom < n:
+            raise ValueError(f"bottom {self.bottom} is not an element index")
+        if up[self.bottom] != (1 << n) - 1:
             raise ValueError("bottom is not least")
+        # the upper bounds of i and j form an up-set, so they have a least
+        # element iff they are the up-set of some element
+        ups = set(up)
         for i in range(n):
             for j in range(i + 1, n):
-                ubs = [k for k in range(n) if self.leq[i][k] and self.leq[j][k]]
-                if ubs and not any(all(self.leq[u][v] for v in ubs) for u in ubs):
+                ubs = up[i] & up[j]
+                if ubs and ubs not in ups:
                     raise ValueError("not bounded complete")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must align with carrier")
@@ -88,10 +98,14 @@ class FinitePoset:
                 "bottom": self.bottom}
 
     @classmethod
-    def from_json(cls, data: dict) -> "FinitePoset":
-        labels = tuple(str(e) for e in data["elements"])
-        leq = tuple(tuple(bool(v) for v in row) for row in data["leq"])
-        return cls(leq, int(data["bottom"]), labels)
+    def from_json(cls, data) -> "FinitePoset":
+        for k, kind in (("elements", list), ("leq", list), ("bottom", int)):
+            if not isinstance(data, dict) or not isinstance(data.get(k), kind):
+                raise ValueError(f"poset JSON needs {k!r} of type {kind.__name__}")
+        if not all(isinstance(row, list) for row in data["leq"]):
+            raise ValueError("poset JSON needs 'leq' as a list of lists")
+        return cls(tuple(tuple(bool(v) for v in row) for row in data["leq"]),
+                   data["bottom"], tuple(str(e) for e in data["elements"]))
 
 
 def chain(n: int) -> FinitePoset:
@@ -148,11 +162,9 @@ class MonotoneMap:
 def monotone_tables(x: FinitePoset, y: FinitePoset, cap: int = None):
     """All monotone tables, enumerated output-sensitively with a count cap."""
     cap = _cap() if cap is None else cap
-    out = []
-    for table in iter_monotone_tables(x, y):
-        out.append(table)
-        if len(out) > cap:
-            raise CapExceeded(f"function space exceeds cap {cap}")
+    out = list(islice(iter_monotone_tables(x, y), cap + 1))
+    if len(out) > cap:
+        raise CapExceeded(f"function space exceeds cap {cap}")
     return out
 
 
@@ -226,11 +238,7 @@ def quantification_decision(p: FinitePoset, space: PartialMetricSpace) -> dict:
         radii = sorted({space.d(z, center) - cself for z in pts
                         if space.d(z, center) > cself})
         radii = [r for r in radii if r > 0] + [Fraction(1)]
-        probes = []
-        for r in radii:
-            probes.append(r)
-            probes.append(r + Fraction(1, 2))
-        for eps in probes:
+        for eps in [q for r in radii for q in (r, r + Fraction(1, 2))]:
             ball = {z for z in pts if space.d(z, center) < cself + eps}
             for z in ball:
                 for w in pts:
@@ -316,7 +324,7 @@ def build_tower(d0: FinitePoset, p0, depth: int, cap: int = None) -> Tower:
     follow the applicative scheme with weights 1/2**i over the element
     enumeration of the previous level.
     """
-    levels = [TowerLevel(0, d0, metric=_memo2(p0))]
+    levels = [TowerLevel(0, d0, metric=cache(p0))]
     for n in range(depth):
         prev = levels[n]
         poset, maps = function_space(prev.poset, prev.poset, cap)
@@ -360,19 +368,7 @@ def _table_metric(inner, t1: tuple, t2: tuple) -> Fraction:
 
 
 def _level_metric(inner, maps):
-    return _memo2(lambda f, g: _table_metric(inner, maps[f].table, maps[g].table))
-
-
-def _memo2(fn):
-    memo = {}
-
-    def wrapped(a, b):
-        k = (a, b)
-        if k not in memo:
-            memo[k] = fn(a, b)
-        return memo[k]
-
-    return wrapped
+    return cache(lambda f, g: _table_metric(inner, maps[f].table, maps[g].table))
 
 
 @dataclass(frozen=True)
@@ -383,6 +379,9 @@ class TowerProfile:
 
     @classmethod
     def from_top(cls, tower: Tower, top: int) -> "TowerProfile":
+        size = tower.level(tower.depth).poset.size
+        if not 0 <= top < size:
+            raise ValueError(f"top-level index {top} is not in 0..{size - 1}")
         xs = [top]
         for n in range(tower.depth - 1, -1, -1):
             xs.append(tower.project(n, xs[-1]))
@@ -411,37 +410,33 @@ def p_infinity_prefix(tower: Tower, a: TowerProfile, b: TowerProfile) -> Distanc
 
 def iter_monotone_tables(x: FinitePoset, y: FinitePoset, rng=None):
     """Yield monotone tables without collecting them, by DFS over the
-    elements of x in an order that puts each after the elements below it.
-    With `rng`, each element's candidate values are tried in shuffled order."""
+    elements of x in order of down-set size, so that each comes after the
+    elements below it.  A value is allowed iff it lies in the up-set of the
+    value of every element below.  With `rng`, each element's candidate
+    values are tried in shuffled order."""
     n = x.size
-    order = sorted(range(n), key=lambda i: sum(x.leq[j][i] for j in range(n)))
-    pos = {e: k for k, e in enumerate(order)}
+    order = sorted(range(n), key=lambda i: sum(row[i] for row in x.leq))
+    below = [[j for j in range(n) if j != e and x.leq[j][e]] for e in range(n)]
+    table = [None] * n
 
-    def assign(k, partial):
+    def assign(k):
         if k == n:
-            table = [None] * n
-            for e, v in zip(order, partial):
-                table[e] = v
             yield tuple(table)
             return
         e = order[k]
+        allowed = (1 << y.size) - 1
+        for j in below[e]:
+            allowed &= y.up[table[j]]
         vals = range(y.size)
         if rng is not None:
             vals = list(vals)
             rng.shuffle(vals)
         for v in vals:
-            ok = True
-            for e2 in order[:k]:
-                if x.le(e2, e) and not y.le(partial[pos[e2]], v):
-                    ok = False
-                    break
-                if x.le(e, e2) and not y.le(v, partial[pos[e2]]):
-                    ok = False
-                    break
-            if ok:
-                yield from assign(k + 1, partial + (v,))
+            if allowed >> v & 1:
+                table[e] = v
+                yield from assign(k + 1)
 
-    yield from assign(0, ())
+    yield from assign(0)
 
 
 class LazyTop:
@@ -494,18 +489,12 @@ def finitary_closeness_check(tower: Tower, a: TowerProfile, b: TowerProfile,
     """The finitary criterion: leaf closeness below 2**-(n+1) at all sampled
     indices forces the prefix below 2**-n."""
     N = finite_access_bound(Fraction(1, 2), dyadic(n))
-    premise = True
-    for i in range(1, min(tower.depth, N) + 1):
-        sizes = [tower.level(l).poset.size for l in range(i - 1, -1, -1)]
-        ranges = [range(min(s, N)) for s in sizes]
-        for ks in product(*ranges):
-            va = eval_on_basis(tower, i, a.levels[i], ks)
-            vb = eval_on_basis(tower, i, b.levels[i], ks)
-            if tower.base_metric(va, vb) >= dyadic(n + 1):
-                premise = False
-                break
-        if not premise:
-            break
+    premise = all(
+        tower.base_metric(eval_on_basis(tower, i, a.levels[i], ks),
+                          eval_on_basis(tower, i, b.levels[i], ks)) < dyadic(n + 1)
+        for i in range(1, min(tower.depth, N) + 1)
+        for ks in product(*[range(min(tower.level(l).poset.size, N))
+                            for l in range(i - 1, -1, -1)]))
     prefix = p_infinity_prefix(tower, a, b).lower
     return {"premise": premise, "prefix": prefix,
             "holds": (not premise) or prefix < dyadic(n)}

@@ -23,7 +23,7 @@ from .resource import bag_leq, r_leq, r_metric, resource_reduce
 
 def _report(name, passed, details, t0):
     return {"name": name, "passed": bool(passed), "details": details,
-            "seconds": round(time.time() - t0, 3)}
+            "seconds": round(time.perf_counter() - t0, 3)}
 
 
 def s_metric(i, j) -> Fraction:
@@ -110,7 +110,7 @@ def hstar_ideal_space(terms) -> tuple:
 # Criterion 1: axiom suites
 
 def suite_axioms(seed: int = 7) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
 
@@ -164,7 +164,7 @@ def _fills_shallow_bottom(a, b) -> bool:
 
 
 def suite_order_capture() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
 
@@ -224,7 +224,7 @@ def suite_order_capture() -> dict:
 # Criterion 3: paper identities
 
 def suite_identities() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     checks = []
 
@@ -262,7 +262,7 @@ def suite_identities() -> dict:
 # Criterion 4: isometry at desk scale
 
 def suite_isometry(max_height: int = 4) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     terms = corpus.partial_corpus(max_height, 6)
     bad = []
     pairs = 0
@@ -283,7 +283,7 @@ def suite_isometry(max_height: int = 4) -> dict:
 # Criterion 5: enumeration isometry
 
 def suite_enumeration_isometry(seed: int = 5, pairs: int = 50, k: int = 12) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = corpus.rng_for(seed)
     terms = corpus.partial_corpus(3, 6)
     bad = []
@@ -303,7 +303,7 @@ def suite_enumeration_isometry(seed: int = 5, pairs: int = 50, k: int = 12) -> d
 # Criterion 6: commutation
 
 def suite_commutation() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     terms = corpus.normalizing_corpus(30)
     for m in terms:
@@ -333,7 +333,7 @@ def negative_control_space() -> PartialMetricSpace:
 
 
 def suite_quantification(seed: int = 7) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
 
@@ -400,7 +400,7 @@ def _strict_tower_laws(tower, details):
 
 def suite_tower(seed: int = 7, profile_pairs: int = 500,
                 function_pairs: int = 1000) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
 
@@ -527,7 +527,7 @@ def _lazy_finitary_check(tower, top: LazyTop, rng, n: int) -> dict:
 # Criterion 9: genericity
 
 def suite_genericity() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     terms = corpus.normalizing_corpus(30) + [corpus.OMEGA3, corpus.COMBINATORS["S"]]
     bad = []
@@ -548,7 +548,7 @@ def suite_genericity() -> dict:
 # Criterion 10: bracket soundness
 
 def suite_brackets(seed: int = 13, pairs: int = 100) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = corpus.rng_for(seed)
     pool = corpus.normalizing_corpus(30) + [corpus.OMEGA, corpus.OMEGA3]
     bad = []

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lambdapm.cli import main
 
 
@@ -95,3 +97,43 @@ def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "nope"])
     assert code == 2
     assert "unknown suite 'nope'" in capsys.readouterr().err
+
+
+S_LEQ = [[True, True], [False, True]]
+
+
+@pytest.mark.parametrize("poset, message", [
+    ({"elements": [0, 1], "leq": S_LEQ}, "'bottom'"),
+    ({"elements": [0, 1], "leq": [1, 2], "bottom": 0}, "'leq'"),
+    ({"elements": [0, 1], "leq": S_LEQ, "bottom": 5}, "bottom 5"),
+    ({"elements": [0, 1], "leq": S_LEQ, "bottom": -2}, "bottom -2"),
+], ids=["missing-key", "non-list-rows", "bottom-out-of-range",
+        "negative-bottom"])
+def test_malformed_poset_file_is_named(tmp_path, capsys, poset, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(poset))
+    code = main(["quantify-check", "--poset", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def test_missing_poset_file_is_named(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    code = main(["quantify-check", "--poset", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "absent.json" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pexp", "--base", "flat2", "--f", "99", "--g", "0"], "--f 99"),
+    (["pexp", "--base", "flat2", "--f=-1", "--g", "0"], "--f -1"),
+    (["pinf", "--base", "sierpinski", "--x", "99", "--y", "0"], "index 99"),
+    (["pinf", "--base", "sierpinski", "--x=-1", "--y", "0"], "index -1"),
+], ids=["pexp-too-large", "pexp-negative", "pinf-too-large", "pinf-negative"])
+def test_out_of_range_element_index_is_named(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err

@@ -1,17 +1,19 @@
 """Differential and round-trip properties: the de Bruijn keys against
-reference implementations that scan an outermost-first environment, the
-monotone-table DFS against a brute-force filter, and print/parse round
-trips for resource and partial terms."""
+reference implementations that scan an outermost-first environment, poset
+validation and the monotone-table DFS against pairwise reference loops and a
+brute-force filter, and print/parse round trips for resource and partial
+terms."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lambdapm import corpus
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
-from lambdapm.domains import LazyTop, build_tower, iter_monotone_tables
+from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
+                              iter_monotone_tables)
 from lambdapm.lamcalc import Abs, App, Var, key
 from lambdapm.resource import (RAbs, RApp, RVar, parse_resource, rkey,
                                show_resource)
@@ -114,6 +116,85 @@ def test_keys_resolve_shadowing_to_the_closest_binder():
 
 
 # ---------------------------------------------------------------------------
+# Poset validation: the checks of FinitePoset, one pair at a time
+
+def reference_validate(leq, bottom):
+    """Raise the ValueError FinitePoset raises for (leq, bottom), by scanning
+    pairs and triples of elements instead of up-set masks."""
+    n = len(leq)
+    if any(len(row) != n for row in leq):
+        raise ValueError("leq must be square")
+    for i in range(n):
+        if not leq[i][i]:
+            raise ValueError("not reflexive")
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise ValueError("not antisymmetric")
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        raise ValueError("not transitive")
+    if any(not leq[bottom][i] for i in range(n)):
+        raise ValueError("bottom is not least")
+    for i in range(n):
+        for j in range(i + 1, n):
+            ubs = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            if ubs and not any(all(leq[u][v] for v in ubs) for u in ubs):
+                raise ValueError("not bounded complete")
+
+
+@st.composite
+def relations(draw):
+    """A square boolean matrix with a bottom index in range.  It is arbitrary,
+    or reflexive, or the reflexive-transitive closure of a random DAG above a
+    least element over a shuffled carrier: a partial order with its bottom,
+    often not bounded complete."""
+    n = draw(st.integers(1, 7))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    leq = [[bits[i * n + j] for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(["arbitrary", "reflexive", "order"]))
+    if kind == "reflexive":
+        leq = [[i == j or leq[i][j] for j in range(n)] for i in range(n)]
+    if kind != "order":
+        return tuple(map(tuple, leq)), draw(st.integers(0, n - 1))
+    leq = [[i == j or i == 0 or (i < j and leq[i][j]) for j in range(n)]
+           for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    perm = draw(st.permutations(range(n)))
+    return (tuple(tuple(leq[perm[i]][perm[j]] for j in range(n))
+                  for i in range(n)), perm.index(0))
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+NOT_BOUNDED_COMPLETE = (
+    (True, True, True, True, True), (False, True, False, True, True),
+    (False, False, True, True, True), (False, False, False, True, False),
+    (False, False, False, False, True))
+NOT_TRANSITIVE = ((True, True, False), (False, True, True), (False, False, True))
+
+
+@given(relations())
+@example((NOT_BOUNDED_COMPLETE, 0))
+@example((NOT_TRANSITIVE, 0))
+@settings(max_examples=400, deadline=None)
+def test_poset_validation_matches_reference(rel):
+    leq, bottom = rel
+    assert _outcome(FinitePoset, leq, bottom) == \
+        _outcome(reference_validate, leq, bottom)
+
+
+# ---------------------------------------------------------------------------
 # Monotone tables
 
 def brute_force_tables(x, y):
@@ -122,10 +203,11 @@ def brute_force_tables(x, y):
                    for j in range(x.size) if x.le(i, j))]
 
 
-def reference_random_table(poset, rng):
-    """A standalone randomized DFS: the same rng must give the same table."""
-    n = poset.size
-    order = sorted(range(n), key=lambda i: sum(poset.leq[j][i] for j in range(n)))
+def reference_tables(x, y, rng=None):
+    """A standalone DFS that tests each candidate against every earlier
+    element in both directions: the same rng must give the same stream."""
+    n = x.size
+    order = sorted(range(n), key=lambda i: sum(x.leq[j][i] for j in range(n)))
     pos = {e: k for k, e in enumerate(order)}
 
     def assign(k, partial):
@@ -133,32 +215,41 @@ def reference_random_table(poset, rng):
             table = [None] * n
             for e, v in zip(order, partial):
                 table[e] = v
-            return tuple(table)
+            yield tuple(table)
+            return
         e = order[k]
-        vals = list(range(n))
-        rng.shuffle(vals)
+        vals = list(range(y.size))
+        if rng is not None:
+            rng.shuffle(vals)
         for v in vals:
-            ok = all(not (poset.le(e2, e) and not poset.le(partial[pos[e2]], v))
-                     and not (poset.le(e, e2) and not poset.le(v, partial[pos[e2]]))
-                     for e2 in order[:k])
-            if ok:
-                res = assign(k + 1, partial + (v,))
-                if res is not None:
-                    return res
-        return None
+            if all(not (x.le(e2, e) and not y.le(partial[pos[e2]], v))
+                   and not (x.le(e, e2) and not y.le(v, partial[pos[e2]]))
+                   for e2 in order[:k]):
+                yield from assign(k + 1, partial + (v,))
 
-    return assign(0, ())
+    yield from assign(0, ())
+
+
+def shuffled_poset(rng, max_size):
+    """A random bounded-complete poset with its carrier shuffled, so that the
+    index order need not extend the order."""
+    p = corpus.random_bounded_complete_poset(rng, max_size)
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    return FinitePoset(tuple(tuple(p.leq[i][j] for j in perm) for i in perm),
+                       perm.index(p.bottom))
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_monotone_tables_match_brute_force(seed):
     rng = random.Random(seed)
-    x = corpus.random_bounded_complete_poset(rng, 5)
-    y = corpus.random_bounded_complete_poset(rng, 5)
+    x = shuffled_poset(rng, 5)
+    y = shuffled_poset(rng, 5)
     tables = list(iter_monotone_tables(x, y))
     assert len(tables) == len(set(tables))
     assert sorted(tables) == brute_force_tables(x, y)
+    assert tables == list(reference_tables(x, y))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -171,7 +262,8 @@ def test_random_table_is_a_monotone_table(seed):
     for _ in range(5):
         table = top.random_table(rng)
         assert table in members
-        assert table == reference_random_table(p, ref_rng)
+        assert table == next(reference_tables(p, p, ref_rng))
+    assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------
