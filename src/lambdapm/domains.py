@@ -8,7 +8,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice, product
+from itertools import islice, product
+from operator import getitem
 
 from .distance import DistanceValue, bracket, dyadic, exact
 from .pmetric import PartialMetricSpace
@@ -83,15 +84,6 @@ class FinitePoset:
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
 
-    def directed_subsets(self):
-        """All nonempty directed subsets; exponential, only for small posets."""
-        els = list(self.elements())
-        for r in range(1, len(els) + 1):
-            for combo in combinations(els, r):
-                if all(any(self.leq[a][c] and self.leq[b][c] for c in combo)
-                       for a in combo for b in combo):
-                    yield frozenset(combo)
-
     def to_json(self) -> dict:
         return {"elements": list(self.labels or range(self.size)),
                 "leq": [[bool(v) for v in row] for row in self.leq],
@@ -126,17 +118,6 @@ def flat(n: int) -> FinitePoset:
 def way_below(p: FinitePoset, x: int, y: int) -> bool:
     """On a finite poset every element is compact, so way-below is the order."""
     return p.le(x, y)
-
-
-def way_below_by_definition(p: FinitePoset, x: int, y: int) -> bool:
-    """Directed-subset definition, for cross-validation on small posets."""
-    for delta in p.directed_subsets():
-        top = max(delta, key=lambda d: sum(p.leq[e][d] for e in delta))
-        # finite directed sets have a maximum
-        assert all(p.leq[d][top] for d in delta)
-        if p.le(y, top) and not any(p.le(x, d) for d in delta):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +156,22 @@ def function_space(x: FinitePoset, y: FinitePoset, cap: int = None):
     """
     tables = monotone_tables(x, y, cap)
     tables.sort()
-    leq = tuple(tuple(all(y.le(t1[i], t2[i]) for i in range(x.size))
-                      for t2 in tables) for t1 in tables)
+    # bit k of above[i][a] is set iff a <= tables[k][i], so the AND of a
+    # table's masks over its positions is its row of the pointwise order
+    at = [[0] * y.size for _ in range(x.size)]
+    for k, t in enumerate(tables):
+        for i, v in enumerate(t):
+            at[i][v] |= 1 << k
+    above = [[sum(col[v] for v in range(y.size) if y.up[a] >> v & 1)
+              for a in range(y.size)] for col in at]
+    leq = []
+    for t in tables:
+        row = (1 << len(tables)) - 1
+        for i, a in enumerate(t):
+            row &= above[i][a]
+        leq.append(tuple(map("1".__eq__, format(row, f"0{len(tables)}b")[::-1])))
     bottom = tables.index(tuple(y.bottom for _ in range(x.size)))
-    poset = FinitePoset(leq, bottom)
+    poset = FinitePoset(tuple(leq), bottom)
     maps = [MonotoneMap(x, y, t) for t in tables]
     return poset, maps
 
@@ -340,12 +333,11 @@ def build_tower(d0: FinitePoset, p0, depth: int, cap: int = None) -> Tower:
 def _inject_table(levels, n: int, f: int) -> tuple:
     """i_n(f) for f an index of D_n, as a table over D_n:
     i_0(x) = const x, i_n(f) = i_{n-1} . f . j_{n-1}."""
-    size = levels[n].poset.size
     if n == 0:
-        return (f,) * size
+        return (f,) * levels[0].poset.size
     below = levels[n - 1]
-    fmap = levels[n].maps[f]
-    return tuple(below.inj[fmap(below.proj[g])] for g in range(size))
+    return tuple(map(below.inj.__getitem__,
+                     map(levels[n].maps[f].table.__getitem__, below.proj)))
 
 
 def _project_table(levels, n: int, table: tuple) -> int:
@@ -355,8 +347,8 @@ def _project_table(levels, n: int, table: tuple) -> int:
     if n == 0:
         return table[levels[0].poset.bottom]
     below = levels[n - 1]
-    return levels[n].index[tuple(below.proj[table[below.inj[x]]]
-                                 for x in range(below.poset.size))]
+    return levels[n].index[tuple(map(below.proj.__getitem__,
+                                     map(table.__getitem__, below.inj)))]
 
 
 def _table_metric(inner, t1: tuple, t2: tuple) -> Fraction:
@@ -413,30 +405,43 @@ def iter_monotone_tables(x: FinitePoset, y: FinitePoset, rng=None):
     elements of x in order of down-set size, so that each comes after the
     elements below it.  A value is allowed iff it lies in the up-set of the
     value of every element below.  With `rng`, each element's candidate
-    values are tried in shuffled order."""
-    n = x.size
+    values are tried in shuffled order, shuffled on entering its node.
+
+    The DFS keeps an explicit stack: `stack[k]` iterates the allowed values
+    of `order[k]` on the current path."""
+    n, up = x.size, y.up
     order = sorted(range(n), key=lambda i: sum(row[i] for row in x.leq))
     below = [[j for j in range(n) if j != e and x.leq[j][e]] for e in range(n)]
+    values, everything = range(y.size), (1 << y.size) - 1
     table = [None] * n
-
-    def assign(k):
-        if k == n:
-            yield tuple(table)
-            return
+    stack = []
+    while True:
+        k = len(stack)
         e = order[k]
-        allowed = (1 << y.size) - 1
+        allowed = everything
         for j in below[e]:
-            allowed &= y.up[table[j]]
-        vals = range(y.size)
+            allowed &= up[table[j]]
+        vals = values
         if rng is not None:
             vals = list(vals)
             rng.shuffle(vals)
-        for v in vals:
-            if allowed >> v & 1:
-                table[e] = v
-                yield from assign(k + 1)
-
-    yield from assign(0)
+        if k + 1 < n:
+            stack.append(iter([v for v in vals if allowed >> v & 1]))
+        else:
+            for v in vals:
+                if allowed >> v & 1:
+                    table[e] = v
+                    yield tuple(table)
+        # advance to the next node: the next value at the deepest level
+        # that has one left
+        while stack:
+            v = next(stack[-1], None)
+            if v is not None:
+                break
+            stack.pop()
+        if not stack:
+            return
+        table[order[len(stack) - 1]] = v
 
 
 class LazyTop:
@@ -447,13 +452,17 @@ class LazyTop:
         self.tower = tower
         self.n = tower.depth  # tables act on D_n
         self.poset = tower.level(self.n).poset
+        self._injected = {}  # f -> i_n(f); at most |D_n| tables
 
     def le(self, t1: tuple, t2: tuple) -> bool:
-        return all(self.poset.le(a, b) for a, b in zip(t1, t2))
+        return all(map(getitem, map(self.poset.leq.__getitem__, t1), t2))
 
     def inject_from_below(self, f: int) -> tuple:
         """i_n(f) for f an index of D_n, as a table over D_n."""
-        return _inject_table(self.tower.levels, self.n, f)
+        table = self._injected.get(f)
+        if table is None:
+            table = self._injected[f] = _inject_table(self.tower.levels, self.n, f)
+        return table
 
     def project(self, table: tuple) -> int:
         """j_n of a table, as an index of D_n."""
@@ -461,6 +470,27 @@ class LazyTop:
             return _project_table(self.tower.levels, self.n, table)
         except KeyError:
             raise ValueError("projection left the function space") from None
+
+    def completions(self):
+        """The least monotone table with given values at the positions that
+        `project` reads, for each choice of those values that some table
+        has: i_n . j_n <= id holds on every table iff it holds on these
+        (docs/DECISIONS.md D6)."""
+        p = self.poset
+        reads = (p.bottom,) if self.n == 0 else self.tower.level(self.n - 1).inj
+        lub = {mask: i for i, mask in enumerate(p.up)}  # D5: lub = up-set owner
+        sub = FinitePoset(tuple(tuple(p.leq[a][b] for b in reads) for a in reads),
+                          reads.index(p.bottom))
+        for vals in iter_monotone_tables(sub, p):
+            table = []
+            for x in p.elements():
+                mask = (1 << p.size) - 1
+                for q, v in zip(reads, vals):
+                    if p.leq[q][x]:
+                        mask &= p.up[v]
+                table.append(lub.get(mask))
+            if None not in table:
+                yield tuple(table)
 
     def metric(self, t1: tuple, t2: tuple) -> Fraction:
         return _table_metric(self.tower.metric(self.n), t1, t2)

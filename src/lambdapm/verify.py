@@ -414,17 +414,11 @@ def suite_tower(seed: int = 7, profile_pairs: int = 500,
     f_tower = build_tower(fbase, fspace.d, 1)
     ok = _strict_tower_laws(f_tower, details) and ok
     top = LazyTop(f_tower)
-    ji_ok = True
-    for f in range(f_tower.level(1).poset.size):
-        if top.project(top.inject_from_below(f)) != f:
-            ji_ok = False
-    count = 0
-    ij_ok = True
-    for table in top.tables():
-        count += 1
-        if not top.le(top.inject_from_below(top.project(table)), table):
-            ij_ok = False
-            break
+    ji_ok = all(top.project(top.inject_from_below(f)) == f
+                for f in range(f_tower.level(1).poset.size))
+    count = sum(1 for _ in top.tables())
+    ij_ok = all(top.le(top.inject_from_below(top.project(t)), t)
+                for t in top.completions())
     details.append({"tower": "flat-2 lazy level 2", "elements": count,
                     "j.i=id": ji_ok, "i.j<=id": ij_ok})
     ok = ok and ji_ok and ij_ok

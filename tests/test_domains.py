@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,7 @@ from lambdapm.domains import (CapExceeded, FinitePoset, LazyTop, MonotoneMap,
                               finitary_closeness_check, flat, function_space,
                               p_infinity_prefix, product_metric,
                               quantification_decision, sierpinski,
-                              step_function, way_below,
-                              way_below_by_definition)
+                              step_function, way_below)
 from lambdapm.verify import (negative_control_space, s_metric,
                              sierpinski_space, wb_space)
 
@@ -39,6 +39,27 @@ def test_poset_validation():
 def test_poset_json_roundtrip():
     p = chain(3)
     assert FinitePoset.from_json(p.to_json()).leq == p.leq
+
+
+def directed_subsets(p):
+    """All nonempty directed subsets; exponential, only for small posets."""
+    els = list(p.elements())
+    for r in range(1, len(els) + 1):
+        for combo in combinations(els, r):
+            if all(any(p.leq[a][c] and p.leq[b][c] for c in combo)
+                   for a in combo for b in combo):
+                yield frozenset(combo)
+
+
+def way_below_by_definition(p, x, y):
+    """The directed-subset definition of way-below."""
+    for delta in directed_subsets(p):
+        top = max(delta, key=lambda d: sum(p.leq[e][d] for e in delta))
+        # finite directed sets have a maximum
+        assert all(p.leq[d][top] for d in delta)
+        if p.le(y, top) and not any(p.le(x, d) for d in delta):
+            return False
+    return True
 
 
 def test_way_below_on_finite_posets():
@@ -185,6 +206,30 @@ def test_lazy_top_matches_strict_level():
         # lazy metric agrees with the strict level-2 metric
         assert lazy.metric(table, table) == \
             tw2.metric(2)(strict_idx, strict_idx)
+
+
+def test_lazy_flat2_law_holds_on_every_table():
+    """The exhaustive reference for suite_tower's completion check of
+    i.j <= id on the flat-2 lazy level (docs/DECISIONS.md D6), and a broken
+    projection that both checks must reject."""
+    top = LazyTop(build_tower(flat(2), wb_space(flat(2)).d, 1))
+    count, holds = 0, True
+    for table in top.tables():
+        count += 1
+        holds = holds and top.le(top.inject_from_below(top.project(table)), table)
+    assert (count, holds) == (642723, True)
+    completions = list(top.completions())
+    assert len(completions) == 197
+    assert all(top.le(top.inject_from_below(top.project(t)), t)
+               for t in completions)
+
+    def overshoot(table):
+        """The highest-index element above j(table) instead of j(table)."""
+        j = top.project(table)
+        return max(k for k in top.poset.elements() if top.poset.le(j, k))
+    for tables in (top.tables(), completions):
+        assert not all(top.le(top.inject_from_below(overshoot(t)), t)
+                       for t in tables)
 
 
 def test_product_space_axioms_and_order():
