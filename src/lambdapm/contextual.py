@@ -3,12 +3,13 @@ bracket, the finitary ball test and the genericity semi-test."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .distance import DistanceValue, bracket, dyadic
-from .lamcalc import Abs, App, LambdaTerm, Var, show, solvability
+from .lamcalc import Abs, App, LambdaTerm, Var, free_vars, show, solvability
 
 # The hole is a variable whose name the parser cannot produce, so no term
 # contains it; `show` prints a context with the hole as [-].
@@ -59,9 +60,12 @@ class Context:
 
 
 def _plug(t: LambdaTerm, m: LambdaTerm) -> LambdaTerm:
-    """Literal, capture-permitting hole replacement."""
+    """Literal, capture-permitting hole replacement.  Subterms without the
+    hole are shared with the context, cached keys included."""
+    if HOLE.name not in free_vars(t):
+        return t
     if isinstance(t, Var):
-        return m if t.name == HOLE.name else t
+        return m
     if isinstance(t, Abs):
         return Abs(t.binder, _plug(t.body, m))
     return App(_plug(t.fun, m), _plug(t.arg, m))
@@ -96,16 +100,58 @@ def enumerate_context(n: int) -> Context:
     """The n-th context (0-indexed); injective, total, stable across runs."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    size = 1
-    seen = 0
-    while True:
+    for size in range(1, 13):
         batch = _contexts_of_size(size, 0)
-        if n < seen + len(batch):
-            return Context(batch[n - seen])
-        seen += len(batch)
-        size += 1
-        if size > 12:
-            raise RuntimeError("context index out of supported range")
+        if n < len(batch):
+            return Context(batch[n])
+        n -= len(batch)
+    raise RuntimeError("context index out of supported range")
+
+
+# ---------------------------------------------------------------------------
+# Outcome rows
+
+_SOLVABLE, _DIVERGENT, _UNKNOWN, _NOT_RUN = range(4)
+_CODE = {"solvable": _SOLVABLE, "divergent": _DIVERGENT, "unknown": _UNKNOWN}
+# Rows hold a byte per context index they reach; past this many, the least
+# recently used row is dropped.
+_MAX_ROWS = 1024
+_ROWS: OrderedDict = OrderedDict()
+
+
+class _Row:
+    """The solvability kinds of C_0[m], C_1[m], ... at one fuel, each found
+    at most once.  A row serves every term alpha-equivalent to m, because
+    plugging captures only free names, which such terms share, and head
+    reduction commutes with alpha-equivalence (docs/DECISIONS.md D7)."""
+
+    __slots__ = ("term", "fuel", "kinds")
+
+    def __init__(self, term: LambdaTerm, fuel: int):
+        self.term, self.fuel, self.kinds = term, fuel, bytearray()
+
+    def kind(self, idx: int) -> int:
+        kinds = self.kinds
+        if idx >= len(kinds):
+            kinds.extend(bytes([_NOT_RUN]) * (idx + 1 - len(kinds)))
+        k = kinds[idx]
+        if k == _NOT_RUN:
+            st = solvability(enumerate_context(idx).plug(self.term), self.fuel)
+            k = kinds[idx] = _CODE[st.kind]
+        return k
+
+
+def _row(m: LambdaTerm, fuel: int) -> _Row:
+    """The row of m's alpha class at `fuel`, now the most recently used."""
+    k = (m, fuel)
+    row = _ROWS.get(k)
+    if row is None:
+        row = _ROWS[k] = _Row(m, fuel)
+        if len(_ROWS) > _MAX_ROWS:
+            _ROWS.popitem(last=False)
+    else:
+        _ROWS.move_to_end(k)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +165,14 @@ def p_ctx_bracket(m: LambdaTerm, n: LambdaTerm, prefix: int, fuel: int) -> Dista
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
+    rm, rn = _row(m, fuel), _row(n, fuel)
     lower = Fraction(0)
     unknown = Fraction(0)
     for idx in range(prefix + 1):
-        ctx = enumerate_context(idx)
-        sm = solvability(ctx.plug(m), fuel)
-        sn = solvability(ctx.plug(n), fuel)
-        if sm.is_divergent or sn.is_divergent:
+        km, kn = rm.kind(idx), rn.kind(idx)
+        if km == _DIVERGENT or kn == _DIVERGENT:
             lower += dyadic(idx)
-        elif sm.is_unknown or sn.is_unknown:
+        elif km == _UNKNOWN or kn == _UNKNOWN:
             unknown += dyadic(idx)
     tail = dyadic(prefix)  # sum of 2**-i for i > prefix
     return bracket(lower, lower + unknown + tail)
@@ -148,16 +193,16 @@ def in_ctx_ball(m: LambdaTerm, candidate: LambdaTerm, epsilon, fuel: int) -> str
     while dyadic(i + 1) >= epsilon:
         indices.append(i)
         i += 1
+    rm, rc = _row(m, fuel), _row(candidate, fuel)
     pending = False
     for idx in indices:
-        ctx = enumerate_context(idx)
-        sm = solvability(ctx.plug(m), fuel)
-        if sm.is_divergent:
+        km = rm.kind(idx)
+        if km == _DIVERGENT:
             continue  # center fails here; no constraint on the candidate
-        sc = solvability(ctx.plug(candidate), fuel)
-        if sm.is_solvable and sc.is_divergent:
+        kc = rc.kind(idx)
+        if km == _SOLVABLE and kc == _DIVERGENT:
             return "no"
-        if sm.is_unknown or sc.is_unknown:
+        if km == _UNKNOWN or kc == _UNKNOWN:
             pending = True
     return "unknown" if pending else "yes"
 
@@ -172,13 +217,14 @@ def genericity_violations(unsolvable: LambdaTerm, corpus, max_index: int,
     st = solvability(unsolvable, fuel)
     if not st.is_divergent:
         raise ValueError("term is not certified unsolvable at this fuel")
+    ru = _row(unsolvable, fuel)
+    rows = [(n, _row(n, fuel)) for n in corpus]
     bad = []
     for idx in range(max_index + 1):
-        ctx = enumerate_context(idx)
-        if not solvability(ctx.plug(unsolvable), fuel).is_solvable:
+        if ru.kind(idx) != _SOLVABLE:
             continue
-        for n in corpus:
-            sn = solvability(ctx.plug(n), fuel)
-            if sn.is_divergent:
+        ctx = enumerate_context(idx)
+        for n, row in rows:
+            if row.kind(idx) == _DIVERGENT:
                 bad.append({"index": idx, "context": str(ctx), "term": str(n)})
     return bad

@@ -11,31 +11,47 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 # Terms
 
+def _cache():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(eq=False, slots=True)
 class LambdaTerm:
-    __slots__ = ()
+    """A lambda term node.  Nodes are not changed after they are built,
+    except to fill three caches, each at most once: the free names, the
+    closed de Bruijn key and its hash (docs/DECISIONS.md D7)."""
+
+    _fv: frozenset = _cache()
+    _key: tuple = _cache()
+    _hash: int = _cache()
 
     def __str__(self):
         return show(self)
 
     def __eq__(self, other):
-        return isinstance(other, LambdaTerm) and key(self) == key(other)
+        if self is other:
+            return True
+        if not isinstance(other, LambdaTerm) or hash(self) != hash(other):
+            return False
+        return _same_key(key(self), key(other))
 
     def __hash__(self):
-        return hash(key(self))
+        h = self._hash
+        return _encode_closed(self, "_hash", hash) if h is None else h
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Var(LambdaTerm):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Abs(LambdaTerm):
     binder: str
     body: LambdaTerm
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class App(LambdaTerm):
     fun: LambdaTerm
     arg: LambdaTerm
@@ -49,24 +65,121 @@ def db_index(name: str, env: tuple):
 
 
 def key(t: LambdaTerm, env=()):
-    """Hashable de Bruijn encoding; alpha-equivalent terms share keys."""
+    """Hashable de Bruijn encoding; alpha-equivalent terms share keys.
+
+    `env` lists the enclosing binders, innermost first.  A subterm in which
+    no name of `env` is free has its closed key, which each node computes
+    once, from its children's."""
+    return _encode(t, env, "_key", _as_is)
+
+
+def _as_is(k):
+    return k
+
+
+def _encode(t: LambdaTerm, env: tuple, slot: str, seal):
+    """key(t, env) folded bottom-up through `seal`: with `_as_is` it is the
+    key, with `hash` a hash of the key that is built from the hashes of its
+    parts, so no deeply nested tuple is ever hashed.  Closed values are
+    cached in `slot` (docs/DECISIONS.md D7)."""
+    if env and not free_vars(t).isdisjoint(env):
+        return _encode_open(t, env, slot, seal)
+    v = getattr(t, slot)
+    return _encode_closed(t, slot, seal) if v is None else v
+
+
+def _encode_closed(t: LambdaTerm, slot: str, seal):
+    """The closed value of a t whose value is not cached yet.  The
+    application spine is walked in a loop, not recursively."""
+    apps = []
+    while isinstance(t, App):
+        apps.append(t)
+        t = t.fun
+        if getattr(t, slot) is not None:
+            break
+    v = getattr(t, slot)
+    if v is None:
+        v = seal(("f", t.name) if isinstance(t, Var)
+                 else ("l", _encode(t.body, (t.binder,), slot, seal)))
+        setattr(t, slot, v)
+    for node in reversed(apps):
+        va = getattr(node.arg, slot)
+        if va is None:
+            va = _encode_closed(node.arg, slot, seal)
+        v = seal(("a", v, va))
+        setattr(node, slot, v)
+    return v
+
+
+def _encode_open(t: LambdaTerm, env: tuple, slot: str, seal):
+    """The value of t under `env`, where some name of `env` is free in t."""
     if isinstance(t, Var):
-        return db_index(t.name, env)
+        return seal(db_index(t.name, env))
     if isinstance(t, Abs):
-        return ("l", key(t.body, (t.binder,) + env))
-    return ("a", key(t.fun, env), key(t.arg, env))
+        return seal(("l", _encode(t.body, (t.binder,) + env, slot, seal)))
+    args = []
+    while True:
+        args.append(t.arg)
+        t = t.fun
+        if not isinstance(t, App) or free_vars(t).isdisjoint(env):
+            break
+    v = _encode(t, env, slot, seal)
+    for a in reversed(args):
+        v = seal(("a", v, _encode(a, env, slot, seal)))
+    return v
+
+
+def _same_key(a, b) -> bool:
+    """a == b for keys, also when they nest deeper than the recursion limit
+    that tuple comparison observes."""
+    try:
+        return a == b
+    except RecursionError:
+        pairs = [(a, b)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            if type(x) is not tuple or type(y) is not tuple:
+                if x != y:
+                    return False
+            elif len(x) != len(y):
+                return False
+            else:
+                pairs.extend(zip(x, y))
+        return True
 
 
 def alpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
-    return key(a) == key(b)
+    return a == b
 
 
-def free_vars(t: LambdaTerm, bound=frozenset()) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset() if t.name in bound else frozenset([t.name])
-    if isinstance(t, Abs):
-        return free_vars(t.body, bound | {t.binder})
-    return free_vars(t.fun, bound) | free_vars(t.arg, bound)
+def free_vars(t: LambdaTerm) -> frozenset:
+    """The free names of t, computed once per node."""
+    fv = t._fv
+    if fv is not None:
+        return fv
+    apps = []
+    while isinstance(t, App):
+        apps.append(t)
+        t = t.fun
+        if t._fv is not None:
+            break
+    fv = t._fv
+    if fv is None:
+        if isinstance(t, Var):
+            fv = frozenset((t.name,))
+        else:
+            fv = free_vars(t.body)
+            if t.binder in fv:
+                fv = fv - {t.binder}
+        t._fv = fv
+    for node in reversed(apps):
+        a = free_vars(node.arg)
+        if not a <= fv:
+            fv = fv | a
+        node._fv = fv
+    return fv
 
 
 def _fresh(base: str, avoid) -> str:
@@ -79,15 +192,25 @@ def _fresh(base: str, avoid) -> str:
 
 
 def subst(t: LambdaTerm, name: str, repl: LambdaTerm) -> LambdaTerm:
-    """Capture-avoiding substitution t[repl/name]."""
-    if isinstance(t, Var):
-        return repl if t.name == name else t
-    if isinstance(t, App):
-        return App(subst(t.fun, name, repl), subst(t.arg, name, repl))
-    if t.binder == name:
+    """Capture-avoiding substitution t[repl/name].  A subterm in which
+    `name` is not free comes back as it is, so t and the result share it
+    and its cached key."""
+    if name not in free_vars(t):
         return t
-    if t.binder in free_vars(repl) and name in free_vars(t.body):
-        nb = _fresh(t.binder, free_vars(repl) | free_vars(t.body) | {name})
+    if isinstance(t, Var):
+        return repl
+    if isinstance(t, App):
+        args = []
+        while isinstance(t, App) and name in free_vars(t):
+            args.append(subst(t.arg, name, repl))
+            t = t.fun
+        t = subst(t, name, repl)
+        for a in reversed(args):
+            t = App(t, a)
+        return t
+    fv = free_vars(repl)
+    if t.binder in fv:
+        nb = _fresh(t.binder, fv | free_vars(t.body) | {name})
         body = subst(t.body, t.binder, Var(nb))
         return Abs(nb, subst(body, name, repl))
     return Abs(t.binder, subst(t.body, name, repl))
@@ -195,17 +318,18 @@ def parse(text: str, strict: bool = False) -> LambdaTerm:
 
 
 def show(t: LambdaTerm) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        return f"\\{t.binder}. {show(t.body)}"
-    f = show(t.fun)
-    if isinstance(t.fun, Abs):
-        f = f"({f})"
-    a = show(t.arg)
-    if not isinstance(t.arg, Var):
-        a = f"({a})"
-    return f"{f} {a}"
+    """Print t; binder chains and application spines are walked in loops."""
+    prefix = []
+    while isinstance(t, Abs):
+        prefix.append(f"\\{t.binder}. ")
+        t = t.body
+    _, head, args = decompose(t)
+    if isinstance(head, Var):
+        parts = [head.name]
+    else:
+        parts = [f"({show(head)})"]
+    parts.extend(a.name if isinstance(a, Var) else f"({show(a)})" for a in args)
+    return "".join(prefix) + " ".join(parts)
 
 
 _PRETTY = list(string.ascii_lowercase[23:] + string.ascii_lowercase[:23])
@@ -220,7 +344,9 @@ def canonical(t: LambdaTerm, env=None, avoid=None) -> LambdaTerm:
     if isinstance(t, Var):
         return Var(env.get(t.name, t.name))
     if isinstance(t, App):
-        return App(canonical(t.fun, env, avoid), canonical(t.arg, env, avoid))
+        _, head, args = decompose(t)
+        return spine((), canonical(head, env, avoid),
+                     [canonical(a, env, avoid) for a in args])
     depth = len(env)
     base = _PRETTY[depth % len(_PRETTY)]
     nb = _fresh(base, avoid)
@@ -279,6 +405,11 @@ def head_reduce_step(t: LambdaTerm):
     if isinstance(h, Var):
         return None
     assert isinstance(h, Abs) and args
+    return _contract(binders, h, args)
+
+
+def _contract(binders, h: Abs, args) -> LambdaTerm:
+    """The reduct of lambda binders. h args for an abstraction h."""
     return spine(binders, subst(h.body, h.binder, args[0]), args[1:])
 
 
@@ -306,21 +437,21 @@ def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
     """Head-reduce up to `fuel` steps; certify divergence on an alpha-repeat."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    seen = {key(t): 0}
+    seen = {}  # term -> step; a head normal term is never hashed
     cur = t
     for step in range(fuel + 1):
-        hf = head_form(cur)
-        if hf is not None:
-            return SolvabilityStatus("solvable", steps=step, head=hf)
+        binders, h, args = decompose(cur)
+        if isinstance(h, Var):
+            return SolvabilityStatus("solvable", steps=step,
+                                     head=HeadForm(binders, h.name, args))
+        first = seen.setdefault(cur, step)
+        if first != step:
+            return SolvabilityStatus(
+                "divergent", steps=step,
+                certificate=(first, step, show(canonical(cur))))
         if step == fuel:
             break
-        cur = head_reduce_step(cur)
-        k = key(cur)
-        if k in seen:
-            return SolvabilityStatus(
-                "divergent", steps=step + 1,
-                certificate=(seen[k], step + 1, show(canonical(cur))))
-        seen[k] = step + 1
+        cur = _contract(binders, h, args)
     return SolvabilityStatus("unknown", steps=fuel)
 
 

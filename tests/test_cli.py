@@ -137,3 +137,9 @@ def test_out_of_range_element_index_is_named(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+def test_parse_verb_prints_a_long_spine(capsys):
+    term = "x" + " y" * 3000
+    code, out = run(capsys, "parse", "--term", term)
+    assert code == 0 and out == {"term": term, "canonical": term}

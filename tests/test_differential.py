@@ -1,5 +1,8 @@
 """Differential and round-trip properties: the de Bruijn keys against
-reference implementations that scan an outermost-first environment, poset
+reference implementations that scan an outermost-first environment, the
+cached keys and hashes of terms built by substitution, plugging and head
+reduction against uncached references, the contextual queries served from
+outcome rows against memo-free loops, poset
 validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
@@ -11,11 +14,14 @@ from itertools import product
 
 from hypothesis import example, given, settings, strategies as st
 
-from lambdapm import corpus
+from lambdapm import contextual, corpus
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
                               function_space, iter_monotone_tables)
-from lambdapm.lamcalc import Abs, App, Var, key
+from lambdapm.contextual import (enumerate_context, genericity_violations,
+                                 in_ctx_ball, p_ctx_bracket)
+from lambdapm.lamcalc import (Abs, App, Var, decompose, head_reduce_step, key,
+                              parse, show, solvability, spine, subst)
 from lambdapm.resource import (RAbs, RApp, RVar, parse_resource, rkey,
                                show_resource)
 
@@ -368,6 +374,262 @@ def test_completion_verdict_matches_exhaustive(seed):
     for project in (top.project, lambda t: shift[top.project(t)]):
         assert law_holds(top, tables, project) == \
             law_holds(top, completions, project)
+
+
+# ---------------------------------------------------------------------------
+# Cached keys and hashes, sharing substitution, outcome rows
+
+def ref_hash(k):
+    """The hash a term caches: its key's, built from the hashes of the
+    key's parts instead of the parts themselves."""
+    if k[0] == "l":
+        return hash(("l", ref_hash(k[1])))
+    if k[0] == "a":
+        return hash(("a", ref_hash(k[1]), ref_hash(k[2])))
+    return hash(k)
+
+
+def ref_free_vars(t, bound=frozenset()):
+    if isinstance(t, Var):
+        return frozenset() if t.name in bound else frozenset([t.name])
+    if isinstance(t, Abs):
+        return ref_free_vars(t.body, bound | {t.binder})
+    return ref_free_vars(t.fun, bound) | ref_free_vars(t.arg, bound)
+
+
+def ref_subst(t, name, repl):
+    """Substitution that rebuilds every node and caches nothing."""
+    if isinstance(t, Var):
+        return repl if t.name == name else Var(t.name)
+    if isinstance(t, App):
+        return App(ref_subst(t.fun, name, repl), ref_subst(t.arg, name, repl))
+    if t.binder == name:
+        return copy_term(t)
+    if t.binder in ref_free_vars(repl) and name in ref_free_vars(t.body):
+        nb = t.binder
+        n = 0
+        while nb in ref_free_vars(repl) | ref_free_vars(t.body) | {name}:
+            nb = f"{t.binder}{n}"
+            n += 1
+        body = ref_subst(t.body, t.binder, Var(nb))
+        return Abs(nb, ref_subst(body, name, repl))
+    return Abs(t.binder, ref_subst(t.body, name, repl))
+
+
+def ref_head_step(t):
+    binders, h, args = decompose(t)
+    return spine(binders, ref_subst(h.body, h.binder, args[0]), args[1:])
+
+
+def ref_plug(t, m):
+    if isinstance(t, Var):
+        return m if t.name == contextual.HOLE.name else Var(t.name)
+    if isinstance(t, Abs):
+        return Abs(t.binder, ref_plug(t.body, m))
+    return App(ref_plug(t.fun, m), ref_plug(t.arg, m))
+
+
+def copy_term(t):
+    """A node-by-node copy, with empty caches."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Abs):
+        return Abs(t.binder, copy_term(t.body))
+    return App(copy_term(t.fun), copy_term(t.arg))
+
+
+def alpha_variant(t, env=None, depth=0):
+    """t with the binder at depth d renamed to w<d>, a name t does not use."""
+    env = {} if env is None else env
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name))
+    if isinstance(t, Abs):
+        nb = f"w{depth}"
+        return Abs(nb, alpha_variant(t.body, {**env, t.binder: nb}, depth + 1))
+    return App(alpha_variant(t.fun, env, depth + 1),
+               alpha_variant(t.arg, env, depth + 1))
+
+
+def subterms(t, env=()):
+    """Every subterm with its binder environment, innermost first."""
+    yield t, env
+    if isinstance(t, Abs):
+        yield from subterms(t.body, (t.binder,) + env)
+    elif isinstance(t, App):
+        yield from subterms(t.fun, env)
+        yield from subterms(t.arg, env)
+
+
+def assert_cached_keys_match(t):
+    assert key(t) == ref_key(t)
+    assert hash(t) == ref_hash(ref_key(t)) == hash(copy_term(t))
+    for u, env in subterms(t):
+        assert key(u, env) == ref_key(u, env[::-1])
+
+
+@given(lam_terms(), lam_terms(), names, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sharing_subst_matches_rebuilding_reference(t, repl, name, warm):
+    if warm:  # fill the caches the result will share
+        hash(t), key(repl)
+    u = subst(t, name, repl)
+    assert show(u) == show(ref_subst(t, name, repl))
+    assert_cached_keys_match(u)
+
+
+@given(lam_terms(), st.integers(0, 400))
+@settings(max_examples=150, deadline=None)
+def test_plugged_keys_match_reference(m, idx):
+    ctx = enumerate_context(idx)
+    u = ctx.plug(m)
+    assert show(u) == show(ref_plug(ctx.term, m))
+    assert_cached_keys_match(u)
+
+
+@given(lam_terms(), st.lists(lam_terms(), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_head_reducts_keep_reference_keys(body, args):
+    t = spine((), Abs("x", body), args)
+    for _ in range(6):
+        nxt = head_reduce_step(t)
+        if nxt is None:
+            break
+        assert show(nxt) == show(ref_head_step(t))
+        assert_cached_keys_match(nxt)
+        t = nxt
+
+
+# Drawn terms seldom diverge; these make divergent and fuel-unknown runs common.
+SPECIAL = [corpus.OMEGA, corpus.OMEGA3] + [
+    parse(s) for s in ("\\x. x x", "\\x. x x x", "\\x. x", "\\x. \\y. x",
+                       "\\x. \\y. y", "\\x. x (\\y. y y)")]
+some_terms = st.one_of(lam_terms(), st.sampled_from(SPECIAL))
+
+
+def ref_solvability(t, fuel):
+    """Head reduction by rebuilding substitution, repeats found by ref_key."""
+    seen = {ref_key(t): 0}
+    cur = t
+    for step in range(fuel + 1):
+        binders, h, args = decompose(cur)
+        if isinstance(h, Var):
+            return "solvable", step, (binders, h.name, args)
+        if step == fuel:
+            return "unknown", fuel, None
+        cur = ref_head_step(cur)
+        k = ref_key(cur)
+        if k in seen:
+            return "divergent", step + 1, seen[k]
+        seen[k] = step + 1
+
+
+@given(some_terms, some_terms, st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_solvability_matches_reference(a, b, fuel):
+    for t in (App(a, b), App(a, a), App(App(a, b), b)):
+        st_ = solvability(t, fuel)
+        kind, steps, extra = ref_solvability(t, fuel)
+        assert (st_.kind, st_.steps) == (kind, steps)
+        if kind == "solvable":
+            hf = st_.head
+            assert (hf.binders, hf.head, hf.args) == extra
+        if kind == "divergent":
+            assert st_.certificate[:2] == (extra, steps)
+
+
+def ref_p_ctx(m, n, prefix, fuel):
+    lower = unknown = Fraction(0)
+    for idx in range(prefix + 1):
+        ctx = enumerate_context(idx).term
+        sm = solvability(ref_plug(ctx, m), fuel)
+        sn = solvability(ref_plug(ctx, n), fuel)
+        if sm.is_divergent or sn.is_divergent:
+            lower += Fraction(1, 2 ** idx)
+        elif sm.is_unknown or sn.is_unknown:
+            unknown += Fraction(1, 2 ** idx)
+    return lower, lower + unknown + Fraction(1, 2 ** prefix)
+
+
+def ref_in_ball(m, cand, k, fuel):
+    pending = False
+    for idx in range(k):  # the indices i with 2**-(i+1) >= 2**-k
+        ctx = enumerate_context(idx).term
+        sm = solvability(ref_plug(ctx, m), fuel)
+        if sm.is_divergent:
+            continue
+        sc = solvability(ref_plug(ctx, cand), fuel)
+        if sm.is_solvable and sc.is_divergent:
+            return "no"
+        pending = pending or sm.is_unknown or sc.is_unknown
+    return "unknown" if pending else "yes"
+
+
+def ref_genericity(pool, max_index, fuel):
+    bad = []
+    for idx in range(max_index + 1):
+        ctx = enumerate_context(idx)
+        if not solvability(ref_plug(ctx.term, corpus.OMEGA), fuel).is_solvable:
+            continue
+        for n in pool:
+            if solvability(ref_plug(ctx.term, n), fuel).is_divergent:
+                bad.append({"index": idx, "context": str(ctx), "term": str(n)})
+    return bad
+
+
+context_queries = st.lists(
+    st.tuples(st.sampled_from(["p_ctx", "ball", "generic"]),
+              st.integers(0, 7), st.integers(0, 7), st.integers(1, 24),
+              st.sampled_from([1, 2, 3, 12])),
+    min_size=1, max_size=5)
+
+
+def check_context_queries(terms, queries):
+    """Run the queries in the drawn order; the first half of the pool
+    are the drawn terms, the second half their alpha-variants."""
+    pool = terms + [alpha_variant(t) for t in terms]
+    for kind, i, j, budget, fuel in queries:
+        m, n = pool[i % len(pool)], pool[j % len(pool)]
+        if kind == "p_ctx":
+            v = p_ctx_bracket(m, n, budget, fuel)
+            assert (v.lower, v.upper) == ref_p_ctx(m, n, budget, fuel)
+        elif kind == "ball":
+            k = 1 + budget % 6
+            assert in_ctx_ball(m, n, Fraction(1, 2 ** k), fuel) == \
+                ref_in_ball(m, n, k, fuel)
+        else:
+            assert genericity_violations(corpus.OMEGA, pool, budget, fuel) == \
+                ref_genericity(pool, budget, fuel)
+
+
+# an unknown centre with a divergent candidate, and rows at two fuels
+MIXED_QUERIES = [("ball", 0, 1, 3, 2), ("p_ctx", 0, 1, 6, 2),
+                 ("p_ctx", 1, 2, 9, 3), ("generic", 0, 0, 20, 3),
+                 ("ball", 2, 3, 5, 3)]
+
+
+@given(st.lists(some_terms, min_size=1, max_size=4), context_queries)
+@example([corpus.OMEGA3, corpus.OMEGA], MIXED_QUERIES)
+@settings(max_examples=100, deadline=None)
+def test_outcome_rows_match_memo_free_loops(terms, queries):
+    contextual._ROWS.clear()
+    check_context_queries(terms, queries)
+    for t in terms:
+        assert contextual._row(alpha_variant(t), 12) is contextual._row(t, 12)
+
+
+@given(st.lists(some_terms, min_size=1, max_size=4), context_queries)
+@example([corpus.OMEGA3, corpus.OMEGA], MIXED_QUERIES)
+@settings(max_examples=100, deadline=None)
+def test_evicted_rows_give_the_same_answers(terms, queries):
+    saved = contextual._MAX_ROWS
+    contextual._MAX_ROWS = 2
+    try:
+        contextual._ROWS.clear()
+        check_context_queries(terms, queries)
+        check_context_queries(terms, queries[::-1])
+        assert len(contextual._ROWS) <= 2
+    finally:
+        contextual._MAX_ROWS = saved
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from lambdapm.lamcalc import (Abs, App, ParseError, Var, alpha_eq, canonical,
                               free_vars, head_form, head_reduce_step, key,
-                              normalize, parse, show, solvability, subst)
+                              normalize, parse, show, solvability, spine,
+                              subst)
 
 I = parse("\\x. x")
 OMEGA = parse("(\\x. x x)(\\x. x x)")
@@ -137,3 +138,39 @@ def test_canonical_preserves_alpha_class(t):
     c = canonical(t)
     assert alpha_eq(c, t)
     assert free_vars(c) == free_vars(t)
+
+
+# Long application spines: the parser builds them in a loop, and keys,
+# hashes, equality and printing walk them in loops too.
+SPINE = "x" + " y" * 3000
+
+
+def test_deep_spine_hashes_and_prints():
+    t = parse(SPINE)
+    assert isinstance(hash(t), int)
+    assert str(t) == SPINE
+    assert key(t)[0] == "a"
+
+
+def test_deep_spine_equality_answers():
+    a, b = parse(SPINE), parse(SPINE)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(SPINE + " z")
+    assert a != parse("x" + " y" * 2999 + " z")
+    assert parse("\\w. " + SPINE) == parse("\\v. " + SPINE)
+
+
+def test_deep_spine_under_a_binder_keys_and_reduces():
+    t = parse("\\f. f" + " y" * 3000)
+    assert t == parse("\\g. g" + " y" * 3000)
+    redex = App(t, Var("z"))
+    assert str(head_reduce_step(redex)) == "z" + " y" * 3000
+    assert solvability(redex, 5).head.args == (Var("y"),) * 3000
+
+
+def test_very_long_spine_hashes_without_nested_tuples():
+    # hashing a key nested 200,000 deep would recurse in C past the stack
+    args = [Var("y")] * 200_000
+    a, b = spine((), Var("x"), args), spine((), Var("x"), args)
+    assert hash(a) == hash(b) and a == b
