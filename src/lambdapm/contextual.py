@@ -136,9 +136,16 @@ class _Row:
             kinds.extend(bytes([_NOT_RUN]) * (idx + 1 - len(kinds)))
         k = kinds[idx]
         if k == _NOT_RUN:
-            st = solvability(enumerate_context(idx).plug(self.term), self.fuel)
+            st = solvability(_context(idx).plug(self.term), self.fuel)
             k = kinds[idx] = _CODE[st.kind]
         return k
+
+
+@lru_cache(maxsize=1)
+def _context(idx: int) -> Context:
+    """C_idx.  The rows of one query step run the same index in turn, so
+    the last context built is kept and each is enumerated once."""
+    return enumerate_context(idx)
 
 
 def _row(m: LambdaTerm, fuel: int) -> _Row:
@@ -223,7 +230,7 @@ def genericity_violations(unsolvable: LambdaTerm, corpus, max_index: int,
     for idx in range(max_index + 1):
         if ru.kind(idx) != _SOLVABLE:
             continue
-        ctx = enumerate_context(idx)
+        ctx = _context(idx)
         for n, row in rows:
             if row.kind(idx) == _DIVERGENT:
                 bad.append({"index": idx, "context": str(ctx), "term": str(n)})

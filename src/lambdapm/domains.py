@@ -4,7 +4,6 @@ finite approximation tower with its level metrics."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -12,23 +11,8 @@ from itertools import islice, product
 from operator import getitem
 
 from .distance import DistanceValue, bracket, dyadic, exact
+from .limits import CapExceeded, cap as _cap
 from .pmetric import PartialMetricSpace
-
-DEFAULT_CAP = 100_000
-
-
-def _cap() -> int:
-    raw = os.environ.get("LAMBDA_PM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LAMBDA_PM_CAP must be an integer, got {raw!r}") from None
-
-
-class CapExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -457,24 +457,24 @@ def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
 
 def normalize(t: LambdaTerm, fuel: int = 1000):
     """Full beta-normal form by leftmost-outermost reduction, or None if fuel runs out."""
-    def step(u):
-        if isinstance(u, App) and isinstance(u.fun, Abs):
-            return subst(u.fun.body, u.fun.binder, u.arg)
-        if isinstance(u, Abs):
-            b = step(u.body)
-            return None if b is None else Abs(u.binder, b)
-        if isinstance(u, App):
-            f = step(u.fun)
-            if f is not None:
-                return App(f, u.arg)
-            a = step(u.arg)
-            return None if a is None else App(u.fun, a)
-        return None
-
     cur = t
     for _ in range(fuel):
-        nxt = step(cur)
+        nxt = _normal_step(cur)
         if nxt is None:
             return cur
         cur = nxt
+    return None
+
+
+def _normal_step(t: LambdaTerm):
+    """The leftmost-outermost reduct of t, or None if t is normal.  Binder
+    chains and application spines are walked in loops; only arguments
+    nested in arguments recurse."""
+    binders, h, args = decompose(t)
+    if isinstance(h, Abs):
+        return _contract(binders, h, args)
+    for i, a in enumerate(args):
+        r = _normal_step(a)
+        if r is not None:
+            return spine(binders, h, args[:i] + (r,) + args[i + 1:])
     return None

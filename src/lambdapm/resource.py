@@ -4,38 +4,55 @@ heights, truncations and the resource partial metric."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
+from math import factorial
 
 from .distance import (DistanceValue, agreement_level, dyadic, exact,
                        truncation_below)
-from .lamcalc import ParseError, _fresh, _Parser, db_index
+from .lamcalc import ParseError, _cache, _fresh, _Parser, db_index
+from .limits import CapExceeded, cap
 
 
+@dataclass(eq=False, slots=True)
 class ResourceTerm:
-    __slots__ = ()
+    """A resource term node.  Nodes are not changed after they are built,
+    except to fill caches, each at most once: the free names, the hash of
+    the closed key, whether the term is normal, its structural height, and
+    for an abstraction where its binder occurs (docs/DECISIONS.md D8)."""
+
+    _fv: frozenset = _cache()
+    _hash: int = _cache()
+    _normal: bool = _cache()
+    _height: int = _cache()
 
     def __str__(self):
         return show_resource(self)
 
     def __eq__(self, other):
-        return isinstance(other, ResourceTerm) and rkey(self) == rkey(other)
+        if self is other:
+            return True
+        if not isinstance(other, ResourceTerm) or hash(self) != hash(other):
+            return False
+        return rkey(self) == rkey(other)
 
     def __hash__(self):
-        return hash(rkey(self))
+        h = self._hash
+        return _hash_under(self, ()) if h is None else h
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RVar(ResourceTerm):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RAbs(ResourceTerm):
     binder: str
     body: ResourceTerm
+    _places: tuple = _cache()  # where the binder occurs free in the body
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RApp(ResourceTerm):
     fun: ResourceTerm
     bag: tuple  # multiset of ResourceTerm, order irrelevant
@@ -50,6 +67,45 @@ def rkey(t: ResourceTerm, env=()):
     return ("a", rkey(t.fun, env), tuple(sorted(rkey(u, env) for u in t.bag)))
 
 
+def _hash_under(t: ResourceTerm, env: tuple) -> int:
+    """H(rkey(t, env)), where H replaces every key tuple by the hash of the
+    tuple of its parts' H, a bag's part being the sorted tuple of its items'
+    H.  A subterm in which no name of `env` is free has its closed value.
+    That is cached on t, on the head of its application spine and on every
+    bag item; the spine between is folded in a loop and not cached, since
+    a fresh reduct would otherwise hold one more int per node
+    (docs/DECISIONS.md D8)."""
+    if env and not free_rvars(t).isdisjoint(env):
+        return _hash_open(t, env)
+    h = t._hash
+    if h is not None:
+        return h
+    top, apps = t, []
+    while isinstance(t, RApp):
+        apps.append(t)
+        t = t.fun
+        if t._hash is not None:
+            break
+    h = t._hash
+    if h is None:
+        h = t._hash = _hash_open(t, ())
+    for app in reversed(apps):
+        h = hash(("a", h, tuple(sorted(
+            [u._hash if u._hash is not None else _hash_under(u, ())
+             for u in app.bag]))))
+    top._hash = h
+    return h
+
+
+def _hash_open(t: ResourceTerm, env: tuple) -> int:
+    if isinstance(t, RVar):
+        return hash(db_index(t.name, env))
+    if isinstance(t, RAbs):
+        return hash(("l", _hash_under(t.body, (t.binder,) + env)))
+    return hash(("a", _hash_under(t.fun, env),
+                 tuple(sorted([_hash_under(u, env) for u in t.bag]))))
+
+
 def rsize(t: ResourceTerm) -> int:
     if isinstance(t, RVar):
         return 1
@@ -58,15 +114,47 @@ def rsize(t: ResourceTerm) -> int:
     return 1 + rsize(t.fun) + sum(rsize(u) for u in t.bag)
 
 
-def free_rvars(t: ResourceTerm, bound=frozenset()) -> frozenset:
+_NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
+
+
+def free_rvars(t: ResourceTerm) -> frozenset:
+    """The free names of t, computed once per node.  A node whose names are
+    those of one child shares that child's set."""
+    fv = t._fv
+    if fv is not None:
+        return fv
     if isinstance(t, RVar):
-        return frozenset() if t.name in bound else frozenset([t.name])
-    if isinstance(t, RAbs):
-        return free_rvars(t.body, bound | {t.binder})
-    out = free_rvars(t.fun, bound)
-    for u in t.bag:
-        out |= free_rvars(u, bound)
-    return out
+        fv = _NAMES.get(t.name)
+        if fv is None:
+            fv = _NAMES[t.name] = frozenset((t.name,))
+    elif isinstance(t, RAbs):
+        fv = free_rvars(t.body)
+        if t.binder in fv:
+            fv = fv - _NAMES[t.binder]
+    else:
+        fv = free_rvars(t.fun)
+        for u in t.bag:
+            a = free_rvars(u)
+            if not a <= fv:
+                fv = a if fv <= a else fv | a
+    t._fv = fv
+    return fv
+
+
+def gen_height(t: ResourceTerm) -> int:
+    """Structural height, computed once per node; it agrees with `height` on
+    normal terms."""
+    h = t._height
+    if h is None:
+        if isinstance(t, RVar):
+            h = 1
+        elif isinstance(t, RAbs):
+            h = gen_height(t.body)
+        else:
+            h = max(gen_height(t.fun),
+                    1 + max([gen_height(u) for u in t.bag], default=0))
+        t._height = h
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -121,32 +209,49 @@ def parse_resource(text: str) -> ResourceTerm:
 # ---------------------------------------------------------------------------
 # Linear reduction
 
-def _occurrences(t: ResourceTerm, name: str) -> int:
-    if isinstance(t, RVar):
-        return 1 if t.name == name else 0
-    if isinstance(t, RAbs):
-        return 0 if t.binder == name else _occurrences(t.body, name)
-    return _occurrences(t.fun, name) + sum(_occurrences(u, name) for u in t.bag)
+def _subst_assignment(t: ResourceTerm, name: str, queue) -> ResourceTerm:
+    """Replace the occurrences of `name` left to right by the terms of
+    `queue`, one each.  Subterms without `name` come back as they are."""
+    if name not in free_rvars(t):
+        return t
+    return _fill(t, name, queue, [0, None])
 
 
-def _subst_assignment(t: ResourceTerm, name: str, queue: list) -> ResourceTerm:
-    """Replace occurrences of `name` left-to-right by the terms in `queue`."""
+def _fill(t, name, queue, at) -> ResourceTerm:
+    """_subst_assignment of a t in which `name` is free, from queue[at[0]]
+    on.  A binder is renamed when it would capture a free name of the terms
+    still to be placed; at[1] lists those names per start index, built at
+    the first binder met.  Application spines are walked in a loop, and a
+    node whose free names are known has its children's known too."""
     if isinstance(t, RVar):
-        return queue.pop(0) if t.name == name else t
+        i = at[0]
+        at[0] = i + 1
+        return queue[i]
     if isinstance(t, RAbs):
-        if t.binder == name:
-            return t
-        avoid = set()
-        for u in queue:
-            avoid |= free_rvars(u)
-        if t.binder in avoid and _occurrences(t.body, name) > 0:
-            nb = _fresh(t.binder, avoid | free_rvars(t.body) | {name})
+        avoid = at[1]
+        if avoid is None:  # avoid[i]: the free names of queue[i:]
+            avoid = at[1] = [frozenset()] * (len(queue) + 1)
+            for i in range(len(queue) - 1, -1, -1):
+                fv = free_rvars(queue[i])
+                avoid[i] = avoid[i + 1] if fv <= avoid[i + 1] else avoid[i + 1] | fv
+        rest = avoid[at[0]]
+        if t.binder in rest:
+            nb = _fresh(t.binder, rest | t.body._fv | {name})
             body = _subst_assignment(t.body, t.binder,
-                                     [RVar(nb)] * _occurrences(t.body, t.binder))
-            return RAbs(nb, _subst_assignment(body, name, queue))
-        return RAbs(t.binder, _subst_assignment(t.body, name, queue))
-    fun = _subst_assignment(t.fun, name, queue)
-    return RApp(fun, tuple(_subst_assignment(u, name, queue) for u in t.bag))
+                                     [RVar(nb)] * len(_places_of(t)[0]))
+            free_rvars(body)
+            return RAbs(nb, _fill(body, name, queue, at))
+        return RAbs(t.binder, _fill(t.body, name, queue, at))
+    apps = []
+    while isinstance(t, RApp) and name in t._fv:
+        apps.append(t)
+        t = t.fun
+    if name in t._fv:
+        t = _fill(t, name, queue, at)
+    for app in reversed(apps):
+        t = RApp(t, tuple([_fill(u, name, queue, at) if name in u._fv
+                           else u for u in app.bag]))
+    return t
 
 
 def canonical_binders(t: ResourceTerm) -> ResourceTerm:
@@ -172,56 +277,176 @@ def canonical_binders(t: ResourceTerm) -> ResourceTerm:
     return go(t, 0, {})
 
 
-def _contract(fun: RAbs, items: tuple) -> set:
-    """All ways of distributing the bag over the occurrences of the binder."""
-    n = _occurrences(fun.body, fun.binder)
-    if n != len(items):
-        return set()
-    out = set()
-    for perm in set(permutations(items)):
-        out.add(_subst_assignment(fun.body, fun.binder, list(perm)))
+def _places_of(fun: RAbs) -> tuple:
+    """The free occurrences of fun's binder in its body, found once, in the
+    order `_fill` meets them: the group of each, and the places of those in
+    head position.  The bare items of one bag form one group, since their
+    order in it does not matter; every other occurrence is a group of its
+    own.  A bag is told apart by the visit that meets it, not by its node,
+    since one node may sit at two places of the body."""
+    if fun._places is not None:
+        return fun._places
+    name = fun.binder
+    groups, heads, bag_group = [], [], {}
+    visits = 0
+    todo = [(fun.body, None, False)]  # (subterm, visit of the bag holding it, is a head)
+    while todo:
+        t, bag, head = todo.pop()
+        if name not in free_rvars(t):
+            continue
+        if isinstance(t, RVar):
+            if head:
+                heads.append(len(groups))
+            g = len(groups) if bag is None else bag_group.setdefault(bag, len(groups))
+            groups.append(g)
+        elif isinstance(t, RAbs):
+            todo.append((t.body, None, False))
+        else:
+            visits += 1
+            todo.extend((u, visits, False) for u in reversed(t.bag))
+            todo.append((t.fun, None, True))
+    fun._places = (groups, heads)
+    return fun._places
+
+
+def _assignments(groups: list, members: list):
+    """Each distinct assignment of the items to the occurrences, once: a
+    queue for `_fill`.  `members[c]` lists the items of alpha class c as
+    given; the places of a class receive its members in that order.  Within
+    a group the classes are placed in ascending order, so a group's
+    multiset is yielded once, not once per ordering."""
+    n = len(groups)
+    if len(members) == n == len(set(groups)):
+        # distinct items into groups of one place: the assignments are the
+        # permutations, which itertools yields faster than the search below
+        yield from permutations([m[0] for m in members])
+        return
+    last = {}
+    prev = []  # the previous place of the same group, or -1
+    for p, g in enumerate(groups):
+        prev.append(last.get(g, -1))
+        last[g] = p
+    left = [len(m) for m in members]
+    classes = len(members)
+    choice = [-1] * n
+    p = 0
+    while p >= 0:
+        c = choice[p]
+        if c >= 0:
+            left[c] += 1
+            c += 1
+        else:
+            c = choice[prev[p]] if prev[p] >= 0 else 0
+        while c < classes and not left[c]:
+            c += 1
+        if c == classes:
+            choice[p] = -1
+            p -= 1
+            continue
+        choice[p] = c
+        left[c] -= 1
+        if p < n - 1:
+            p += 1
+            continue
+        dealt = [0] * classes
+        queue = []
+        for c in choice:
+            queue.append(members[c][dealt[c]])
+            dealt[c] += 1
+        yield queue
+
+
+def _contract(fun: RAbs, items: tuple) -> list:
+    """The reducts of (\\x. body)<items>: the items distributed over the free
+    occurrences of x, one reduct per distinct assignment (docs/DECISIONS.md
+    D8).  Raises CapExceeded before building any when there are more than
+    LAMBDA_PM_CAP of them."""
+    groups, heads = _places_of(fun)
+    if len(groups) != len(items):
+        return []
+    if not items:
+        return [fun.body]
+    by_class = {}
+    for u in items:
+        by_class.setdefault(u, []).append(u)
+    members = list(by_class.values())
+    # the multinomial over the classes bounds the count; past the cap, count
+    limit = cap()
+    bound = factorial(len(items))
+    for m in members:
+        bound //= factorial(len(m))
+    if bound > limit and next(islice(_assignments(groups, members), limit, None),
+                              None) is not None:
+        raise CapExceeded(f"contraction has more than {limit} distinct reducts, "
+                          f"exceeds cap {limit} (LAMBDA_PM_CAP)")
+    # a reduct is normal when the body and the items are, unless an
+    # abstraction lands in head position
+    normal = _is_normal(fun.body) and all(_is_normal(u) for u in items)
+    out = []
+    for queue in _assignments(groups, members):
+        r = _subst_assignment(fun.body, fun.binder, queue)
+        if normal and not any(isinstance(queue[i], RAbs) for i in heads):
+            r._normal = True
+        out.append(r)
     return out
 
 
+def _is_normal(t: ResourceTerm) -> bool:
+    """No redex in t; computed once per node."""
+    n = t._normal
+    if n is None:
+        if isinstance(t, RVar):
+            n = True
+        elif isinstance(t, RAbs):
+            n = _is_normal(t.body)
+        else:
+            n = (not isinstance(t.fun, RAbs) and _is_normal(t.fun)
+                 and all(_is_normal(u) for u in t.bag))
+        t._normal = n
+    return n
+
+
 def _step(t: ResourceTerm):
-    """Contract one redex; returns a set of reducts, or None if normal."""
-    if isinstance(t, RVar):
+    """Contract the leftmost-outermost redex; returns the list of reducts,
+    which may repeat, or None if t is normal."""
+    if _is_normal(t):
         return None
     if isinstance(t, RAbs):
-        inner = _step(t.body)
-        if inner is None:
-            return None
-        return {RAbs(t.binder, u) for u in inner}
+        return [RAbs(t.binder, u) for u in _step(t.body)]
     if isinstance(t.fun, RAbs):
         return _contract(t.fun, t.bag)
-    inner = _step(t.fun)
-    if inner is not None:
-        return {RApp(u, t.bag) for u in inner}
-    items = list(t.bag)
+    if not _is_normal(t.fun):
+        return [RApp(u, t.bag) for u in _step(t.fun)]
+    items = t.bag
     for i, u in enumerate(items):
-        inner = _step(u)
-        if inner is not None:
-            out = set()
-            for v in inner:
-                out.add(RApp(t.fun, tuple(items[:i] + [v] + items[i + 1:])))
-            return out
+        if not _is_normal(u):
+            before, after = items[:i], items[i + 1:]
+            return [RApp(t.fun, before + (v,) + after) for v in _step(u)]
     return None
 
 
 def is_normal(t: ResourceTerm) -> bool:
-    return _step(t) is None
+    """True if t has no redex."""
+    return _is_normal(t)
 
 
 def resource_reduce(t: ResourceTerm) -> frozenset:
-    """Full normalization under the linear rule; always terminates."""
-    done, todo = set(), [t]
+    """Full normalization under the linear rule; always terminates, as each
+    step shrinks the term.  Each term that is not normal is reduced once,
+    however often it is reached."""
+    done, todo, queued = set(), [t], set()
     while todo:
         cur = todo.pop()
         nxt = _step(cur)
         if nxt is None:
             done.add(cur)
-        else:
-            todo.extend(nxt)
+            continue
+        for u in nxt:
+            if _is_normal(u):
+                done.add(u)
+            elif u not in queued:
+                queued.add(u)
+                todo.append(u)
     return frozenset(done)
 
 
@@ -256,10 +481,11 @@ def spine(binders, head: ResourceTerm, bags) -> ResourceTerm:
 
 
 def height(t: ResourceTerm) -> int:
-    """1 + tallest bag element; a term with all-empty bags has height 1."""
-    _, _, bags = normal_view(t)
-    sub = [height(u) for b in bags for u in b]
-    return 1 + max(sub, default=0)
+    """1 + tallest bag element; a term with all-empty bags has height 1.
+    Raises ValueError unless t is normal."""
+    if not _is_normal(t):
+        raise ValueError("term is not in normal form")
+    return gen_height(t)
 
 
 class EmptyMark:

@@ -14,7 +14,8 @@ from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
 from .distance import bracket, dyadic, exact
 from .lamcalc import Abs, LambdaTerm, Var, db_index
-from .resource import RAbs, RApp, ResourceTerm, RVar, normal_view, rkey
+from .resource import (RAbs, RApp, ResourceTerm, RVar, gen_height, normal_view,
+                       rkey)
 
 
 # ---------------------------------------------------------------------------
@@ -22,26 +23,31 @@ from .resource import RAbs, RApp, ResourceTerm, RVar, normal_view, rkey
 
 def box_relation(t: ResourceTerm, a: PartialTerm) -> bool:
     """t belongs to the Taylor expansion of a (the expansion of bottom is empty)."""
-    return _box(t, a, (), ())
-
-
-def _box(t, a, envt, enva):
-    if isinstance(a, Bottom):
-        return False
     try:
-        binders, head, bags = normal_view(t)
-    except ValueError:
+        return _box_depth(t, a, (), ()) == math.inf
+    except ValueError:  # t is not normal
         return False
+
+
+def _box_depth(t: ResourceTerm, a: PartialTerm, envt, enva):
+    """The largest n such that resource.truncate(t, n) belongs to the
+    expansion of bohm.truncate(a, n), or math.inf if t belongs to the
+    expansion of a (docs/DECISIONS.md D8).  Raises ValueError on a redex."""
+    if isinstance(a, Bottom):
+        return 0
+    binders, head, bags = normal_view(t)
     if len(binders) != len(a.binders) or len(bags) != len(a.args):
-        return False
+        return 0
     et, ea = binders[::-1] + envt, a.binders[::-1] + enva
     if db_index(head, et) != db_index(a.head, ea):
-        return False
+        return 0
+    depth = math.inf
     for items, arg in zip(bags, a.args):
         for u in items:
-            if not _box(u, arg, et, ea):
-                return False
-    return True
+            depth = min(depth, _box_depth(u, arg, et, ea))
+            if depth == 0:
+                return 1
+    return 1 + depth
 
 
 def min_source(t: ResourceTerm) -> PartialTerm | None:
@@ -138,16 +144,6 @@ def _expand(a: PartialTerm, sizes, h) -> list:
     return [spine(binders, head, bags) for bags in product(*pools)]
 
 
-def gen_height(t: ResourceTerm) -> int:
-    """Structural height; agrees with the normal-form height on normal terms."""
-    if isinstance(t, RVar):
-        return 1
-    if isinstance(t, RAbs):
-        return gen_height(t.body)
-    inner = max((gen_height(u) for u in t.bag), default=0)
-    return max(gen_height(t.fun), 1 + inner)
-
-
 def taylor_of_term(m: LambdaTerm, mult_bound: int, height_bound: int) -> TaylorFragment:
     """Bounded expansion of a raw (possibly non-normal) lambda term."""
     if mult_bound < 1 or height_bound < 1:
@@ -195,20 +191,14 @@ def _side_fast(a: PartialTerm, other: PartialTerm, b: int) -> Fraction:
         return Fraction(0)  # sup over the empty set
     if isinstance(other, Bottom):
         return Fraction(1)  # inf over the empty set
-    worst = Fraction(0)
+    level = None  # the shallowest best level; the sup is 2**-level
     for t in _expand(a, (b,), math.inf):
-        h = resource.height(t)
-        best_n = 0
-        for n in range(1, h + 1):
-            s = resource.truncate(t, n)
-            if box_relation(s, bohm.truncate(other, n)):
-                best_n = n
-            else:
+        n = min(resource.height(t), _box_depth(t, other, (), ()))
+        if level is None or n < level:
+            level = n
+            if n == 0:
                 break
-        val = dyadic(best_n)
-        if val > worst:
-            worst = val
-    return worst
+    return Fraction(0) if level is None else dyadic(level)
 
 
 def hstar_fragments(a: PartialTerm, other: PartialTerm, mult_bound: int) -> Fraction:
@@ -313,17 +303,18 @@ def enumerate_partial(n: int) -> PartialTerm:
     """
     if n < 1:
         raise ValueError("enumeration is 1-indexed")
-    count = 0
-    w = 1
-    while True:
-        batch = sorted(_partial_terms_of_weight(w, 0), key=_pt_sort_key)
-        for t in batch:
-            count += 1
-            if count == n:
-                return t
-        w += 1
-        if w > 40:
-            raise RuntimeError("enumeration ran away")
+    for w in range(1, 41):
+        batch = _sorted_of_weight(w)
+        if n <= len(batch):
+            return batch[n - 1]
+        n -= len(batch)
+    raise RuntimeError("enumeration ran away")
+
+
+@lru_cache(maxsize=None)
+def _sorted_of_weight(w: int) -> tuple:
+    """The partial terms of weight w in enumeration order, sorted once."""
+    return tuple(sorted(_partial_terms_of_weight(w, 0), key=_pt_sort_key))
 
 
 def _pt_sort_key(t: PartialTerm):

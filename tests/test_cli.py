@@ -143,3 +143,22 @@ def test_parse_verb_prints_a_long_spine(capsys):
     term = "x" + " y" * 3000
     code, out = run(capsys, "parse", "--term", term)
     assert code == 0 and out == {"term": term, "canonical": term}
+
+
+def test_reduce_verb_normalizes_a_long_spine(capsys):
+    term = "x" + " y" * 3000
+    code, out = run(capsys, "reduce", "--term", term)
+    assert code == 0 and out == {"normal_form": term}
+    code, out = run(capsys, "reduce", "--term", "(\\z. z) x" + " y" * 3000)
+    assert code == 0 and out == {"normal_form": term}
+
+
+def test_rreduce_over_the_cap_exits_2_and_names_it(capsys, monkeypatch):
+    monkeypatch.delenv("LAMBDA_PM_CAP", raising=False)
+    # nine distinct items into nine one-item bags: 9! = 362,880 reducts
+    body = "h" + "<x>" * 9
+    items = ", ".join(f"y{i}" for i in range(9))
+    code = main(["rreduce", "--term", f"(\\x. {body})<{items}>"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cap 100000" in err and "LAMBDA_PM_CAP" in err

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lambdapm import contextual
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
 from lambdapm.corpus import OMEGA, normalizing_corpus
@@ -83,3 +84,20 @@ def test_genericity_semi_test():
     assert genericity_violations(OMEGA, normalizing_corpus(8), 40, 300) == []
     with pytest.raises(ValueError):
         genericity_violations(I, [I], 10, 50)
+
+
+def test_cold_bracket_enumerates_each_context_once(monkeypatch):
+    calls = []
+    enumerate_once = contextual.enumerate_context
+
+    def counted(idx):
+        calls.append(idx)
+        return enumerate_once(idx)
+    monkeypatch.setattr(contextual, "enumerate_context", counted)
+    contextual._context.cache_clear()
+    m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
+    contextual._ROWS.pop((m, 17), None)
+    contextual._ROWS.pop((n, 17), None)
+    before = p_ctx_bracket(m, n, 40, 17)
+    assert calls == list(range(41))
+    assert p_ctx_bracket(m, n, 40, 17) == before and len(calls) == 41

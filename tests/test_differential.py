@@ -8,22 +8,27 @@ brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
 every table, and print/parse round trips for resource and partial terms."""
 
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import example, given, settings, strategies as st
 
-from lambdapm import contextual, corpus
+from lambdapm import bohm, contextual, corpus, resource, taylor
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
+from lambdapm.distance import dyadic
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
                               function_space, iter_monotone_tables)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
-from lambdapm.lamcalc import (Abs, App, Var, decompose, head_reduce_step, key,
-                              parse, show, solvability, spine, subst)
-from lambdapm.resource import (RAbs, RApp, RVar, parse_resource, rkey,
-                               show_resource)
+from lambdapm.lamcalc import (Abs, App, Var, _fresh, decompose,
+                              head_reduce_step, key, normalize, parse, show,
+                              solvability, spine, subst)
+from lambdapm.resource import (RAbs, RApp, RVar, _assignments, free_rvars,
+                               gen_height, is_normal, parse_resource,
+                               resource_reduce, rkey, show_resource)
+from lambdapm.taylor import box_relation, taylor_of_term
 
 # A three-name alphabet makes shadowed binders common.
 names = st.sampled_from(["x", "y", "z"])
@@ -630,6 +635,437 @@ def test_evicted_rows_give_the_same_answers(terms, queries):
         assert len(contextual._ROWS) <= 2
     finally:
         contextual._MAX_ROWS = saved
+
+
+# ---------------------------------------------------------------------------
+# Resource terms: cached hashes, free names, heights and normality against
+# uncached references, and reduction against the permutation reducer
+
+def ref_rhash(k):
+    """The hash a resource term caches: its key's, built from the hashes of
+    the key's parts, a bag's part being the sorted hashes of its items."""
+    if k[0] == "l":
+        return hash(("l", ref_rhash(k[1])))
+    if k[0] == "a":
+        return hash(("a", ref_rhash(k[1]),
+                     tuple(sorted(ref_rhash(u) for u in k[2]))))
+    return hash(k)
+
+
+def ref_free_rvars(t, bound=frozenset()):
+    if isinstance(t, RVar):
+        return frozenset() if t.name in bound else frozenset([t.name])
+    if isinstance(t, RAbs):
+        return ref_free_rvars(t.body, bound | {t.binder})
+    out = ref_free_rvars(t.fun, bound)
+    for u in t.bag:
+        out |= ref_free_rvars(u, bound)
+    return out
+
+
+def ref_gen_height(t):
+    if isinstance(t, RVar):
+        return 1
+    if isinstance(t, RAbs):
+        return ref_gen_height(t.body)
+    return max(ref_gen_height(t.fun),
+               1 + max((ref_gen_height(u) for u in t.bag), default=0))
+
+
+def ref_occurrences(t, name):
+    if isinstance(t, RVar):
+        return 1 if t.name == name else 0
+    if isinstance(t, RAbs):
+        return 0 if t.binder == name else ref_occurrences(t.body, name)
+    return ref_occurrences(t.fun, name) + sum(ref_occurrences(u, name)
+                                              for u in t.bag)
+
+
+def ref_subst_assignment(t, name, queue):
+    """Replace occurrences of `name` left-to-right by the terms in `queue`,
+    rebuilding every node."""
+    if isinstance(t, RVar):
+        return queue.pop(0) if t.name == name else t
+    if isinstance(t, RAbs):
+        if t.binder == name:
+            return t
+        avoid = set()
+        for u in queue:
+            avoid |= ref_free_rvars(u)
+        if t.binder in avoid and ref_occurrences(t.body, name) > 0:
+            nb = _fresh(t.binder, avoid | ref_free_rvars(t.body) | {name})
+            body = ref_subst_assignment(
+                t.body, t.binder, [RVar(nb)] * ref_occurrences(t.body, t.binder))
+            return RAbs(nb, ref_subst_assignment(body, name, queue))
+        return RAbs(t.binder, ref_subst_assignment(t.body, name, queue))
+    fun = ref_subst_assignment(t.fun, name, queue)
+    return RApp(fun, tuple(ref_subst_assignment(u, name, queue) for u in t.bag))
+
+
+def ref_step(t, every=False):
+    """The permutation reducer's step: the set of reducts of the leftmost
+    redex, each distinct permutation of a bag substituted in turn, or None
+    if t is normal.  With `every`, a list that keeps alpha-equal reducts."""
+    wrap = list if every else set
+    if isinstance(t, RVar):
+        return None
+    if isinstance(t, RAbs):
+        inner = ref_step(t.body, every)
+        return None if inner is None else wrap(RAbs(t.binder, u) for u in inner)
+    if isinstance(t.fun, RAbs):
+        f = t.fun
+        if ref_occurrences(f.body, f.binder) != len(t.bag):
+            return wrap()
+        return wrap(ref_subst_assignment(f.body, f.binder, list(perm))
+                    for perm in dict.fromkeys(permutations(t.bag)))
+    inner = ref_step(t.fun, every)
+    if inner is not None:
+        return wrap(RApp(u, t.bag) for u in inner)
+    items = list(t.bag)
+    for i, u in enumerate(items):
+        inner = ref_step(u, every)
+        if inner is not None:
+            return wrap(RApp(t.fun, tuple(items[:i] + [v] + items[i + 1:]))
+                        for v in inner)
+    return None
+
+
+def ref_resource_reduce(t):
+    done, todo = set(), [t]
+    while todo:
+        cur = todo.pop()
+        nxt = ref_step(cur)
+        if nxt is None:
+            done.add(cur)
+        else:
+            todo.extend(nxt)
+    return frozenset(done)
+
+
+def ref_printings(t):
+    """For each normal form of t, by its key: every way the permutation
+    reducer can print it.  That reducer keeps the first of alpha-equal
+    terms in sets whose order follows string hashing, so here no reduct is
+    dropped."""
+    out, todo, seen = {}, [t], set()
+    while todo:
+        cur = todo.pop()
+        nxt = ref_step(cur, every=True)
+        if nxt is None:
+            out.setdefault(ref_rkey(cur), set()).add(str(cur))
+        for u in nxt or ():
+            if str(u) not in seen:
+                seen.add(str(u))
+                todo.append(u)
+    return out
+
+
+def assert_reduces_like_reference(t):
+    """resource_reduce(t) is the permutation reducer's set, and prints it as
+    that reducer can; identically wherever that printing does not depend on
+    set order (docs/DECISIONS.md D8)."""
+    fast, ref, printings = resource_reduce(t), ref_resource_reduce(t), ref_printings(t)
+    assert fast == ref
+    assert {ref_rkey(u) for u in fast} == {ref_rkey(u) for u in ref} == set(printings)
+    for u in fast:
+        assert str(u) in printings[ref_rkey(u)]
+    if all(len(p) == 1 for p in printings.values()):
+        assert sorted(map(str, fast)) == sorted(map(str, ref))
+    return fast
+
+
+def copy_rterm(t):
+    """A node-by-node copy, with empty caches."""
+    if isinstance(t, RVar):
+        return RVar(t.name)
+    if isinstance(t, RAbs):
+        return RAbs(t.binder, copy_rterm(t.body))
+    return RApp(copy_rterm(t.fun), tuple(copy_rterm(u) for u in t.bag))
+
+
+def alpha_rvariant(t, env=None, depth=0):
+    """t with the binder at depth d renamed to w<d>, and bags reversed."""
+    env = {} if env is None else env
+    if isinstance(t, RVar):
+        return RVar(env.get(t.name, t.name))
+    if isinstance(t, RAbs):
+        nb = f"w{depth}"
+        return RAbs(nb, alpha_rvariant(t.body, {**env, t.binder: nb}, depth + 1))
+    return RApp(alpha_rvariant(t.fun, env, depth + 1),
+                tuple(alpha_rvariant(u, env, depth + 1) for u in reversed(t.bag)))
+
+
+def rsubterms(t, env=()):
+    yield t, env
+    if isinstance(t, RAbs):
+        yield from rsubterms(t.body, (t.binder,) + env)
+    elif isinstance(t, RApp):
+        yield from rsubterms(t.fun, env)
+        for u in t.bag:
+            yield from rsubterms(u, env)
+
+
+# Items for bag redexes: free names the body's binders can capture, repeats,
+# and alpha-equal abstractions under different binder names, one of which
+# makes a new redex when it lands in head position.
+RITEMS = [RVar("y"), RVar("z"), RAbs("a", RVar("a")), RAbs("b", RVar("b")),
+          RAbs("a", RVar("c")), RAbs("y", RApp(RVar("y"), ())),
+          RApp(RVar("y"), (RVar("z"),))]
+
+
+def _occurrence(kind):
+    x = RVar("x")
+    return {"bare": x, "head": RApp(x, ()), "under": RAbs("y", x),
+            "nested": RApp(RVar("w"), (x,)), "pair": RApp(RVar("w"), (x, x)),
+            "shadowed": RAbs("z", RApp(RVar("z"), (x,)))}[kind]
+
+
+@st.composite
+def bag_redexes(draw):
+    """(\\x. h<...>...<...>)<items>: the occurrences of x sit bare in a bag,
+    in head position, under a binder or nested, cut into bags at random;
+    now and then one occurrence too few or too many.  Now and then every
+    place of one kind holds the same node, as in taylor_of_term's bags."""
+    k = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["bare", "bare", "head", "under",
+                                           "nested", "pair", "shadowed"]),
+                          min_size=k, max_size=k))
+    cuts = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    made = {}
+
+    def occurrence(kind):
+        if draw(st.booleans()):
+            return made.setdefault(kind, _occurrence(kind))
+        return _occurrence(kind)
+
+    bags, cur = [], [occurrence(kinds[0])]
+    for kind, cut in zip(kinds[1:], cuts):
+        if cut:
+            bags.append(tuple(cur))
+            cur = []
+        cur.append(occurrence(kind))
+    bags.append(tuple(cur))
+    body = RVar("h")
+    for b in bags:
+        body = RApp(body, b)
+    if draw(st.booleans()):
+        body = RAbs("y", body)
+    n_items = k + kinds.count("pair") + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    items = draw(st.lists(st.sampled_from(RITEMS), min_size=n_items,
+                          max_size=n_items))
+    return RApp(RAbs("x", body), tuple(items))
+
+
+@given(resource_terms(), resource_terms(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_resource_hash_is_the_key_hash(t, u, warm):
+    if warm:
+        for v, _ in rsubterms(t):
+            hash(v)
+    v = alpha_rvariant(t)
+    assert hash(t) == ref_rhash(ref_rkey(t)) == hash(copy_rterm(t)) == hash(v)
+    assert t == v and t == copy_rterm(t)
+    assert (t == u) == (ref_rkey(t) == ref_rkey(u))
+    assert (t == u) <= (hash(t) == hash(u))
+    for w, env in rsubterms(t):
+        assert free_rvars(w) == ref_free_rvars(w)
+        assert gen_height(w) == ref_gen_height(w)
+        assert is_normal(w) == (ref_step(w) is None)
+
+
+@given(resource_terms())
+@example(parse_resource("(\\x. x<x>)<\\a. a<>, \\b. b<>>"))
+@settings(max_examples=200, deadline=None)
+def test_resource_reduce_matches_permutation_reference(t):
+    assert_reduces_like_reference(t)
+
+
+@given(bag_redexes())
+@example(parse_resource("(\\x. \\y. h<x, x><x<>><\\y. x>)<y, \\a. a, \\b. b, z>"))
+@example(parse_resource("(\\x. h<x, x, x, \\y. x, x>)<y, y, y, z, z>"))
+@settings(max_examples=300, deadline=None)
+def test_bag_redexes_match_permutation_reference(t):
+    fast = assert_reduces_like_reference(t)
+    for nf in fast:
+        assert ref_step(nf) is None and is_normal(nf)
+
+
+def test_shared_bag_node_keeps_every_reduct():
+    """One node at two places of the body: the bag of each place is a group
+    of its own."""
+    p = RApp(RVar("g"), (RVar("x"), RVar("x")))
+    t = RApp(RAbs("x", RApp(RVar("f"), (p, p))), tuple(map(RVar, "aabb")))
+    nfs = assert_reduces_like_reference(t)
+    assert sorted(map(str, nfs)) == ["f<g<a, a>, g<b, b>>", "f<g<a, b>, g<a, b>>"]
+
+
+def test_expansion_elements_reduce_like_reference():
+    """At multiplicity 4 taylor_of_term builds bags such as (P, P) with one
+    node P, so the body of an element of (\\x. f (g x)) (z w) holds g<x, x>
+    twice."""
+    for t in taylor_of_term(parse("(\\x. f (g x)) (z w)"), 4, 3).elements:
+        assert_reduces_like_reference(t)
+
+
+@given(st.lists(st.sampled_from(RITEMS[:4] + [RVar("y")]), min_size=1, max_size=6),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_assignments_match_distinct_permutations(items, data):
+    n = len(items)
+    groups = []
+    for p in range(n):  # each place joins the group of an earlier place, or starts one
+        groups.append(data.draw(st.sampled_from(sorted(set(groups)) + [p])))
+    by_class = {}
+    for u in items:
+        by_class.setdefault(u, []).append(u)
+    members = list(by_class.values())
+    cls = {id(u): c for c, m in enumerate(members) for u in m}
+
+    def pattern(queue):
+        """Per group, the multiset of alpha classes it receives."""
+        out = {}
+        for g, u in zip(groups, queue):
+            out.setdefault(g, []).append(cls[id(u)])
+        return tuple(sorted((g, tuple(sorted(v))) for g, v in out.items()))
+
+    got = [pattern(q) for q in _assignments(groups, members)]
+    want = {pattern(q) for q in set(permutations(items))}
+    assert len(got) == len(set(got)) and set(got) == want
+    for q in _assignments(groups, members):
+        assert sorted(map(id, q)) == sorted(map(id, items))
+        # a class's members go to its places in the order they were given
+        for m in members:
+            assert [u for u in q if cls[id(u)] == cls[id(m[0])]] == m
+
+
+def ref_box(t, a, envt=(), enva=()):
+    """Membership in the expansion of a, by the recursion on t and a."""
+    if a is BOT:
+        return False
+    try:
+        binders, head, bags = resource.normal_view(t)
+    except ValueError:
+        return False
+    if len(binders) != len(a.binders) or len(bags) != len(a.args):
+        return False
+    et, ea = binders[::-1] + envt, a.binders[::-1] + enva
+    if _ref_index(head, et[::-1]) != _ref_index(a.head, ea[::-1]):
+        return False
+    return all(ref_box(u, arg, et, ea)
+               for items, arg in zip(bags, a.args) for u in items)
+
+
+def ref_side_fast(a, other, b):
+    """The inner loop of the H* side: truncate each maximal element at every
+    level and test membership, until the first level that fails."""
+    if a is BOT:
+        return Fraction(0)
+    if other is BOT:
+        return Fraction(1)
+    worst = Fraction(0)
+    for t in taylor._expand(a, (b,), math.inf):
+        best_n = 0
+        for n in range(1, resource.height(t) + 1):
+            if ref_box(resource.truncate(t, n), bohm.truncate(other, n)):
+                best_n = n
+            else:
+                break
+        worst = max(worst, dyadic(best_n))
+    return worst
+
+
+def perturbed(data, a, depth=0):
+    """a with, now and then, a head renamed, an argument cut to bottom or
+    the last argument dropped, at any depth."""
+    if a is BOT:
+        return BOT
+    change = data.draw(st.sampled_from(["keep"] * 5 + ["head", "bottom", "arity"]))
+    if change == "bottom" and depth > 0:
+        return BOT
+    args = tuple(perturbed(data, x, depth + 1) for x in a.args)
+    if change == "arity":
+        args = args[:-1]
+    head = data.draw(names) if change == "head" else a.head
+    return Node(a.binders, head, args)
+
+
+def other_term(data, a):
+    """A partial term to compare with a: a random one, or a perturbed a."""
+    if data.draw(st.booleans()):
+        return data.draw(partial_terms())
+    return perturbed(data, a)
+
+
+@given(partial_terms(), st.data(), st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_hstar_side_matches_truncation_loop(a, data, b):
+    other = other_term(data, a)
+    assert taylor._side_fast(a, other, b) == ref_side_fast(a, other, b)
+    assert taylor._side_fast(other, a, b) == ref_side_fast(other, a, b)
+
+
+def draw_element(data, a):
+    """A random element of the expansion of a non-bottom a, with bags of at
+    most two items."""
+    bags = []
+    for arg in a.args:
+        k = 0 if arg is BOT else data.draw(st.integers(0, 2))
+        bags.append(tuple(draw_element(data, arg) for _ in range(k)))
+    return resource.spine(a.binders, RVar(a.head), bags)
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_box_depth_is_the_last_level_in_the_expansion(a, data):
+    t = draw_element(data, a)
+    other = other_term(data, a)
+    depth = taylor._box_depth(t, other, (), ())
+    assert box_relation(t, other) == ref_box(t, other) == (depth == math.inf)
+    for n in range(1, resource.height(t) + 3):
+        inside = ref_box(resource.truncate(t, n), bohm.truncate(other, n))
+        assert inside == (n <= depth)
+
+
+@given(resource_terms(), partial_terms())
+@settings(max_examples=200, deadline=None)
+def test_box_relation_matches_reference(t, a):
+    assert box_relation(t, a) == ref_box(t, a)
+
+
+def ref_normalize(t, fuel):
+    """Leftmost-outermost normalization by recursion on every node."""
+    def step(u):
+        if isinstance(u, App) and isinstance(u.fun, Abs):
+            return subst(u.fun.body, u.fun.binder, u.arg)
+        if isinstance(u, Abs):
+            b = step(u.body)
+            return None if b is None else Abs(u.binder, b)
+        if isinstance(u, App):
+            f = step(u.fun)
+            if f is not None:
+                return App(f, u.arg)
+            a = step(u.arg)
+            return None if a is None else App(u.fun, a)
+        return None
+
+    cur = t
+    for _ in range(fuel):
+        nxt = step(cur)
+        if nxt is None:
+            return cur
+        cur = nxt
+    return None
+
+
+@given(lam_terms(), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+@example(parse("x ((\\z. z) y) ((\\w. w) u) v"), 3)
+@example(parse("x ((\\z. z) y) ((\\w. w) u) v"), 2)
+def test_normalize_matches_recursive_reference(t, fuel):
+    got, want = normalize(t, fuel), ref_normalize(t, fuel)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert show(got) == show(want)
 
 
 # ---------------------------------------------------------------------------

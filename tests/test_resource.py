@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from lambdapm import corpus
 from lambdapm.distance import dyadic, exact
+from lambdapm.domains import CapExceeded as DomainsCapExceeded
 from lambdapm.lamcalc import ParseError
+from lambdapm.limits import CapExceeded
 from lambdapm.resource import (EMPTY_MARK, RAbs, RApp, RVar, ResourceParseError,
                                bag_leq, height, is_normal, parse_resource,
                                r_leq, r_metric, resource_reduce, rsize,
@@ -188,3 +191,41 @@ def test_is_normal():
 def test_normal_view_rejects_redex():
     with pytest.raises(ValueError):
         height(parse_resource("(\\x. x<>) <>"))
+
+
+def _singleton_bags_redex(k):
+    """(\\x. h<x>...<x>)<y0, ..., y(k-1)>: k! normal forms."""
+    items = ", ".join(f"y{i}" for i in range(k))
+    return parse_resource(f"(\\x. h{'<x>' * k})<{items}>")
+
+
+def test_same_bag_contraction_is_not_factorial():
+    items = ", ".join(f"y{i}" for i in range(9))
+    t = parse_resource(f"(\\x. z<{', '.join(['x'] * 9)}>)<{items}>")
+    start = time.perf_counter()
+    nfs = resource_reduce(t)
+    assert time.perf_counter() - start < 1.0
+    assert nfs == {parse_resource(f"z<{items}>")}
+    assert [str(u) for u in nfs] == [f"z<{items}>"]
+
+
+def test_factorial_contraction_raises_before_building(monkeypatch):
+    monkeypatch.delenv("LAMBDA_PM_CAP", raising=False)
+    assert DomainsCapExceeded is CapExceeded
+    with pytest.raises(CapExceeded, match="more than 100000 distinct reducts, exceeds cap 100000"):
+        resource_reduce(_singleton_bags_redex(9))
+
+
+def test_contraction_cap_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("LAMBDA_PM_CAP", "24")
+    assert len(resource_reduce(_singleton_bags_redex(4))) == 24
+    monkeypatch.setenv("LAMBDA_PM_CAP", "23")
+    with pytest.raises(CapExceeded, match="exceeds cap 23"):
+        resource_reduce(_singleton_bags_redex(4))
+    # two places in one bag: 12 reducts, under a multinomial bound of 24
+    shared = parse_resource("(\\x. h<x, x><x><x>)<y0, y1, y2, y3>")
+    monkeypatch.setenv("LAMBDA_PM_CAP", "12")
+    assert len(resource_reduce(shared)) == 12
+    monkeypatch.setenv("LAMBDA_PM_CAP", "11")
+    with pytest.raises(CapExceeded, match="exceeds cap 11"):
+        resource_reduce(shared)
