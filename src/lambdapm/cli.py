@@ -150,11 +150,19 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=7)
 
     args = ap.parse_args(argv)
+    # exact bracket ends can have more digits than CPython (3.10.7 on)
+    # turns into a string by default; lifted while the verb runs
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _dispatch(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def _interval(text: str):
@@ -286,8 +294,8 @@ def _dispatch(args) -> int:
             space = verify.wb_space(poset)
             res = domains.quantification_decision(poset, space)
         else:
-            space = verify.applicative_space(poset)
-            res = domains.quantification_decision(space.order_hint, space)
+            space, order = verify.applicative_space(poset)
+            res = domains.quantification_decision(order, space)
         _emit(res, args)
         return 0 if res["pass"] else 1
     elif v == "check-axioms":

@@ -32,8 +32,9 @@ COMBINATORS = {
 }
 
 
-def random_term(rng: random.Random, size: int, free=("x", "y")) -> LambdaTerm:
-    """Random closed-ish term of roughly the requested node count."""
+def random_term(rng: random.Random, size: int) -> LambdaTerm:
+    """Random closed-ish term of roughly the requested node count, free
+    names from {x, y}."""
     binders = []
 
     def go(budget, depth):
@@ -44,8 +45,7 @@ def random_term(rng: random.Random, size: int, free=("x", "y")) -> LambdaTerm:
             choices += ["app"]
         kind = rng.choice(choices)
         if kind == "var" or budget <= 1:
-            pool = list(free) + binders
-            return Var(rng.choice(pool)) if pool else Var(free[0])
+            return Var(rng.choice(["x", "y"] + binders))
         if kind == "abs":
             name = f"b{depth}"
             binders.append(name)

@@ -7,11 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
+from itertools import product
 from operator import getitem
 
 from .distance import DistanceValue, bracket, dyadic, exact
-from .limits import CapExceeded, cap as _cap
+from .limits import CapExceeded, within_cap  # CapExceeded: raised by function_space
 from .pmetric import PartialMetricSpace
 
 
@@ -124,21 +124,17 @@ class MonotoneMap:
         return self.table[x]
 
 
-def monotone_tables(x: FinitePoset, y: FinitePoset, cap: int = None):
-    """All monotone tables, enumerated output-sensitively with a count cap."""
-    cap = _cap() if cap is None else cap
-    out = list(islice(iter_monotone_tables(x, y), cap + 1))
-    if len(out) > cap:
-        raise CapExceeded(f"function space exceeds cap {cap}")
-    return out
+def monotone_tables(x: FinitePoset, y: FinitePoset):
+    """All monotone tables, enumerated output-sensitively up to LAMBDA_PM_CAP."""
+    return within_cap(iter_monotone_tables(x, y), "function space exceeds cap {cap}")
 
 
-def function_space(x: FinitePoset, y: FinitePoset, cap: int = None):
+def function_space(x: FinitePoset, y: FinitePoset):
     """The poset of all monotone maps under the pointwise order.
 
     Returns (poset, maps); maps[i] is the MonotoneMap at carrier index i.
     """
-    tables = monotone_tables(x, y, cap)
+    tables = monotone_tables(x, y)
     tables.sort()
     # bit k of above[i][a] is set iff a <= tables[k][i], so the AND of a
     # table's masks over its positions is its row of the pointwise order
@@ -294,7 +290,7 @@ class Tower:
         return self.levels[n + 1].maps[f](x)
 
 
-def build_tower(d0: FinitePoset, p0, depth: int, cap: int = None) -> Tower:
+def build_tower(d0: FinitePoset, p0, depth: int) -> Tower:
     """D_0 .. D_depth with injection/projection pairs and level metrics.
 
     p0 maps a pair of D_0 indices to a Fraction bounded by 1.  Level metrics
@@ -304,7 +300,7 @@ def build_tower(d0: FinitePoset, p0, depth: int, cap: int = None) -> Tower:
     levels = [TowerLevel(0, d0, metric=cache(p0))]
     for n in range(depth):
         prev = levels[n]
-        poset, maps = function_space(prev.poset, prev.poset, cap)
+        poset, maps = function_space(prev.poset, prev.poset)
         levels.append(TowerLevel(n + 1, poset, maps=maps,
                                  metric=_level_metric(prev.metric, maps),
                                  index={m.table: i for i, m in enumerate(maps)}))

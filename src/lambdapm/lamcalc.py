@@ -335,22 +335,22 @@ def show(t: LambdaTerm) -> str:
 _PRETTY = list(string.ascii_lowercase[23:] + string.ascii_lowercase[:23])
 
 
-def canonical(t: LambdaTerm, env=None, avoid=None) -> LambdaTerm:
+def canonical(t: LambdaTerm) -> LambdaTerm:
     """Alpha-canonical renaming: binders renamed to x,y,z,a,b,... skipping free names."""
-    if avoid is None:
-        avoid = set(free_vars(t))
-    if env is None:
-        env = {}
+    return _canonical(t, {}, set(free_vars(t)))
+
+
+def _canonical(t: LambdaTerm, env: dict, avoid: set) -> LambdaTerm:
     if isinstance(t, Var):
         return Var(env.get(t.name, t.name))
     if isinstance(t, App):
         _, head, args = decompose(t)
-        return spine((), canonical(head, env, avoid),
-                     [canonical(a, env, avoid) for a in args])
+        return spine((), _canonical(head, env, avoid),
+                     [_canonical(a, env, avoid) for a in args])
     depth = len(env)
     base = _PRETTY[depth % len(_PRETTY)]
     nb = _fresh(base, avoid)
-    return Abs(nb, canonical(t.body, {**env, t.binder: nb}, avoid | {nb}))
+    return Abs(nb, _canonical(t.body, {**env, t.binder: nb}, avoid | {nb}))
 
 
 # ---------------------------------------------------------------------------

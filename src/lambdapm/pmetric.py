@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import eq
 
 from .distance import DistanceValue, exact, is_inf
 
@@ -15,15 +16,13 @@ from .distance import DistanceValue, exact, is_inf
 class PartialMetricSpace:
     """A finite enumerable carrier with a total symmetric distance function.
 
-    `dist` maps a pair of points to a Fraction (or INF).  `order_hint` is an
-    optional explicit relation used by cross-validation tests.
+    `dist` maps a pair of points to a Fraction (or INF).
     """
 
     carrier: list
     dist: object  # callable (x, y) -> Fraction | INF
     name: str = "space"
-    order_hint: object = None
-    _memo: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def d(self, x, y):
         k = (x, y)
@@ -168,14 +167,11 @@ class LiftedSet:
         return True
 
 
-ONE = Fraction(1)
-
-
-def hausdorff_star(dist, A: LiftedSet, B: LiftedSet, top=ONE) -> DistanceValue:
+def hausdorff_star(dist, A: LiftedSet, B: LiftedSet) -> DistanceValue:
     """Variant lifting: moving up inside each set before measuring.
 
-    Conventions: sup over the empty set is 0, inf over the empty set is `top`
-    (the declared bound of the underlying 1-bounded space).
+    Conventions: sup over the empty set is 0, inf over the empty set is 1,
+    the bound of the underlying 1-bounded space; a distance above 1 raises.
     """
     def side(src: LiftedSet, dst: LiftedSet):
         best = Fraction(0)  # sup over src
@@ -186,11 +182,11 @@ def hausdorff_star(dist, A: LiftedSet, B: LiftedSet, top=ONE) -> DistanceValue:
                     v = dist(a2, b)
                     if is_inf(v):
                         continue
-                    if v > top:
+                    if v > 1:
                         raise ValueError("space is not bounded by the declared top")
                     if inner is None or v < inner:
                         inner = v
-            inner = top if inner is None else inner
+            inner = Fraction(1) if inner is None else inner
             if inner > best:
                 best = inner
         return best
@@ -198,22 +194,12 @@ def hausdorff_star(dist, A: LiftedSet, B: LiftedSet, top=ONE) -> DistanceValue:
     return exact(max(side(A, B), side(B, A)))
 
 
-def hausdorff_plain(dist, A, B, top=ONE) -> DistanceValue:
-    """Classic Hausdorff lifting (kept to reproduce its failure on self-distances)."""
-    els_a = A.elements if isinstance(A, LiftedSet) else frozenset(A)
-    els_b = B.elements if isinstance(B, LiftedSet) else frozenset(B)
+def hausdorff_plain(dist, A, B) -> DistanceValue:
+    """Classic Hausdorff lifting (kept to reproduce its failure on
+    self-distances): H* under the discrete order, where each element's only
+    upward move is itself, so it shares H*'s conventions and 1-bound check.
+    A and B are LiftedSets, whose order is then ignored, or plain sets."""
+    def discrete(s):
+        return LiftedSet(s.elements if isinstance(s, LiftedSet) else s, eq)
 
-    def side(src, dst):
-        best = Fraction(0)
-        for a in src:
-            inner = None
-            for b in dst:
-                v = dist(a, b)
-                if inner is None or v < inner:
-                    inner = v
-            inner = top if inner is None else inner
-            if inner > best:
-                best = inner
-        return best
-
-    return exact(max(side(els_a, els_b), side(els_b, els_a)))
+    return hausdorff_star(dist, discrete(A), discrete(B))

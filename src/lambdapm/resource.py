@@ -4,13 +4,12 @@ heights, truncations and the resource partial metric."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations
-from math import factorial
+from itertools import permutations
 
 from .distance import (DistanceValue, agreement_level, dyadic, exact,
                        truncation_below)
 from .lamcalc import ParseError, _cache, _fresh, _Parser, db_index
-from .limits import CapExceeded, cap
+from .limits import within_cap
 
 
 @dataclass(eq=False, slots=True)
@@ -369,21 +368,14 @@ def _contract(fun: RAbs, items: tuple) -> list:
     by_class = {}
     for u in items:
         by_class.setdefault(u, []).append(u)
-    members = list(by_class.values())
-    # the multinomial over the classes bounds the count; past the cap, count
-    limit = cap()
-    bound = factorial(len(items))
-    for m in members:
-        bound //= factorial(len(m))
-    if bound > limit and next(islice(_assignments(groups, members), limit, None),
-                              None) is not None:
-        raise CapExceeded(f"contraction has more than {limit} distinct reducts, "
-                          f"exceeds cap {limit} (LAMBDA_PM_CAP)")
+    queues = within_cap(_assignments(groups, list(by_class.values())),
+                        "contraction has more than {cap} distinct reducts, "
+                        "exceeds cap {cap} (LAMBDA_PM_CAP)")
     # a reduct is normal when the body and the items are, unless an
     # abstraction lands in head position
     normal = _is_normal(fun.body) and all(_is_normal(u) for u in items)
     out = []
-    for queue in _assignments(groups, members):
+    for queue in queues:
         r = _subst_assignment(fun.body, fun.binder, queue)
         if normal and not any(isinstance(queue[i], RAbs) for i in heads):
             r._normal = True

@@ -232,19 +232,12 @@ def commutation_check(m: LambdaTerm, mult_bound: int, height_bound: int,
     if not tr.is_exact:
         raise TentativeTreeError(
             f"solvability unknown at positions {tr.tentative} (fuel {fuel})")
-
-    def keep(t):
-        return resource.height(t) <= height_bound and _bags_within(t, mult_bound)
-
     slack = height_bound + _syntactic_depth(m)
     expansion = taylor_of_term(m, mult_bound, slack)
-    lhs = set()
-    for t in expansion.elements:
-        for nf in resource.resource_reduce(t):
-            if keep(nf):
-                lhs.add(nf)
-    rhs = {t for t in taylor_expand(tr.tree, mult_bound, height_bound).elements
-           if keep(t)}
+    lhs = {nf for t in expansion.elements for nf in resource.resource_reduce(t)
+           if resource.height(nf) <= height_bound and _bags_within(nf, mult_bound)}
+    # the expansion of the tree is within both bounds already (D9)
+    rhs = taylor_expand(tr.tree, mult_bound, height_bound).elements
     return {"lhs": frozenset(lhs), "rhs": frozenset(rhs), "equal": lhs == rhs}
 
 

@@ -43,16 +43,16 @@ def wb_metric_for(poset: FinitePoset) -> WeightedBasisMetric:
                                lambda b, x: poset.le(b, x))
 
 
-def wb_space(poset: FinitePoset, name="wb") -> PartialMetricSpace:
+def wb_space(poset: FinitePoset) -> PartialMetricSpace:
     wbm = wb_metric_for(poset)
     return PartialMetricSpace(
         list(range(poset.size)),
-        lambda x, y: weighted_basis_metric(wbm, x, y).value, name)
+        lambda x, y: weighted_basis_metric(wbm, x, y).value, "wb")
 
 
-def applicative_space(poset: FinitePoset, name="app") -> PartialMetricSpace:
+def applicative_space(poset: FinitePoset) -> tuple:
     """Function space of a base poset with the applicative metric over the
-    weighted-basis metric on the base."""
+    weighted-basis metric on the base; returns (space, pointwise order)."""
     fs, maps = function_space(poset, poset)
     base = wb_space(poset)
     basis = list(range(poset.size))
@@ -61,9 +61,7 @@ def applicative_space(poset: FinitePoset, name="app") -> PartialMetricSpace:
         return applicative_metric(base.d, basis, Fraction(1, 2),
                                   maps[i], maps[j]).value
 
-    sp = PartialMetricSpace(list(range(fs.size)), dist, name)
-    sp.order_hint = fs
-    return sp
+    return PartialMetricSpace(list(range(fs.size)), dist, "app"), fs
 
 
 def pint_space(seed: int) -> PartialMetricSpace:
@@ -136,8 +134,8 @@ def suite_axioms(seed: int = 7) -> dict:
                     "mode": "pm", "count": wb_bad})
     ok = ok and wb_bad == 0
 
-    run(applicative_space(sierpinski(), "app(S)"), "pm", "applicative Sierpinski")
-    run(applicative_space(chain(3), "app(3)"), "pm", "applicative 3-chain")
+    run(applicative_space(sierpinski())[0], "pm", "applicative Sierpinski")
+    run(applicative_space(chain(3))[0], "pm", "applicative 3-chain")
 
     hs, _ = hstar_ideal_space(corpus.resource_corpus(14))
     run(hs, "pm", "H* on resource ideals")
@@ -200,8 +198,7 @@ def suite_order_capture() -> dict:
     ok = ok and not mism
 
     for base, label in ((sierpinski(), "app(S)"), (chain(3), "app(3)")):
-        sp = applicative_space(base, label)
-        fs = sp.order_hint
+        sp, fs = applicative_space(base)
         ind = induced_order(sp)
         mism = [(i, j) for i in sp.carrier for j in sp.carrier
                 if ((i, j) in ind) != fs.le(i, j)]
@@ -261,9 +258,9 @@ def suite_identities() -> dict:
 # ---------------------------------------------------------------------------
 # Criterion 4: isometry at desk scale
 
-def suite_isometry(max_height: int = 4) -> dict:
+def suite_isometry() -> dict:
     t0 = time.perf_counter()
-    terms = corpus.partial_corpus(max_height, 6)
+    terms = corpus.partial_corpus(4, 6)
     bad = []
     pairs = 0
     for a in terms:
@@ -282,8 +279,9 @@ def suite_isometry(max_height: int = 4) -> dict:
 # ---------------------------------------------------------------------------
 # Criterion 5: enumeration isometry
 
-def suite_enumeration_isometry(seed: int = 5, pairs: int = 50, k: int = 12) -> dict:
+def suite_enumeration_isometry(seed: int = 5) -> dict:
     t0 = time.perf_counter()
+    pairs, k = 50, 12
     rng = corpus.rng_for(seed)
     terms = corpus.partial_corpus(3, 6)
     bad = []
@@ -359,8 +357,8 @@ def suite_quantification(seed: int = 7) -> dict:
     ok = ok and failed == 0
 
     for base, label in ((sierpinski(), "app(S)"), (chain(3), "app(3)")):
-        sp = applicative_space(base, label)
-        res = quantification_decision(sp.order_hint, sp)
+        sp, fs = applicative_space(base)
+        res = quantification_decision(fs, sp)
         details.append({"space": label, "pass": res["pass"]})
         ok = ok and res["pass"]
 
@@ -398,9 +396,9 @@ def _strict_tower_laws(tower, details):
     return ok
 
 
-def suite_tower(seed: int = 7, profile_pairs: int = 500,
-                function_pairs: int = 1000) -> dict:
+def suite_tower(seed: int = 7) -> dict:
     t0 = time.perf_counter()
+    profile_pairs, function_pairs = 500, 1000
     details = []
     ok = True
 
@@ -429,20 +427,25 @@ def suite_tower(seed: int = 7, profile_pairs: int = 500,
     holds = 0
     premise_true = 0
     s_top = s_tower.level(2).poset.size - 1
+    # the constant table of the constant-total map: its premise holds at n=1
+    const_a = next(i for i, m in enumerate(f_tower.level(1).maps)
+                   if m.table == (1, 1, 1))
+    anchor = (const_a,) * f_tower.level(1).poset.size
     for i in range(profile_pairs):
         n = rng.choice([1, 2, 3])
         if i < 3:
             a = TowerProfile.from_top(s_tower, s_top)
             res = finitary_closeness_check(s_tower, a, a, i + 1)
         elif i == 3:
-            res = _lazy_finitary_anchor(f_tower, top)
+            res = _lazy_finitary_check(top, anchor, anchor, 1)
         elif i % 2 == 0:
             tw = s_tower
             a = TowerProfile.from_top(tw, rng.randrange(tw.level(2).poset.size))
             b = TowerProfile.from_top(tw, rng.randrange(tw.level(2).poset.size))
             res = finitary_closeness_check(tw, a, b, n)
         else:
-            res = _lazy_finitary_check(f_tower, top, rng, n)
+            res = _lazy_finitary_check(top, top.random_table(rng),
+                                       top.random_table(rng), n)
         holds += res["holds"]
         premise_true += res["premise"]
     details.append({"finitary profile pairs": profile_pairs, "holds": holds,
@@ -476,42 +479,19 @@ def suite_tower(seed: int = 7, profile_pairs: int = 500,
     return _report("tower laws", ok, details, t0)
 
 
-def _lazy_finitary_anchor(tower, top: LazyTop) -> dict:
-    """A flat-2 pair built from constant-total maps; its premise holds at n=1."""
-    d1_maps = tower.level(1).maps
-    const_a = next(i for i, m in enumerate(d1_maps) if m.table == (1, 1, 1))
-    table = (const_a,) * tower.level(1).poset.size
-    xa = top.project(table)
-    prefix = (dyadic(1) * tower.metric(1)(xa, xa)
-              + dyadic(2) * top.metric(table, table))
-    n_bound = finite_access_bound(Fraction(1, 2), dyadic(1))
-    premise = all(
-        tower.base_metric(d1_maps[table[k]](k0), d1_maps[table[k]](k0)) < dyadic(2)
-        for k in range(min(len(table), n_bound))
-        for k0 in range(min(tower.level(0).poset.size, n_bound)))
-    return {"premise": premise, "prefix": prefix,
-            "holds": (not premise) or prefix < dyadic(1)}
-
-
-def _lazy_finitary_check(tower, top: LazyTop, rng, n: int) -> dict:
-    ta, tb = top.random_table(rng), top.random_table(rng)
+def _lazy_finitary_check(top: LazyTop, ta: tuple, tb: tuple, n: int) -> dict:
+    """The finitary criterion at n for two tables of the lazy level above a
+    one-level tower: leaf closeness below 2**-(n+1) at the sampled indices,
+    read through the tables and through their projections, forces the
+    prefix below 2**-n."""
+    tower = top.tower
     n_bound = finite_access_bound(Fraction(1, 2), dyadic(n))
-    d1 = tower.level(1)
-    premise = True
-    for k in range(min(d1.poset.size, n_bound)):
-        va, vb = ta[k], tb[k]
-        for k0 in range(min(tower.level(0).poset.size, n_bound)):
-            w0a = d1.maps[va](k0)
-            w0b = d1.maps[vb](k0)
-            if tower.base_metric(w0a, w0b) >= dyadic(n + 1):
-                premise = False
-                break
-        if not premise:
-            break
+    maps = tower.level(1).maps
     xa, xb = top.project(ta), top.project(tb)
-    for k0 in range(min(tower.level(0).poset.size, n_bound)):
-        if premise and tower.base_metric(d1.maps[xa](k0), d1.maps[xb](k0)) >= dyadic(n + 1):
-            premise = False
+    premise = all(
+        tower.base_metric(maps[va](k0), maps[vb](k0)) < dyadic(n + 1)
+        for va, vb in list(zip(ta, tb))[:n_bound] + [(xa, xb)]
+        for k0 in range(min(tower.level(0).poset.size, n_bound)))
     prefix = dyadic(1) * tower.metric(1)(xa, xb) + dyadic(2) * top.metric(ta, tb)
     return {"premise": premise, "prefix": prefix,
             "holds": (not premise) or prefix < dyadic(n)}
@@ -541,8 +521,9 @@ def suite_genericity() -> dict:
 # ---------------------------------------------------------------------------
 # Criterion 10: bracket soundness
 
-def suite_brackets(seed: int = 13, pairs: int = 100) -> dict:
+def suite_brackets(seed: int = 13) -> dict:
     t0 = time.perf_counter()
+    pairs = 100
     rng = corpus.rng_for(seed)
     pool = corpus.normalizing_corpus(30) + [corpus.OMEGA, corpus.OMEGA3]
     bad = []

@@ -72,13 +72,12 @@ SUITE_CALLS = {
     "order-capture": verify.suite_order_capture,
     "identities": verify.suite_identities,
     "isometry": verify.suite_isometry,
-    "enum-isometry": lambda: verify.suite_enumeration_isometry(
-        seed=5, pairs=50, k=12),
+    "enum-isometry": lambda: verify.suite_enumeration_isometry(seed=5),
     "commutation": verify.suite_commutation,
     "quantification": lambda: verify.suite_quantification(seed=7),
     "tower": lambda: verify.suite_tower(seed=7),
     "genericity": verify.suite_genericity,
-    "brackets": lambda: verify.suite_brackets(seed=13, pairs=100),
+    "brackets": lambda: verify.suite_brackets(seed=13),
 }
 
 

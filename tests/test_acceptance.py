@@ -113,7 +113,7 @@ def test_criterion_4_taylor_isometry():
 
 
 def test_criterion_5_enumeration_isometry():
-    rep = verify.suite_enumeration_isometry(seed=5, pairs=50, k=12)
+    rep = verify.suite_enumeration_isometry(seed=5)
     _line(5, rep)
     assert rep["passed"], rep["details"]
     assert _untimed(rep) == GOLDEN["enum-isometry"]
@@ -150,7 +150,7 @@ def test_criterion_9_genericity():
 
 
 def test_criterion_10_bracket_soundness():
-    rep = verify.suite_brackets(seed=13, pairs=100)
+    rep = verify.suite_brackets(seed=13)
     _line(10, rep)
     assert rep["passed"], rep["details"]
     assert _untimed(rep) == GOLDEN["brackets"]

@@ -1,8 +1,12 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from lambdapm.cli import main
+from lambdapm.contextual import p_ctx_bracket
+from lambdapm.lamcalc import parse
 
 
 def run(capsys, *argv):
@@ -85,6 +89,26 @@ def test_malformed_cap_names_the_variable(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "LAMBDA_PM_CAP" in captured.err and "'abc'" in captured.err
+
+
+def test_pctx_prints_ends_past_the_int_string_limit(capsys):
+    """At prefix 15,000 the exact bracket ends have more than 4,300 digits,
+    more than CPython turns into a string by default.  The CLI prints them
+    and leaves the limit of the calling process as it was."""
+    digits = sys.get_int_max_str_digits()
+    code = main(["pctx", "--m", "\\x.x", "--n", "\\x.\\y.x y",
+                 "--prefix", "15000", "--fuel", "30"])
+    out = capsys.readouterr().out
+    assert code == 0 and sys.get_int_max_str_digits() == digits
+    val = p_ctx_bracket(parse("\\x.x"), parse("\\x.\\y.x y"), 15000, 30)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(val.upper.denominator)) > 4300
+        data = json.loads(out)
+        assert Fraction(data["lower"]) == val.lower
+        assert Fraction(data["upper"]) == val.upper
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def test_deeply_nested_term_is_a_parse_error(capsys):

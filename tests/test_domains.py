@@ -87,9 +87,10 @@ def test_function_space_counts():
     assert fs1.size == 1 and maps1[0].table == (0, 0)
 
 
-def test_function_space_cap():
+def test_function_space_cap(monkeypatch):
+    monkeypatch.setenv("LAMBDA_PM_CAP", "5")
     with pytest.raises(CapExceeded):
-        function_space(flat(2), flat(2), cap=5)
+        function_space(flat(2), flat(2))
 
 
 def test_monotone_map_validation():

@@ -154,6 +154,38 @@ def test_hausdorff_plain_examples():
     assert hausdorff_plain(rdist, set(), set()) == exact(0)
 
 
+def ref_hausdorff_plain(dist, els_a, els_b):
+    """The classic lifting as its own side loop, the reference for
+    hausdorff_plain: sup over one set of the inf over the other, with sup
+    over the empty set 0 and inf over the empty set 1."""
+    def side(src, dst):
+        best = Fraction(0)
+        for a in src:
+            inner = None
+            for b in dst:
+                v = dist(a, b)
+                if inner is None or v < inner:
+                    inner = v
+            inner = Fraction(1) if inner is None else inner
+            if inner > best:
+                best = inner
+        return best
+
+    return exact(max(side(els_a, els_b), side(els_b, els_a)))
+
+
+_PLAIN_POOL = corpus.resource_corpus(12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.sampled_from(_PLAIN_POOL), max_size=5),
+       st.sets(st.sampled_from(_PLAIN_POOL), max_size=5))
+def test_hausdorff_plain_matches_side_loop_reference(a, b):
+    assert hausdorff_plain(rdist, a, b) == ref_hausdorff_plain(rdist, a, b)
+    assert (hausdorff_plain(rdist, LiftedSet(a, r_leq), LiftedSet(b, r_leq))
+            == ref_hausdorff_plain(rdist, a, b))
+
+
 def test_induced_order_of_pm_is_partial_order():
     sp = sierpinski_space()
     order = induced_order(sp)

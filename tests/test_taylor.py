@@ -13,7 +13,7 @@ from lambdapm.taylor import (TentativeTreeError, box_relation,
                              enumeration_isometry, faithful_pool, gen_height,
                              hstar_fragments, isometry_check, min_source,
                              pair_index, per_term, taylor_expand,
-                             taylor_of_term)
+                             taylor_of_term, _bags_within)
 
 
 def test_box_relation_rules():
@@ -123,6 +123,17 @@ def test_commutation_examples():
     assert res["equal"] and res["lhs"] == {parse_resource("\\x. x")}
     res = commutation_check(corpus.OMEGA, 2, 4, 100)
     assert res["equal"] and res["lhs"] == frozenset() == res["rhs"]
+
+
+def test_tree_expansion_is_within_both_bounds():
+    """commutation_check keeps the expansion of the Boehm tree unfiltered:
+    every element already has bags of at most M items and height at most
+    H, so the filter of its reduced side would keep all of them."""
+    for a in corpus.partial_corpus(3, 4):
+        for mult in (1, 2):
+            for h in (1, 2, 3):
+                for t in taylor_expand(a, mult, h).elements:
+                    assert resource.height(t) <= h and _bags_within(t, mult)
 
 
 def test_commutation_rejects_tentative_trees():
