@@ -123,7 +123,8 @@ class _Row:
     """The solvability kinds of C_0[m], C_1[m], ... at one fuel, each found
     at most once.  A row serves every term alpha-equivalent to m, because
     plugging captures only free names, which such terms share, and head
-    reduction commutes with alpha-equivalence (docs/DECISIONS.md D7)."""
+    reduction commutes with alpha-equivalence (docs/DECISIONS.md D7).  At a
+    settled index the kind is read off the context alone (D10)."""
 
     __slots__ = ("term", "fuel", "kinds")
 
@@ -136,9 +137,37 @@ class _Row:
             kinds.extend(bytes([_NOT_RUN]) * (idx + 1 - len(kinds)))
         k = kinds[idx]
         if k == _NOT_RUN:
-            st = solvability(_context(idx).plug(self.term), self.fuel)
-            k = kinds[idx] = _CODE[st.kind]
+            if _is_settled(idx, self.fuel):
+                k = kinds[idx] = _SOLVABLE
+            else:
+                st = solvability(_context(idx).plug(self.term), self.fuel)
+                k = kinds[idx] = _CODE[st.kind]
         return k
+
+
+_UNMARKED, _SETTLED, _OPEN = range(3)
+
+
+@lru_cache(maxsize=_MAX_ROWS)
+def _settled_marks(fuel: int) -> bytearray:
+    """A mark per context index at `fuel`, filled on demand by
+    `_is_settled`."""
+    return bytearray()
+
+
+def _is_settled(idx: int, fuel: int) -> bool:
+    """Whether C_idx[m] is solvable for every m at `fuel`: C_idx, with the
+    hole left free, reaches a head normal form within `fuel` steps whose
+    head is not the hole (docs/DECISIONS.md D10)."""
+    marks = _settled_marks(fuel)
+    if idx >= len(marks):
+        marks.extend(bytes([_UNMARKED]) * (idx + 1 - len(marks)))
+    mark = marks[idx]
+    if mark == _UNMARKED:
+        st = solvability(_context(idx).term, fuel)
+        settled = st.is_solvable and st.head.head != HOLE.name
+        mark = marks[idx] = _SETTLED if settled else _OPEN
+    return mark == _SETTLED
 
 
 @lru_cache(maxsize=1)

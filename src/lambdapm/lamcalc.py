@@ -433,22 +433,37 @@ class SolvabilityStatus:
         return self.kind == "unknown"
 
 
+# Reducts of the steps before this one are not hashed unless the run gets
+# here: most runs reach a head normal form sooner, and such a run has no
+# repeat to find.
+_DEFERRED = 8
+
+
 def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
-    """Head-reduce up to `fuel` steps; certify divergence on an alpha-repeat."""
+    """Head-reduce up to `fuel` steps; certify divergence on an alpha-repeat.
+
+    The reducts of the first `_DEFERRED` steps are hashed only once the run
+    goes past them or reaches `fuel`, and then in step order, so the repeat
+    found is still the first one (docs/DECISIONS.md D10)."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     seen = {}  # term -> step; a head normal term is never hashed
+    held = []  # reducts not hashed yet, of the steps up to this one
     cur = t
     for step in range(fuel + 1):
         binders, h, args = decompose(cur)
         if isinstance(h, Var):
             return SolvabilityStatus("solvable", steps=step,
                                      head=HeadForm(binders, h.name, args))
-        first = seen.setdefault(cur, step)
-        if first != step:
-            return SolvabilityStatus(
-                "divergent", steps=step,
-                certificate=(first, step, show(canonical(cur))))
+        held.append(cur)
+        if step >= _DEFERRED or step == fuel:
+            for s, u in enumerate(held, step + 1 - len(held)):
+                first = seen.setdefault(u, s)
+                if first != s:
+                    return SolvabilityStatus(
+                        "divergent", steps=s,
+                        certificate=(first, s, show(canonical(u))))
+            held.clear()
         if step == fuel:
             break
         cur = _contract(binders, h, args)

@@ -8,7 +8,7 @@ from itertools import permutations
 
 from .distance import (DistanceValue, agreement_level, dyadic, exact,
                        truncation_below)
-from .lamcalc import ParseError, _cache, _fresh, _Parser, db_index
+from .lamcalc import ParseError, _cache, _fresh, _Parser, _same_key, db_index
 from .limits import within_cap
 
 
@@ -32,7 +32,7 @@ class ResourceTerm:
             return True
         if not isinstance(other, ResourceTerm) or hash(self) != hash(other):
             return False
-        return rkey(self) == rkey(other)
+        return _same_key(rkey(self), rkey(other))
 
     def __hash__(self):
         h = self._hash
@@ -58,12 +58,20 @@ class RApp(ResourceTerm):
 
 
 def rkey(t: ResourceTerm, env=()):
-    """De Bruijn encoding with bags canonically sorted; alpha-stable."""
+    """De Bruijn encoding with bags canonically sorted; alpha-stable.  The
+    application spine is walked in a loop."""
     if isinstance(t, RVar):
         return db_index(t.name, env)
     if isinstance(t, RAbs):
         return ("l", rkey(t.body, (t.binder,) + env))
-    return ("a", rkey(t.fun, env), tuple(sorted(rkey(u, env) for u in t.bag)))
+    bags = []
+    while isinstance(t, RApp):
+        bags.append(t.bag)
+        t = t.fun
+    k = rkey(t, env)
+    for bag in reversed(bags):
+        k = ("a", k, tuple(sorted(rkey(u, env) for u in bag)))
+    return k
 
 
 def _hash_under(t: ResourceTerm, env: tuple) -> int:
@@ -118,7 +126,8 @@ _NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
 
 def free_rvars(t: ResourceTerm) -> frozenset:
     """The free names of t, computed once per node.  A node whose names are
-    those of one child shares that child's set."""
+    those of one child shares that child's set.  The application spine is
+    walked in a loop."""
     fv = t._fv
     if fv is not None:
         return fv
@@ -131,28 +140,47 @@ def free_rvars(t: ResourceTerm) -> frozenset:
         if t.binder in fv:
             fv = fv - _NAMES[t.binder]
     else:
-        fv = free_rvars(t.fun)
-        for u in t.bag:
-            a = free_rvars(u)
-            if not a <= fv:
-                fv = a if fv <= a else fv | a
+        apps = []
+        while True:
+            apps.append(t)
+            t = t.fun
+            if not isinstance(t, RApp) or t._fv is not None:
+                break
+        fv = free_rvars(t)
+        for app in apps[::-1]:
+            for u in app.bag:
+                a = free_rvars(u)
+                if not a <= fv:
+                    fv = a if fv <= a else fv | a
+            app._fv = fv
+        return fv
     t._fv = fv
     return fv
 
 
 def gen_height(t: ResourceTerm) -> int:
     """Structural height, computed once per node; it agrees with `height` on
-    normal terms."""
+    normal terms.  The application spine is walked in a loop."""
     h = t._height
-    if h is None:
-        if isinstance(t, RVar):
-            h = 1
-        elif isinstance(t, RAbs):
-            h = gen_height(t.body)
-        else:
-            h = max(gen_height(t.fun),
-                    1 + max([gen_height(u) for u in t.bag], default=0))
-        t._height = h
+    if h is not None:
+        return h
+    if isinstance(t, RVar):
+        h = 1
+    elif isinstance(t, RAbs):
+        h = gen_height(t.body)
+    else:
+        apps = []
+        while True:
+            apps.append(t)
+            t = t.fun
+            if not isinstance(t, RApp) or t._height is not None:
+                break
+        h = gen_height(t)
+        for app in apps[::-1]:
+            b = 1 + max([gen_height(u) for u in app.bag], default=0)
+            h = app._height = h if h > b else b
+        return h
+    t._height = h
     return h
 
 
@@ -160,15 +188,21 @@ def gen_height(t: ResourceTerm) -> int:
 # Parsing / printing:  bags are written <t1, t2>, the empty bag <>
 
 def show_resource(t: ResourceTerm) -> str:
+    """Print t; the application spine is walked in a loop."""
     if isinstance(t, RVar):
         return t.name
     if isinstance(t, RAbs):
         return f"\\{t.binder}. {show_resource(t.body)}"
-    f = show_resource(t.fun)
-    if isinstance(t.fun, RAbs):
-        f = f"({f})"
-    inner = ", ".join(sorted(show_resource(u) for u in t.bag))
-    return f"{f}<{inner}>"
+    bags = []
+    while isinstance(t, RApp):
+        bags.append(t.bag)
+        t = t.fun
+    f = show_resource(t)
+    parts = [f"({f})" if isinstance(t, RAbs) else f]
+    for bag in reversed(bags):
+        inner = ", ".join(sorted(show_resource(u) for u in bag))
+        parts.append(f"<{inner}>")
+    return "".join(parts)
 
 
 class ResourceParseError(ParseError):
@@ -384,37 +418,57 @@ def _contract(fun: RAbs, items: tuple) -> list:
 
 
 def _is_normal(t: ResourceTerm) -> bool:
-    """No redex in t; computed once per node."""
+    """No redex in t; computed once per node.  The application spine is
+    walked in a loop."""
     n = t._normal
-    if n is None:
-        if isinstance(t, RVar):
-            n = True
-        elif isinstance(t, RAbs):
-            n = _is_normal(t.body)
-        else:
-            n = (not isinstance(t.fun, RAbs) and _is_normal(t.fun)
-                 and all(_is_normal(u) for u in t.bag))
-        t._normal = n
+    if n is not None:
+        return n
+    if isinstance(t, RVar):
+        n = True
+    elif isinstance(t, RAbs):
+        n = _is_normal(t.body)
+    else:
+        apps = []
+        while True:
+            if isinstance(t.fun, RAbs):
+                t._normal = False
+                break
+            apps.append(t)
+            t = t.fun
+            if not isinstance(t, RApp) or t._normal is not None:
+                break
+        n = _is_normal(t)
+        for app in apps[::-1]:
+            n = app._normal = n and all(_is_normal(u) for u in app.bag)
+        return n
+    t._normal = n
     return n
 
 
 def _step(t: ResourceTerm):
     """Contract the leftmost-outermost redex; returns the list of reducts,
-    which may repeat, or None if t is normal."""
+    which may repeat, or None if t is normal.  The application spine above
+    the redex is walked in a loop."""
     if _is_normal(t):
         return None
     if isinstance(t, RAbs):
         return [RAbs(t.binder, u) for u in _step(t.body)]
+    bags = []
+    while not isinstance(t.fun, RAbs) and not _is_normal(t.fun):
+        bags.append(t.bag)
+        t = t.fun
     if isinstance(t.fun, RAbs):
-        return _contract(t.fun, t.bag)
-    if not _is_normal(t.fun):
-        return [RApp(u, t.bag) for u in _step(t.fun)]
-    items = t.bag
-    for i, u in enumerate(items):
-        if not _is_normal(u):
-            before, after = items[:i], items[i + 1:]
-            return [RApp(t.fun, before + (v,) + after) for v in _step(u)]
-    return None
+        out = _contract(t.fun, t.bag)
+    else:
+        items = t.bag
+        for i, u in enumerate(items):
+            if not _is_normal(u):
+                break
+        before, after = items[:i], items[i + 1:]
+        out = [RApp(t.fun, before + (v,) + after) for v in _step(u)]
+    for bag in reversed(bags):
+        out = [RApp(u, bag) for u in out]
+    return out
 
 
 def is_normal(t: ResourceTerm) -> bool:

@@ -177,6 +177,12 @@ def test_reduce_verb_normalizes_a_long_spine(capsys):
     assert code == 0 and out == {"normal_form": term}
 
 
+def test_rreduce_verb_prints_a_long_spine(capsys):
+    term = "x" + "<y>" * 3000
+    code, out = run(capsys, "rreduce", "--term", term)
+    assert code == 0 and out == [term]
+
+
 def test_rreduce_over_the_cap_exits_2_and_names_it(capsys, monkeypatch):
     monkeypatch.delenv("LAMBDA_PM_CAP", raising=False)
     # nine distinct items into nine one-item bags: 9! = 362,880 reducts

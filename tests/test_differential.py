@@ -2,7 +2,8 @@
 reference implementations that scan an outermost-first environment, the
 cached keys and hashes of terms built by substitution, plugging and head
 reduction against uncached references, the contextual queries served from
-outcome rows against memo-free loops, poset
+outcome rows and settled contexts against memo-free loops, solvability's
+deferred cycle keys against a run that hashes every step, poset
 validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
@@ -22,7 +23,7 @@ from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
                               function_space, iter_monotone_tables)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
-from lambdapm.lamcalc import (Abs, App, Var, _fresh, decompose,
+from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
                               head_reduce_step, key, normalize, parse, show,
                               solvability, spine, subst)
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, free_rvars,
@@ -635,6 +636,85 @@ def test_evicted_rows_give_the_same_answers(terms, queries):
         assert len(contextual._ROWS) <= 2
     finally:
         contextual._MAX_ROWS = saved
+
+
+# Names that context binders capture, self-applications and the two
+# unsolvable corpus terms.
+PLUGGED = [Var("x"), Var("y"), Var("z"), Var("v0"), parse("\\x. x x"),
+           parse("x (\\y. y y)"), corpus.OMEGA, corpus.OMEGA3]
+ROW_CODES = {"solvable": contextual._SOLVABLE,
+             "divergent": contextual._DIVERGENT,
+             "unknown": contextual._UNKNOWN}
+
+
+def check_rows_over_every_index(terms):
+    """Each row kind up to index 1,024 is the reference's for C_i[m], both
+    where the index is settled and where it is plugged and run."""
+    contextual._ROWS.clear()
+    contextual._settled_marks.cache_clear()
+    for fuel in (1, 2, 3, 30):
+        rows = [contextual._row(m, fuel) for m in terms]
+        seen = set()
+        for idx in range(1025):
+            settled = contextual._is_settled(idx, fuel)
+            seen.add(settled)
+            ctx = enumerate_context(idx).term
+            for m, row in zip(terms, rows):
+                kind, _, _ = ref_solvability(ref_plug(ctx, m), fuel)
+                assert row.kind(idx) == ROW_CODES[kind], (idx, fuel, show(m))
+                if settled:
+                    assert kind == "solvable"
+        assert seen == {True, False}
+
+
+def test_settled_contexts_match_reference_on_plugged_terms():
+    check_rows_over_every_index(PLUGGED)
+    # the first context that settles at step 1, not 0: (\x. y) [-]
+    ctx = enumerate_context(70)
+    assert str(ctx) == "(\\x. y) [-]"
+    assert solvability(ctx.term, 1).steps == 1
+    assert contextual._is_settled(70, 1)
+    # the first context that runs out of fuel 1 and settles later, at step 2
+    ctx = enumerate_context(3144)
+    assert str(ctx) == "(\\x. x [-]) (\\x. y)"
+    for fuel in (1, 2, 3):
+        assert contextual._is_settled(3144, fuel) == (fuel >= 2)
+        for m in PLUGGED:
+            kind, _, _ = ref_solvability(ref_plug(ctx.term, m), fuel)
+            assert contextual._row(m, fuel).kind(3144) == ROW_CODES[kind]
+
+
+@given(lam_terms())
+@settings(max_examples=10, deadline=None)
+def test_settled_contexts_match_reference_on_drawn_terms(m):
+    check_rows_over_every_index([m])
+
+
+def self_loop(k):
+    """(\\x. I^k (x x)) (\\x. I^k (x x)), which first repeats at step k + 1."""
+    body = "x x"
+    for _ in range(k):
+        body = f"(\\i. i) ({body})"
+    half = f"(\\x. {body})"
+    return parse(f"{half} {half}")
+
+
+def test_deferred_cycle_keys_keep_the_first_repeat():
+    for k in (5, 6, 7, 8, 11):
+        t = self_loop(k)
+        for fuel in (k, k + 1, 30):
+            st_ = solvability(t, fuel)
+            kind, steps, first = ref_solvability(t, fuel)
+            assert (st_.kind, st_.steps) == (kind, steps)
+            if kind == "divergent":
+                cur = t
+                for _ in range(steps):
+                    cur = ref_head_step(cur)
+                assert st_.certificate == (first, steps,
+                                           show(canonical(cur)))
+            else:
+                assert st_.certificate == ()
+        assert solvability(t, 30).certificate[:2] == (0, k + 1)
 
 
 # ---------------------------------------------------------------------------

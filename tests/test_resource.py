@@ -9,8 +9,9 @@ from lambdapm.domains import CapExceeded as DomainsCapExceeded
 from lambdapm.lamcalc import ParseError
 from lambdapm.limits import CapExceeded
 from lambdapm.resource import (EMPTY_MARK, RAbs, RApp, RVar, ResourceParseError,
-                               bag_leq, height, is_normal, parse_resource,
-                               r_leq, r_metric, resource_reduce, rsize,
+                               bag_leq, free_rvars, gen_height, height,
+                               is_normal, parse_resource, r_leq, r_metric,
+                               resource_reduce, rkey, rsize, show_resource,
                                truncate, _step)
 
 
@@ -229,3 +230,19 @@ def test_contraction_cap_reads_the_environment(monkeypatch):
     monkeypatch.setenv("LAMBDA_PM_CAP", "11")
     with pytest.raises(CapExceeded, match="exceeds cap 11"):
         resource_reduce(shared)
+
+
+def test_long_spine_is_walked_in_loops():
+    """Printing, keys, equality, free names, height and normality of a
+    3,000-bag spine do not recurse once per application node."""
+    text = "x" + "<y>" * 3000
+    t, u = parse_resource(text), parse_resource(text)
+    assert show_resource(t) == text
+    assert rkey(t)[::2] == ("a", (("f", "y"),))
+    assert t == u and hash(t) == hash(u)
+    assert t != parse_resource("x" + "<y>" * 2999 + "<z>")
+    assert free_rvars(t) == {"x", "y"}
+    assert gen_height(t) == height(t) == 2
+    assert is_normal(t) and resource_reduce(t) == {t}
+    redex = parse_resource("(\\z. z)<x>" + "<y>" * 3000)
+    assert not is_normal(redex) and resource_reduce(redex) == {t}

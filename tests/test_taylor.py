@@ -147,6 +147,22 @@ def test_commutation_with_duplication():
     assert parse_resource("\\x. x") in res["lhs"]
 
 
+def test_commutation_is_one_sided_on_nested_copies():
+    """A known limitation (docs/DECISIONS.md D11): the bounded expansion of
+    the redex gives the argument bag at most `mult` items, but the tree side
+    holds elements that need up to mult**2 copies of the argument, so on
+    this term the reduced side is a proper subset of the tree side."""
+    m = parse("(\\x. f (g x)) (z w)")
+    sizes = {}
+    for mult in (2, 3, 4):
+        res = commutation_check(m, mult, 3, 100)
+        assert res["lhs"] < res["rhs"] and not res["equal"]
+        sizes[mult] = (len(res["lhs"]), len(res["rhs"]))
+    assert sizes == {2: (8, 10), 3: (18, 35), 4: (38, 126)}
+    res = commutation_check(m, 2, 3, 100)
+    assert parse_resource("f<g<z<>, z<>>, g<z<>, z<>>>") in res["rhs"] - res["lhs"]
+
+
 def test_partial_enumeration_prefix_and_injectivity():
     assert enumerate_partial(1) == parse_partial("x")
     assert enumerate_partial(2) == parse_partial("y")
