@@ -1,5 +1,6 @@
-"""Lambda terms with named variables: parsing, printing, substitution,
-head reduction and a fuelled solvability semi-decision with cycle certificates."""
+"""Lambda terms with named variables, on the node base and cache fold that
+resource terms share: parsing, printing, substitution, head reduction and a
+fuelled solvability semi-decision with cycle certificates."""
 
 from __future__ import annotations
 
@@ -16,45 +17,86 @@ def _cache():
 
 
 @dataclass(eq=False, slots=True)
-class LambdaTerm:
-    """A lambda term node.  Nodes are not changed after they are built,
-    except to fill three caches, each at most once: the free names, the
-    closed de Bruijn key and its hash (docs/DECISIONS.md D7)."""
+class Term:
+    """A node of a lambda or a resource term, never changed once built but
+    for its caches, each filled at most once by `fold`: here the free names
+    and the closed key's hash.  Nodes of one family are equal by key."""
 
     _fv: frozenset = _cache()
-    _key: tuple = _cache()
     _hash: int = _cache()
+    _kind = None  # "var", "abs" or "app": the node class's place in a term
 
     def __str__(self):
-        return show(self)
+        return self._show()
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, LambdaTerm) or hash(self) != hash(other):
-            return False
-        return _same_key(key(self), key(other))
+        closed_key = type(self)._closed_key  # one per family
+        return self is other or (getattr(type(other), "_closed_key", None) is closed_key
+                                 and hash(self) == hash(other)
+                                 and _same_key(closed_key(self), closed_key(other)))
 
     def __hash__(self):
         h = self._hash
-        return _encode_closed(self, "_hash", hash) if h is None else h
+        return fold(self, "_hash", _hash_leaf, _hash_app) if h is None else h
+
+
+@dataclass(eq=False, slots=True)
+class LambdaTerm(Term):
+    """A lambda term node; it also caches its closed key (D7)."""
+
+    _key: tuple = _cache()
+
+    def _show(self):
+        return show(self)
+
+    def _closed_key(self):
+        return key(self)
 
 
 @dataclass(eq=False, slots=True)
 class Var(LambdaTerm):
     name: str
+    _kind = "var"
 
 
 @dataclass(eq=False, slots=True)
 class Abs(LambdaTerm):
     binder: str
     body: LambdaTerm
+    _kind = "abs"
 
 
 @dataclass(eq=False, slots=True)
 class App(LambdaTerm):
     fun: LambdaTerm
     arg: LambdaTerm
+    _kind = "app"
+
+
+def fold(t: Term, slot: str, leaf, app):
+    """The value of t in its empty `slot`.  The application spine is walked
+    in a loop down to the first node that is not an application or whose
+    slot is filled; `leaf(node)` gives that node's value if it is not, and
+    `app(node, v)` each application's from v, its function's.  Every value
+    is stored but the hashes inside the spine (docs/DECISIONS.md D12)."""
+    top, apps = t, []
+    while t._kind == "app":
+        apps.append(t)
+        t = t.fun
+        v = getattr(t, slot)
+        if v is not None:
+            break
+    else:
+        v = leaf(t)
+        setattr(t, slot, v)
+        if t is top:
+            return v
+    inner = slot != "_hash"
+    for node in reversed(apps):
+        v = app(node, v)
+        if inner or node is top:
+            setattr(node, slot, v)
+    return v
 
 
 def db_index(name: str, env: tuple):
@@ -70,63 +112,69 @@ def key(t: LambdaTerm, env=()):
     `env` lists the enclosing binders, innermost first.  A subterm in which
     no name of `env` is free has its closed key, which each node computes
     once, from its children's."""
-    return _encode(t, env, "_key", _as_is)
+    return _encode(t, env, "_key", tuple)
 
 
-def _as_is(k):
-    return k
-
-
-def _encode(t: LambdaTerm, env: tuple, slot: str, seal):
-    """key(t, env) folded bottom-up through `seal`: with `_as_is` it is the
-    key, with `hash` a hash of the key that is built from the hashes of its
-    parts, so no deeply nested tuple is ever hashed.  Closed values are
-    cached in `slot` (docs/DECISIONS.md D7)."""
-    if env and not free_vars(t).isdisjoint(env):
+def _encode(t: Term, env: tuple, slot, seal):
+    """The key of t under `env` folded bottom-up through `seal`: with
+    `tuple`, which returns a tuple as it is, the key; with `hash` a hash of
+    the key built from the hashes of its parts.  A subterm in which no name of `env` is free has its
+    closed value, cached in `slot` if there is one (docs/DECISIONS.md D12)."""
+    if slot is None or env and not free_vars(t).isdisjoint(env):
         return _encode_open(t, env, slot, seal)
     v = getattr(t, slot)
-    return _encode_closed(t, slot, seal) if v is None else v
+    return fold(t, slot, *_CLOSED[slot]) if v is None else v
 
 
-def _encode_closed(t: LambdaTerm, slot: str, seal):
-    """The closed value of a t whose value is not cached yet.  The
-    application spine is walked in a loop, not recursively."""
+def _encode_open(t: Term, env: tuple, slot, seal):
+    """The value of t under `env`, where some name of `env` is free in t or
+    there is no slot.  The application spine is walked in a loop."""
+    if t._kind == "var":
+        return seal(db_index(t.name, env))
+    if t._kind == "abs":
+        return seal(("l", _encode(t.body, (t.binder,) + env, slot, seal)))
     apps = []
-    while isinstance(t, App):
+    while True:
         apps.append(t)
         t = t.fun
-        if getattr(t, slot) is not None:
-            break
-    v = getattr(t, slot)
-    if v is None:
-        v = seal(("f", t.name) if isinstance(t, Var)
-                 else ("l", _encode(t.body, (t.binder,), slot, seal)))
-        setattr(t, slot, v)
-    for node in reversed(apps):
-        va = getattr(node.arg, slot)
-        if va is None:
-            va = _encode_closed(node.arg, slot, seal)
-        v = seal(("a", v, va))
-        setattr(node, slot, v)
-    return v
-
-
-def _encode_open(t: LambdaTerm, env: tuple, slot: str, seal):
-    """The value of t under `env`, where some name of `env` is free in t."""
-    if isinstance(t, Var):
-        return seal(db_index(t.name, env))
-    if isinstance(t, Abs):
-        return seal(("l", _encode(t.body, (t.binder,) + env, slot, seal)))
-    args = []
-    while True:
-        args.append(t.arg)
-        t = t.fun
-        if not isinstance(t, App) or free_vars(t).isdisjoint(env):
+        if t._kind != "app" or slot and free_vars(t).isdisjoint(env):
             break
     v = _encode(t, env, slot, seal)
-    for a in reversed(args):
-        v = seal(("a", v, _encode(a, env, slot, seal)))
+    for node in reversed(apps):
+        if type(node) is App:
+            part = _encode(node.arg, env, slot, seal)
+        else:  # a bag's part is the sorted tuple of its items' values
+            part = tuple(sorted([_encode(u, env, slot, seal) for u in node.bag]))
+        v = seal(("a", v, part))
     return v
+
+
+def _key_leaf(t):  # a leaf's closed value is its value at the empty environment
+    return _encode_open(t, (), "_key", tuple)
+
+
+def _key_app(node, k):  # resource keys are not cached
+    a = node.arg
+    return ("a", k, a._key or fold(a, "_key", _key_leaf, _key_app))
+
+
+def _hash_leaf(t):
+    return _encode_open(t, (), "_hash", hash)
+
+
+def _hash_app(node, h):
+    if type(node) is App:
+        a = node.arg
+        return hash(("a", h, a._hash or fold(a, "_hash", _hash_leaf, _hash_app)))
+    part = []
+    for u in node.bag:
+        part.append(u._hash or fold(u, "_hash", _hash_leaf, _hash_app))
+    part.sort()
+    return hash(("a", h, tuple(part)))
+
+
+# `fold`'s leaf and app for the closed values that `_encode` caches
+_CLOSED = {"_key": (_key_leaf, _key_app), "_hash": (_hash_leaf, _hash_app)}
 
 
 def _same_key(a, b) -> bool:
@@ -154,31 +202,30 @@ def alpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
     return a == b
 
 
-def free_vars(t: LambdaTerm) -> frozenset:
-    """The free names of t, computed once per node."""
+_NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
+
+
+def free_vars(t: Term) -> frozenset:
+    """The free names of t, computed once per node.  A node whose names are
+    those of one child shares that child's set."""
     fv = t._fv
-    if fv is not None:
-        return fv
-    apps = []
-    while isinstance(t, App):
-        apps.append(t)
-        t = t.fun
-        if t._fv is not None:
-            break
-    fv = t._fv
-    if fv is None:
-        if isinstance(t, Var):
-            fv = frozenset((t.name,))
-        else:
-            fv = free_vars(t.body)
-            if t.binder in fv:
-                fv = fv - {t.binder}
-        t._fv = fv
-    for node in reversed(apps):
-        a = free_vars(node.arg)
+    return fold(t, "_fv", _names_leaf, _names_app) if fv is None else fv
+
+
+def _names_leaf(t):
+    if t._kind == "var":
+        return _NAMES.get(t.name) or _NAMES.setdefault(t.name, frozenset((t.name,)))
+    fv = free_vars(t.body)
+    return fv - _NAMES[t.binder] if t.binder in fv else fv
+
+
+def _names_app(node, fv):
+    for u in (node.arg,) if type(node) is App else node.bag:
+        a = u._fv
+        if a is None:
+            a = fold(u, "_fv", _names_leaf, _names_app)
         if not a <= fv:
-            fv = fv | a
-        node._fv = fv
+            fv = a if fv <= a else fv | a
     return fv
 
 

@@ -8,40 +8,30 @@ from itertools import permutations
 
 from .distance import (DistanceValue, agreement_level, dyadic, exact,
                        truncation_below)
-from .lamcalc import ParseError, _cache, _fresh, _Parser, _same_key, db_index
+from .lamcalc import (ParseError, Term, _cache, _encode, _fresh, _Parser,
+                      db_index, fold, free_vars)
 from .limits import within_cap
 
 
 @dataclass(eq=False, slots=True)
-class ResourceTerm:
-    """A resource term node.  Nodes are not changed after they are built,
-    except to fill caches, each at most once: the free names, the hash of
-    the closed key, whether the term is normal, its structural height, and
-    for an abstraction where its binder occurs (docs/DECISIONS.md D8)."""
+class ResourceTerm(Term):
+    """A resource term node; it also caches whether it is neutral and its
+    structural height (docs/DECISIONS.md D8, D12).  Its key is not cached."""
 
-    _fv: frozenset = _cache()
-    _hash: int = _cache()
-    _normal: bool = _cache()
+    _neutral: bool = _cache()
     _height: int = _cache()
 
-    def __str__(self):
+    def _show(self):
         return show_resource(self)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ResourceTerm) or hash(self) != hash(other):
-            return False
-        return _same_key(rkey(self), rkey(other))
-
-    def __hash__(self):
-        h = self._hash
-        return _hash_under(self, ()) if h is None else h
+    def _closed_key(self):
+        return rkey(self)
 
 
 @dataclass(eq=False, slots=True)
 class RVar(ResourceTerm):
     name: str
+    _kind = "var"
 
 
 @dataclass(eq=False, slots=True)
@@ -49,68 +39,19 @@ class RAbs(ResourceTerm):
     binder: str
     body: ResourceTerm
     _places: tuple = _cache()  # where the binder occurs free in the body
+    _kind = "abs"
 
 
 @dataclass(eq=False, slots=True)
 class RApp(ResourceTerm):
     fun: ResourceTerm
     bag: tuple  # multiset of ResourceTerm, order irrelevant
+    _kind = "app"
 
 
 def rkey(t: ResourceTerm, env=()):
-    """De Bruijn encoding with bags canonically sorted; alpha-stable.  The
-    application spine is walked in a loop."""
-    if isinstance(t, RVar):
-        return db_index(t.name, env)
-    if isinstance(t, RAbs):
-        return ("l", rkey(t.body, (t.binder,) + env))
-    bags = []
-    while isinstance(t, RApp):
-        bags.append(t.bag)
-        t = t.fun
-    k = rkey(t, env)
-    for bag in reversed(bags):
-        k = ("a", k, tuple(sorted(rkey(u, env) for u in bag)))
-    return k
-
-
-def _hash_under(t: ResourceTerm, env: tuple) -> int:
-    """H(rkey(t, env)), where H replaces every key tuple by the hash of the
-    tuple of its parts' H, a bag's part being the sorted tuple of its items'
-    H.  A subterm in which no name of `env` is free has its closed value.
-    That is cached on t, on the head of its application spine and on every
-    bag item; the spine between is folded in a loop and not cached, since
-    a fresh reduct would otherwise hold one more int per node
-    (docs/DECISIONS.md D8)."""
-    if env and not free_rvars(t).isdisjoint(env):
-        return _hash_open(t, env)
-    h = t._hash
-    if h is not None:
-        return h
-    top, apps = t, []
-    while isinstance(t, RApp):
-        apps.append(t)
-        t = t.fun
-        if t._hash is not None:
-            break
-    h = t._hash
-    if h is None:
-        h = t._hash = _hash_open(t, ())
-    for app in reversed(apps):
-        h = hash(("a", h, tuple(sorted(
-            [u._hash if u._hash is not None else _hash_under(u, ())
-             for u in app.bag]))))
-    top._hash = h
-    return h
-
-
-def _hash_open(t: ResourceTerm, env: tuple) -> int:
-    if isinstance(t, RVar):
-        return hash(db_index(t.name, env))
-    if isinstance(t, RAbs):
-        return hash(("l", _hash_under(t.body, (t.binder,) + env)))
-    return hash(("a", _hash_under(t.fun, env),
-                 tuple(sorted([_hash_under(u, env) for u in t.bag]))))
+    """De Bruijn encoding with bags canonically sorted; alpha-stable."""
+    return _encode(t, env, None, tuple)
 
 
 def rsize(t: ResourceTerm) -> int:
@@ -121,66 +62,25 @@ def rsize(t: ResourceTerm) -> int:
     return 1 + rsize(t.fun) + sum(rsize(u) for u in t.bag)
 
 
-_NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
-
-
-def free_rvars(t: ResourceTerm) -> frozenset:
-    """The free names of t, computed once per node.  A node whose names are
-    those of one child shares that child's set.  The application spine is
-    walked in a loop."""
-    fv = t._fv
-    if fv is not None:
-        return fv
-    if isinstance(t, RVar):
-        fv = _NAMES.get(t.name)
-        if fv is None:
-            fv = _NAMES[t.name] = frozenset((t.name,))
-    elif isinstance(t, RAbs):
-        fv = free_rvars(t.body)
-        if t.binder in fv:
-            fv = fv - _NAMES[t.binder]
-    else:
-        apps = []
-        while True:
-            apps.append(t)
-            t = t.fun
-            if not isinstance(t, RApp) or t._fv is not None:
-                break
-        fv = free_rvars(t)
-        for app in apps[::-1]:
-            for u in app.bag:
-                a = free_rvars(u)
-                if not a <= fv:
-                    fv = a if fv <= a else fv | a
-            app._fv = fv
-        return fv
-    t._fv = fv
-    return fv
+free_rvars = free_vars
 
 
 def gen_height(t: ResourceTerm) -> int:
     """Structural height, computed once per node; it agrees with `height` on
-    normal terms.  The application spine is walked in a loop."""
+    normal terms."""
     h = t._height
-    if h is not None:
-        return h
-    if isinstance(t, RVar):
-        h = 1
-    elif isinstance(t, RAbs):
-        h = gen_height(t.body)
-    else:
-        apps = []
-        while True:
-            apps.append(t)
-            t = t.fun
-            if not isinstance(t, RApp) or t._height is not None:
-                break
-        h = gen_height(t)
-        for app in apps[::-1]:
-            b = 1 + max([gen_height(u) for u in app.bag], default=0)
-            h = app._height = h if h > b else b
-        return h
-    t._height = h
+    return fold(t, "_height", _height_leaf, _height_app) if h is None else h
+
+
+def _height_leaf(t):
+    return 1 if type(t) is RVar else gen_height(t.body)
+
+
+def _height_app(node, h):
+    for u in node.bag:
+        b = 1 + (u._height or fold(u, "_height", _height_leaf, _height_app))
+        if b > h:
+            h = b
     return h
 
 
@@ -407,42 +307,34 @@ def _contract(fun: RAbs, items: tuple) -> list:
                         "exceeds cap {cap} (LAMBDA_PM_CAP)")
     # a reduct is normal when the body and the items are, unless an
     # abstraction lands in head position
-    normal = _is_normal(fun.body) and all(_is_normal(u) for u in items)
+    normal = _is_normal(fun.body) and all(map(_is_normal, items))
     out = []
     for queue in queues:
         r = _subst_assignment(fun.body, fun.binder, queue)
-        if normal and not any(isinstance(queue[i], RAbs) for i in heads):
-            r._normal = True
         out.append(r)
+        if normal and not any(isinstance(queue[i], RAbs) for i in heads):
+            while type(r) is RAbs:
+                r = r.body
+            r._neutral = True
     return out
 
 
 def _is_normal(t: ResourceTerm) -> bool:
-    """No redex in t; computed once per node.  The application spine is
-    walked in a loop."""
-    n = t._normal
-    if n is not None:
-        return n
-    if isinstance(t, RVar):
-        n = True
-    elif isinstance(t, RAbs):
-        n = _is_normal(t.body)
-    else:
-        apps = []
-        while True:
-            if isinstance(t.fun, RAbs):
-                t._normal = False
-                break
-            apps.append(t)
-            t = t.fun
-            if not isinstance(t, RApp) or t._normal is not None:
-                break
-        n = _is_normal(t)
-        for app in apps[::-1]:
-            n = app._normal = n and all(_is_normal(u) for u in app.bag)
-        return n
-    t._normal = n
-    return n
+    """No redex in t: under its binders, t is neutral, a variable applied
+    to bags of normal terms.  Binder chains are walked in a loop, and
+    neutrality is computed once per node."""
+    while type(t) is RAbs:
+        t = t.body
+    n = t._neutral
+    return fold(t, "_neutral", _neutral_leaf, _neutral_app) if n is None else n
+
+
+def _neutral_leaf(t):
+    return type(t) is RVar  # an abstraction applied is a redex
+
+
+def _neutral_app(node, n):
+    return n and all(map(_is_normal, node.bag))
 
 
 def _step(t: ResourceTerm):

@@ -178,9 +178,9 @@ def test_reduce_verb_normalizes_a_long_spine(capsys):
 
 
 def test_rreduce_verb_prints_a_long_spine(capsys):
-    term = "x" + "<y>" * 3000
-    code, out = run(capsys, "rreduce", "--term", term)
-    assert code == 0 and out == [term]
+    for term in ("x" + "<y>" * 3000, "\\x. x" + "<y>" * 3000):
+        code, out = run(capsys, "rreduce", "--term", term)
+        assert code == 0 and out == [term]
 
 
 def test_rreduce_over_the_cap_exits_2_and_names_it(capsys, monkeypatch):

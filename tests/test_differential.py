@@ -24,8 +24,8 @@ from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
 from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
-                              head_reduce_step, key, normalize, parse, show,
-                              solvability, spine, subst)
+                              free_vars, head_reduce_step, key, normalize, parse,
+                              show, solvability, spine, subst)
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, free_rvars,
                                gen_height, is_normal, parse_resource,
                                resource_reduce, rkey, show_resource)
@@ -471,13 +471,24 @@ def assert_cached_keys_match(t):
     assert hash(t) == ref_hash(ref_key(t)) == hash(copy_term(t))
     for u, env in subterms(t):
         assert key(u, env) == ref_key(u, env[::-1])
+        assert free_vars(u) == ref_free_vars(u)
 
 
-@given(lam_terms(), lam_terms(), names, st.booleans())
+def prefill(data, t, walk, fills):
+    """Fill the caches of a drawn subset of t's subterms, in drawn order, so
+    that later walks stop at filled nodes inside spines and bags."""
+    nodes = [u for u, _ in walk(t)]
+    for fill in fills:
+        for i in data.draw(st.lists(st.integers(0, len(nodes) - 1), max_size=len(nodes))):
+            fill(nodes[i])
+
+
+@given(lam_terms(), lam_terms(), names, st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_sharing_subst_matches_rebuilding_reference(t, repl, name, warm):
+def test_sharing_subst_matches_rebuilding_reference(t, repl, name, warm, data):
     if warm:  # fill the caches the result will share
         hash(t), key(repl)
+    prefill(data, t, subterms, [free_vars])
     u = subst(t, name, repl)
     assert show(u) == show(ref_subst(t, name, repl))
     assert_cached_keys_match(u)
@@ -936,18 +947,21 @@ def bag_redexes(draw):
     return RApp(RAbs("x", body), tuple(items))
 
 
-@given(resource_terms(), resource_terms(), st.booleans())
+@given(resource_terms(), resource_terms(), st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_resource_hash_is_the_key_hash(t, u, warm):
+def test_resource_hash_is_the_key_hash(t, u, warm, data):
     if warm:
         for v, _ in rsubterms(t):
             hash(v)
+    prefill(data, t, rsubterms, [hash, free_rvars, gen_height, is_normal])
     v = alpha_rvariant(t)
     assert hash(t) == ref_rhash(ref_rkey(t)) == hash(copy_rterm(t)) == hash(v)
     assert t == v and t == copy_rterm(t)
     assert (t == u) == (ref_rkey(t) == ref_rkey(u))
     assert (t == u) <= (hash(t) == hash(u))
     for w, env in rsubterms(t):
+        assert hash(w) == ref_rhash(ref_rkey(w))
+        assert rkey(w, env) == ref_rkey(w, env[::-1])
         assert free_rvars(w) == ref_free_rvars(w)
         assert gen_height(w) == ref_gen_height(w)
         assert is_normal(w) == (ref_step(w) is None)

@@ -6,7 +6,7 @@ import pytest
 from lambdapm import corpus
 from lambdapm.distance import dyadic, exact
 from lambdapm.domains import CapExceeded as DomainsCapExceeded
-from lambdapm.lamcalc import ParseError
+from lambdapm.lamcalc import Abs, ParseError, Var
 from lambdapm.limits import CapExceeded
 from lambdapm.resource import (EMPTY_MARK, RAbs, RApp, RVar, ResourceParseError,
                                bag_leq, free_rvars, gen_height, height,
@@ -234,7 +234,9 @@ def test_contraction_cap_reads_the_environment(monkeypatch):
 
 def test_long_spine_is_walked_in_loops():
     """Printing, keys, equality, free names, height and normality of a
-    3,000-bag spine do not recurse once per application node."""
+    3,000-bag spine do not recurse once per application node, also under a
+    binder that the spine's head and its bags use, where keys and hashes
+    take the walk that depends on the binders."""
     text = "x" + "<y>" * 3000
     t, u = parse_resource(text), parse_resource(text)
     assert show_resource(t) == text
@@ -246,3 +248,27 @@ def test_long_spine_is_walked_in_loops():
     assert is_normal(t) and resource_reduce(t) == {t}
     redex = parse_resource("(\\z. z)<x>" + "<y>" * 3000)
     assert not is_normal(redex) and resource_reduce(redex) == {t}
+
+    text = "\\x. x" + "<y>" * 3000
+    t, u = parse_resource(text), parse_resource(text)
+    assert show_resource(t) == text
+    assert rkey(t)[0] == "l" and rkey(t)[1][::2] == ("a", (("f", "y"),))
+    assert t == u and hash(t) == hash(u)
+    assert t == parse_resource("\\w. w" + "<y>" * 3000)
+    bound = parse_resource("\\x. x" + "<y>" * 2999 + "<x>")
+    assert t != bound and hash(t) != hash(bound)
+    assert free_rvars(t) == free_rvars(bound) == {"y"}
+    assert gen_height(t) == height(t) == 2
+    assert is_normal(t) and resource_reduce(t) == {t}
+    redex = parse_resource("\\x. (\\z. z)<x>" + "<y>" * 3000)
+    assert not is_normal(redex) and resource_reduce(redex) == {t}
+
+
+def test_lambda_and_resource_nodes_are_never_equal():
+    """The two families share the key encoder, so a variable has the same
+    hash in both; equality still tells them apart."""
+    assert hash(Var("x")) == hash(RVar("x"))
+    assert Var("x") != RVar("x") and RVar("x") != Var("x")
+    assert not Var("x") == RVar("x")
+    assert len({Var("x"), RVar("x")}) == 2
+    assert len({Abs("x", Var("x")), RAbs("y", RVar("y"))}) == 2
