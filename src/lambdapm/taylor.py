@@ -14,6 +14,7 @@ from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
 from .distance import bracket, dyadic, exact
 from .lamcalc import Abs, LambdaTerm, Var, db_index
+from .limits import within_cap
 from .resource import (RAbs, RApp, ResourceTerm, RVar, gen_height, normal_view,
                        rkey)
 
@@ -146,6 +147,15 @@ def _expand(a: PartialTerm, sizes, h) -> list:
 
 def taylor_of_term(m: LambdaTerm, mult_bound: int, height_bound: int) -> TaylorFragment:
     """Bounded expansion of a raw (possibly non-normal) lambda term."""
+    return _term_fragment(m, mult_bound, height_bound, sized=False)
+
+
+def _term_fragment(m: LambdaTerm, mult_bound: int, height_bound: int,
+                   sized: bool) -> TaylorFragment:
+    """The expansion elements of m of height <= height_bound.  A bag holds
+    0..mult_bound items, except, when `sized`, the bag a redex applies to an
+    abstraction: it holds exactly as many items as the binder has
+    occurrences, the one size with a reduct (docs/DECISIONS.md D13)."""
     if mult_bound < 1 or height_bound < 1:
         raise ValueError("bounds must be >= 1")
 
@@ -154,16 +164,39 @@ def taylor_of_term(m: LambdaTerm, mult_bound: int, height_bound: int) -> TaylorF
             return [RVar(u.name)]
         if isinstance(u, Abs):
             return [RAbs(u.binder, t) for t in go(u.body)]
-        funs = go(u.fun)
-        pool = _bags(go(u.arg), range(mult_bound + 1))
+        funs, args = go(u.fun), go(u.arg)
+        pools = {}  # bag size demanded (None: any up to the bound) -> bags
         out = []
         for f in funs:
-            for items in pool:
+            n = _demand(f) if sized else None
+            if n not in pools:
+                pools[n] = (_bags(args, range(mult_bound + 1)) if n is None else
+                            within_cap(combinations_with_replacement(args, n),
+                                       "a sized bag pool has more than {cap} "
+                                       "bags, exceeds cap {cap} (LAMBDA_PM_CAP)"))
+            for items in pools[n]:
                 out.append(RApp(f, tuple(items)))
         return out
 
     elems = [t for t in go(m) if gen_height(t) <= height_bound]
     return TaylorFragment(m, mult_bound, height_bound, frozenset(elems))
+
+
+def _demand(f: ResourceTerm) -> int | None:
+    """The size of the only bag b for which f<b> can have a reduct, or None
+    when f does not fix one.  f fixes it when its head is an abstraction
+    with a binder left over after one binder per bag f already applies; the
+    size is the number of free occurrences of that binder in its body."""
+    applied = 0
+    while isinstance(f, RApp):
+        applied += 1
+        f = f.fun
+    while applied and isinstance(f, RAbs):
+        applied -= 1
+        f = f.body
+    if applied or not isinstance(f, RAbs):
+        return None
+    return len(resource._places_of(f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +266,7 @@ def commutation_check(m: LambdaTerm, mult_bound: int, height_bound: int,
         raise TentativeTreeError(
             f"solvability unknown at positions {tr.tentative} (fuel {fuel})")
     slack = height_bound + _syntactic_depth(m)
-    expansion = taylor_of_term(m, mult_bound, slack)
+    expansion = _term_fragment(m, mult_bound, slack, sized=True)
     lhs = {nf for t in expansion.elements for nf in resource.resource_reduce(t)
            if resource.height(nf) <= height_bound and _bags_within(nf, mult_bound)}
     # the expansion of the tree is within both bounds already (D9)

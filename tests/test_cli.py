@@ -192,3 +192,14 @@ def test_rreduce_over_the_cap_exits_2_and_names_it(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert "cap 100000" in err and "LAMBDA_PM_CAP" in err
+
+
+def test_commute_is_two_sided_on_nested_copies(capsys):
+    """docs/DECISIONS.md D13: the redex's bag is sized by the occurrences of
+    its binder, so the up to mult**2 copies of the argument are reached."""
+    code = main(["commute", "--term", "(\\x. f (g x)) (z w)", "--mult", "2",
+                 "--height", "3"])
+    printed = capsys.readouterr().out
+    out = json.loads(printed)
+    assert code == 0 and '"equal": true' in printed
+    assert len(out["lhs"]) == 10 and out["lhs"] == out["rhs"]

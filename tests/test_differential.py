@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lambdapm import bohm, contextual, corpus, resource, taylor
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
@@ -1160,6 +1161,85 @@ def test_normalize_matches_recursive_reference(t, fuel):
     assert (got is None) == (want is None)
     if got is not None:
         assert show(got) == show(want)
+
+
+# ---------------------------------------------------------------------------
+# Sized redex bags in commutation_check against reducing every element of
+# the expansion (docs/DECISIONS.md D13)
+
+def _slack(m, height):
+    return height + taylor._syntactic_depth(m)
+
+
+def ref_commutation_lhs(m, mult, height):
+    """commutation_check's reduced side as it was before bags were sized:
+    every element of taylor_of_term reduced, under the same filters."""
+    return frozenset(
+        nf for t in taylor_of_term(m, mult, _slack(m, height)).elements
+        for nf in resource_reduce(t)
+        if resource.height(nf) <= height and taylor._bags_within(nf, mult))
+
+
+def _sized_elements(m, mult, height):
+    return taylor._term_fragment(m, mult, _slack(m, height), sized=True).elements
+
+
+def assert_skipped_elements_reduce_to_nothing(m, mult, height):
+    full = taylor_of_term(m, mult, _slack(m, height)).elements
+    for t in full - _sized_elements(m, mult, height):
+        assert resource_reduce(t) == frozenset(), show_resource(t)
+
+
+@pytest.mark.parametrize("mult, height", [(2, 4), (3, 5)])
+def test_sized_commutation_matches_full_reduction_on_corpus(mult, height):
+    for m in corpus.normalizing_corpus(30):
+        res = taylor.commutation_check(m, mult, height, 300)
+        assert res["lhs"] == ref_commutation_lhs(m, mult, height), show(m)
+
+
+def test_elements_left_out_of_the_sized_expansion_have_no_reduct():
+    for m in corpus.normalizing_corpus(30):
+        assert_skipped_elements_reduce_to_nothing(m, 2, 4)
+
+
+def expansion_size(m, mult):
+    """The number of elements taylor_of_term builds before its height filter."""
+    if isinstance(m, Var):
+        return 1
+    if isinstance(m, Abs):
+        return expansion_size(m.body, mult)
+    k = expansion_size(m.arg, mult)
+    return expansion_size(m.fun, mult) * sum(math.comb(k + j - 1, j)
+                                             for j in range(mult + 1))
+
+
+@st.composite
+def redex_terms(draw):
+    """An abstraction of one or two binders applied to one or two arguments,
+    so that sized bags are met with and without a peeled binder."""
+    m = draw(lam_terms(4))
+    for b in draw(st.lists(names, min_size=1, max_size=2)):
+        m = Abs(b, m)
+    for _ in range(draw(st.integers(1, 2))):
+        m = App(m, draw(lam_terms(4)))
+    return m
+
+
+@given(st.one_of(lam_terms(2), redex_terms()))
+@example(parse("(\\x. \\y. y x x) (\\z. z) (\\z. z)"))
+@example(parse("(\\x. f (g x)) (z w)"))
+@settings(max_examples=150, deadline=None)
+def test_sized_commutation_contains_full_reduction_on_drawn_terms(m):
+    """ref <= lhs <= rhs, so lhs == ref wherever the reference is two-sided."""
+    mult, height = 2, 3
+    assume(expansion_size(m, mult) <= 300)
+    try:
+        res = taylor.commutation_check(m, mult, height, 100)
+    except taylor.TentativeTreeError:
+        assume(False)
+    ref = ref_commutation_lhs(m, mult, height)
+    assert ref <= res["lhs"] <= res["rhs"]
+    assert_skipped_elements_reduce_to_nothing(m, mult, height)
 
 
 # ---------------------------------------------------------------------------

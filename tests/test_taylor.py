@@ -6,6 +6,7 @@ from lambdapm import bohm, corpus, resource
 from lambdapm.bohm import BOT, parse_partial
 from lambdapm.distance import dyadic, exact
 from lambdapm.lamcalc import parse
+from lambdapm.limits import CapExceeded
 from lambdapm.pmetric import LiftedSet, hausdorff_star
 from lambdapm.resource import bag_leq, parse_resource, r_metric
 from lambdapm.taylor import (TentativeTreeError, box_relation,
@@ -147,20 +148,28 @@ def test_commutation_with_duplication():
     assert parse_resource("\\x. x") in res["lhs"]
 
 
-def test_commutation_is_one_sided_on_nested_copies():
-    """A known limitation (docs/DECISIONS.md D11): the bounded expansion of
-    the redex gives the argument bag at most `mult` items, but the tree side
-    holds elements that need up to mult**2 copies of the argument, so on
-    this term the reduced side is a proper subset of the tree side."""
+def test_commutation_is_two_sided_on_nested_copies():
+    """The tree side holds elements with up to mult**2 copies of the
+    argument; the redex's bag is sized by the occurrences of its binder, not
+    by `mult`, so the reduced side reaches them (docs/DECISIONS.md D11,
+    D13)."""
     m = parse("(\\x. f (g x)) (z w)")
     sizes = {}
-    for mult in (2, 3, 4):
+    for mult in (2, 3):
         res = commutation_check(m, mult, 3, 100)
-        assert res["lhs"] < res["rhs"] and not res["equal"]
+        assert res["lhs"] == res["rhs"] and res["equal"]
         sizes[mult] = (len(res["lhs"]), len(res["rhs"]))
-    assert sizes == {2: (8, 10), 3: (18, 35), 4: (38, 126)}
+    assert sizes == {2: (10, 10), 3: (35, 35)}
     res = commutation_check(m, 2, 3, 100)
-    assert parse_resource("f<g<z<>, z<>>, g<z<>, z<>>>") in res["rhs"] - res["lhs"]
+    assert parse_resource("f<g<z<>, z<>>, g<z<>, z<>>>") in res["lhs"]
+
+
+def test_sized_bag_pool_goes_through_the_cap(monkeypatch):
+    """At mult 3 the redex of the D11 example takes bags of up to 9 items
+    over 4 argument elements; past LAMBDA_PM_CAP the pool is not built."""
+    monkeypatch.setenv("LAMBDA_PM_CAP", "10")
+    with pytest.raises(CapExceeded, match="sized bag pool .*LAMBDA_PM_CAP"):
+        commutation_check(parse("(\\x. f (g x)) (z w)"), 3, 3, 100)
 
 
 def test_partial_enumeration_prefix_and_injectivity():
