@@ -4,12 +4,12 @@ Boehm-tree truncations, the tree partial metric and the Boehm distance."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lamcalc
-from .distance import (DistanceValue, agreement_level, bracket, dyadic, exact,
-                       truncation_below)
+from .distance import DistanceValue, bracket, dyadic, exact, truncation_below
 from .lamcalc import Abs, LambdaTerm, Var, db_index, solvability
 
 
@@ -102,9 +102,13 @@ def to_lambda(t: PartialTerm) -> LambdaTerm:
 
 def height(t: PartialTerm) -> int:
     """Empty tree has height 0; a node is 1 + the tallest argument."""
-    if isinstance(t, Bottom):
-        return 0
-    return 1 + max((height(a) for a in t.args), default=0)
+    best, stack = 0, [(t, 1)]
+    while stack:
+        u, depth = stack.pop()
+        if isinstance(u, Node):
+            best = max(best, depth)
+            stack.extend((a, depth + 1) for a in u.args)
+    return best
 
 
 def truncate(t: PartialTerm, n: int) -> PartialTerm:
@@ -115,24 +119,44 @@ def truncate(t: PartialTerm, n: int) -> PartialTerm:
 
 
 # ---------------------------------------------------------------------------
-# The approximant (substitution) order and the direct approximant
+# Aligned pairs, the approximant order and the direct approximant
+
+def aligned(a: PartialTerm, b: PartialTerm):
+    """The pairs of subtrees of a and b at equal positions, shallowest first.
+
+    Yields (position, x, y, same): the position is an index path, () at the
+    root, and `same` says that x and y are nodes with the same label --
+    binder count, de Bruijn head and arity.  The walk goes below such pairs
+    only, so every yielded pair has equally labelled ancestors."""
+    queue = deque([((), a, b, (), ())])
+    while queue:
+        pos, x, y, ex, ey = queue.popleft()
+        same = (isinstance(x, Node) and isinstance(y, Node)
+                and len(x.binders) == len(y.binders)
+                and len(x.args) == len(y.args))
+        if same:
+            ex, ey = x.binders[::-1] + ex, y.binders[::-1] + ey
+            same = db_index(x.head, ex) == db_index(y.head, ey)
+        yield pos, x, y, same
+        if same:
+            queue.extend((pos + (i,), u, v, ex, ey)
+                         for i, (u, v) in enumerate(zip(x.args, y.args)))
+
+
+def first_difference(a: PartialTerm, b: PartialTerm, unknown):
+    """First level holding a position, outside `unknown`, where a and b
+    differ: a node against a bottom, or nodes with different labels; inf if
+    there is none (docs/DECISIONS.md D14)."""
+    for pos, x, y, same in aligned(a, b):
+        if not (same or pos in unknown
+                or (isinstance(x, Bottom) and isinstance(y, Bottom))):
+            return len(pos) + 1
+    return math.inf
+
 
 def partial_leq(a: PartialTerm, b: PartialTerm) -> bool:
     """Contextual closure of bottom <= A: b refines a by filling bottoms."""
-    return _pleq(a, b, (), ())
-
-
-def _pleq(a, b, enva, envb):
-    if isinstance(a, Bottom):
-        return True
-    if isinstance(b, Bottom):
-        return False
-    if len(a.binders) != len(b.binders) or len(a.args) != len(b.args):
-        return False
-    ea, eb = a.binders[::-1] + enva, b.binders[::-1] + envb
-    if db_index(a.head, ea) != db_index(b.head, eb):
-        return False
-    return all(_pleq(x, y, ea, eb) for x, y in zip(a.args, b.args))
+    return all(same or isinstance(x, Bottom) for _, x, _, same in aligned(a, b))
 
 
 def truncation_leq(a: PartialTerm, b: PartialTerm) -> bool:
@@ -198,8 +222,11 @@ def bohm_truncate(t: LambdaTerm, depth: int, fuel: int) -> BohmTruncation:
 # Tree partial metric
 
 def divergence_level(a: PartialTerm, b: PartialTerm) -> int:
-    """Largest n with both truncations defined (height >= n) and equal."""
-    return agreement_level(a, b, height, truncate)
+    """Largest n with both truncations defined (height >= n) and equal.
+
+    Level-n truncations agree iff no position at depth <= n differs, so
+    this is the level before the first difference (docs/DECISIONS.md D14)."""
+    return min(height(a), height(b), first_difference(a, b, ()) - 1)
 
 
 def p_tree(a: PartialTerm, b: PartialTerm) -> DistanceValue:
@@ -213,29 +240,6 @@ def p_tree(a: PartialTerm, b: PartialTerm) -> DistanceValue:
 def _fuel_horizon(tr: BohmTruncation):
     """First level holding a fuel-unknown bottom, or inf if there is none."""
     return 1 + min(map(len, tr.tentative), default=math.inf)
-
-
-def _first_difference(ta: BohmTruncation, tb: BohmTruncation):
-    """First level at which both truncations are certain and differ, or inf.
-
-    Nothing at or below a fuel-unknown position is certain."""
-    unknown = set(ta.tentative) | set(tb.tentative)
-
-    def go(a, b, pos, enva, envb):
-        if pos in unknown:
-            return math.inf
-        if isinstance(a, Bottom) or isinstance(b, Bottom):
-            same = isinstance(a, Bottom) and isinstance(b, Bottom)
-            return math.inf if same else len(pos) + 1
-        ea, eb = a.binders[::-1] + enva, b.binders[::-1] + envb
-        if (len(a.binders), db_index(a.head, ea), len(a.args)) != \
-                (len(b.binders), db_index(b.head, eb), len(b.args)):
-            return len(pos) + 1
-        return min((go(x, y, pos + (i,), ea, eb)
-                    for i, (x, y) in enumerate(zip(a.args, b.args))),
-                   default=math.inf)
-
-    return go(ta.tree, tb.tree, (), (), ())
 
 
 def p_bohm(m: LambdaTerm, n: LambdaTerm, depth: int, fuel: int) -> DistanceValue:
@@ -254,7 +258,9 @@ def p_bohm(m: LambdaTerm, n: LambdaTerm, depth: int, fuel: int) -> DistanceValue
         return p_tree(ta.tree, tb.tree)
     ha, hb = height(ta.tree), height(tb.tree)
     ua, ub = _fuel_horizon(ta), _fuel_horizon(tb)
-    diff = _first_difference(ta, tb)
+    # nothing at or below a fuel-unknown position is certain
+    unknown = set(ta.tentative) | set(tb.tentative)
+    diff = first_difference(ta.tree, tb.tree, unknown)
     agreed = min(ha, hb, ua - 1, ub - 1, diff - 1)
     refuted = min([diff] + [h + 1 for h, u in ((ha, ua), (hb, ub)) if h + 1 < u])
     if refuted > depth:

@@ -1,5 +1,5 @@
 """Exact distance values: nonnegative rationals, +infinity, or sound brackets;
-and the agreement level and truncation order shared by the tree metrics."""
+and the truncation order shared by the tree metrics."""
 
 from __future__ import annotations
 
@@ -106,21 +106,7 @@ def dyadic(k: int) -> Fraction:
     return Fraction(1, 1 << k) if k >= 0 else Fraction(1 << (-k))
 
 
-def agreement_level(a, b, height, truncate) -> int:
-    """Largest n <= both heights whose level-n truncations agree, else 0.
-
-    Truncations nest, so agreement stops at the first level that differs.
-    The tree metrics are 2**-agreement_level.
-    """
-    level = 0
-    for n in range(1, min(height(a), height(b)) + 1):
-        if truncate(a, n) != truncate(b, n):
-            break
-        level = n
-    return level
-
-
 def truncation_below(a, b, height, truncate) -> bool:
-    """a is b truncated at a's height: the order 2**-agreement_level induces."""
+    """a is b truncated at a's height: the order the tree metrics induce."""
     h = height(a)
     return height(b) >= h and truncate(b, h) == a

@@ -253,7 +253,6 @@ class TowerLevel:
 @dataclass
 class Tower:
     levels: list
-    base_metric: object
 
     def level(self, n: int) -> TowerLevel:
         return self.levels[n]
@@ -307,7 +306,7 @@ def build_tower(d0: FinitePoset, p0, depth: int) -> Tower:
         prev.inj = tuple(levels[n + 1].index[_inject_table(levels, n, f)]
                          for f in range(prev.poset.size))
         prev.proj = tuple(_project_table(levels, n, m.table) for m in maps)
-    return Tower(levels, p0)
+    return Tower(levels)
 
 
 def _inject_table(levels, n: int, f: int) -> tuple:
@@ -500,8 +499,8 @@ def finitary_closeness_check(tower: Tower, a: TowerProfile, b: TowerProfile,
     indices forces the prefix below 2**-n."""
     N = finite_access_bound(Fraction(1, 2), dyadic(n))
     premise = all(
-        tower.base_metric(eval_on_basis(tower, i, a.levels[i], ks),
-                          eval_on_basis(tower, i, b.levels[i], ks)) < dyadic(n + 1)
+        tower.metric(0)(eval_on_basis(tower, i, a.levels[i], ks),
+                        eval_on_basis(tower, i, b.levels[i], ks)) < dyadic(n + 1)
         for i in range(1, min(tower.depth, N) + 1)
         for ks in product(*[range(min(tower.level(l).poset.size, N))
                             for l in range(i - 1, -1, -1)]))

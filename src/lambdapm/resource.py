@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .distance import (DistanceValue, agreement_level, dyadic, exact,
-                       truncation_below)
+from .distance import DistanceValue, dyadic, exact, truncation_below
 from .lamcalc import (ParseError, Term, _cache, _encode, _fresh, _Parser,
                       db_index, fold, free_vars)
 from .limits import within_cap
@@ -455,8 +454,15 @@ def truncate(t: ResourceTerm, n: int):
 
 
 def r_metric(t: ResourceTerm, u: ResourceTerm) -> DistanceValue:
-    """2**-n for the deepest n with both heights >= n and equal truncations."""
-    return exact(dyadic(agreement_level(t, u, height, truncate)))
+    """2**-n for the deepest n with both heights >= n and equal truncations.
+
+    Truncations nest, so agreement stops at the first level that differs."""
+    level = 0
+    for n in range(1, min(height(t), height(u)) + 1):
+        if truncate(t, n) != truncate(u, n):
+            break
+        level = n
+    return exact(dyadic(level))
 
 
 def r_leq(t: ResourceTerm, u: ResourceTerm) -> bool:

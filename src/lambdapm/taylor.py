@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, cycle, islice, product
 
 from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
@@ -88,8 +88,9 @@ def _join(a: PartialTerm, b: PartialTerm) -> PartialTerm | None:
         return b
     if isinstance(b, Bottom):
         return a
-    if (len(a.binders) != len(b.binders) or len(a.args) != len(b.args)
-            or bohm.pkey(Node(a.binders, a.head, ())) != bohm.pkey(Node(b.binders, b.head, ()))):
+    # binders are canonical (min_source): at equal depth, equal names
+    # are the same variable
+    if (len(a.binders), a.head, len(a.args)) != (len(b.binders), b.head, len(b.args)):
         return None
     args = []
     for x, y in zip(a.args, b.args):
@@ -414,8 +415,8 @@ def enumeration_isometry(a: PartialTerm, b: PartialTerm, prefix: int) -> dict:
 
     pp_sum = Fraction(0)
     for n, src in enumerate(terms, start=1):
-        for m in range(1, K + 1):
-            v = per_term(src, m)
+        # per_term(src, m) for m = 1..K, keying src once
+        for m, v in enumerate(islice(cycle(faithful_pool(src)), K), start=1):
             if not (box_relation(v, a) and box_relation(v, b)):
                 pp_sum += dyadic(n) * dyadic(m)
     unexplored = (1 - dyadic(K)) * dyadic(K) + dyadic(K)

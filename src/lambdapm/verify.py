@@ -150,15 +150,8 @@ def _fills_shallow_bottom(a, b) -> bool:
     """For a below b in the approximant order: does b put a node where a has
     a bottom at depth <= height(a)?  The root sits at depth 1."""
     limit = bohm.height(a)
-
-    def go(x, y, depth):
-        if depth > limit:
-            return False
-        if isinstance(x, bohm.Bottom):
-            return not isinstance(y, bohm.Bottom)
-        return any(go(u, v, depth + 1) for u, v in zip(x.args, y.args))
-
-    return go(a, b, 1)
+    return any(isinstance(x, bohm.Bottom) and isinstance(y, bohm.Node)
+               and len(pos) < limit for pos, x, y, _ in bohm.aligned(a, b))
 
 
 def suite_order_capture() -> dict:
@@ -489,7 +482,7 @@ def _lazy_finitary_check(top: LazyTop, ta: tuple, tb: tuple, n: int) -> dict:
     maps = tower.level(1).maps
     xa, xb = top.project(ta), top.project(tb)
     premise = all(
-        tower.base_metric(maps[va](k0), maps[vb](k0)) < dyadic(n + 1)
+        tower.metric(0)(maps[va](k0), maps[vb](k0)) < dyadic(n + 1)
         for va, vb in list(zip(ta, tb))[:n_bound] + [(xa, xb)]
         for k0 in range(min(tower.level(0).poset.size, n_bound)))
     prefix = dyadic(1) * tower.metric(1)(xa, xb) + dyadic(2) * top.metric(ta, tb)

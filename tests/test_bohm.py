@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdapm import bohm
-from lambdapm.bohm import (BOT, bohm_truncate, direct_approximant, height,
-                           p_bohm, p_tree, parse_partial, partial_leq,
-                           truncate, truncation_leq)
+from lambdapm.bohm import (BOT, bohm_truncate, direct_approximant,
+                           divergence_level, height, p_bohm, p_tree,
+                           parse_partial, partial_leq, truncate, truncation_leq)
 from lambdapm.distance import bracket, dyadic, exact
 from lambdapm.lamcalc import Abs, App, Var, parse
 
@@ -82,6 +82,9 @@ def test_p_tree_agreement_levels():
     assert p_tree(a, b) == exact(Fraction(1, 2))
     assert p_tree(parse_partial("x (y x)"), parse_partial("x (y y)")) == \
         exact(Fraction(1, 4))
+    # the shallower of two differences decides, whichever argument holds it
+    assert p_tree(parse_partial("x w (y z)"), parse_partial("x u (y v)")) == \
+        exact(Fraction(1, 2))
 
 
 def test_induced_order_is_truncation_order():
@@ -94,6 +97,17 @@ def test_induced_order_is_truncation_order():
             # the truncation order is contained in the approximant order
             if induced:
                 assert partial_leq(a, b)
+
+
+def test_deep_chains_compare_without_recursion():
+    # x (x (... _|_)) against the same chain ending in y, 10,000 nodes deep
+    a, b = BOT, bohm.Node((), "y", ())
+    for _ in range(10_000):
+        a, b = bohm.Node((), "x", (a,)), bohm.Node((), "x", (b,))
+    assert partial_leq(a, b) and not partial_leq(b, a)
+    assert height(a) == 10_000 and height(b) == 10_001
+    assert divergence_level(a, b) == 10_000
+    assert p_tree(a, b) == exact(dyadic(10_000))
 
 
 def test_bohm_truncate_examples():

@@ -7,7 +7,9 @@ deferred cycle keys against a run that hashes every step, poset
 validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
-every table, and print/parse round trips for resource and partial terms."""
+every table, the aligned walk over two partial terms against the recursions
+and the truncation loop it replaced, and print/parse round trips for
+resource and partial terms."""
 
 import math
 import random
@@ -17,9 +19,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lambdapm import bohm, contextual, corpus, resource, taylor
+from lambdapm import bohm, contextual, corpus, resource, taylor, verify
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
-from lambdapm.distance import dyadic
+from lambdapm.distance import dyadic, exact
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
                               function_space, iter_monotone_tables)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
@@ -1240,6 +1242,132 @@ def test_sized_commutation_contains_full_reduction_on_drawn_terms(m):
     ref = ref_commutation_lhs(m, mult, height)
     assert ref <= res["lhs"] <= res["rhs"]
     assert_skipped_elements_reduce_to_nothing(m, mult, height)
+
+
+# ---------------------------------------------------------------------------
+# The aligned walk over two partial terms against the recursions and the
+# truncation loop it replaced
+
+def ref_partial_leq(a, b, enva=(), envb=()):
+    """The approximant order by recursion on both trees."""
+    if not isinstance(a, Node):
+        return True
+    if not isinstance(b, Node):
+        return False
+    if len(a.binders) != len(b.binders) or len(a.args) != len(b.args):
+        return False
+    ea, eb = enva + a.binders, envb + b.binders
+    if _ref_index(a.head, ea) != _ref_index(b.head, eb):
+        return False
+    return all(ref_partial_leq(x, y, ea, eb) for x, y in zip(a.args, b.args))
+
+
+def ref_height(t):
+    if not isinstance(t, Node):
+        return 0
+    return 1 + max(map(ref_height, t.args), default=0)
+
+
+def ref_divergence_level(a, b):
+    """The deepest level whose truncations agree, one level at a time."""
+    level = 0
+    for n in range(1, min(ref_height(a), ref_height(b)) + 1):
+        if pkey(bohm.truncate(a, n)) != pkey(bohm.truncate(b, n)):
+            break
+        level = n
+    return level
+
+
+def ref_first_difference(a, b, unknown, pos=(), enva=(), envb=()):
+    """The first level at which a and b certainly differ, by recursion;
+    nothing at or below a position in `unknown` differs."""
+    if pos in unknown:
+        return math.inf
+    if not (isinstance(a, Node) and isinstance(b, Node)):
+        same = not isinstance(a, Node) and not isinstance(b, Node)
+        return math.inf if same else len(pos) + 1
+    ea, eb = enva + a.binders, envb + b.binders
+    if (len(a.binders), _ref_index(a.head, ea), len(a.args)) != \
+            (len(b.binders), _ref_index(b.head, eb), len(b.args)):
+        return len(pos) + 1
+    return min((ref_first_difference(x, y, unknown, pos + (i,), ea, eb)
+                for i, (x, y) in enumerate(zip(a.args, b.args))),
+               default=math.inf)
+
+
+def ref_fills_shallow_bottom(a, b, depth=1, limit=None):
+    """For a below b: b has a node where a has a bottom at depth <=
+    height(a), by recursion."""
+    limit = ref_height(a) if limit is None else limit
+    if depth > limit:
+        return False
+    if not isinstance(a, Node):
+        return isinstance(b, Node)
+    return any(ref_fills_shallow_bottom(x, y, depth + 1, limit)
+               for x, y in zip(a.args, b.args))
+
+
+def alpha_partial(t, env=None, depth=0):
+    """t with the binders at depth d renamed to w<d>_<i>, names t does not
+    use, and every bottom a fresh object."""
+    env = {} if env is None else env
+    if not isinstance(t, Node):
+        return bohm.Bottom()
+    nbs = tuple(f"w{depth}_{i}" for i in range(len(t.binders)))
+    env = {**env, **dict(zip(t.binders, nbs))}  # a repeated binder: the last wins
+    return Node(nbs, env.get(t.head, t.head),
+                tuple(alpha_partial(u, env, depth + 1) for u in t.args))
+
+
+def bottom_positions(t, pos=()):
+    if not isinstance(t, Node):
+        yield pos
+        return
+    for i, u in enumerate(t.args):
+        yield from bottom_positions(u, pos + (i,))
+
+
+def aligned_pair(data, a):
+    """a and a term to compare it with: a random or perturbed one, an
+    alpha-variant of a or of a perturbed a, or one subtree object shared
+    under two drawn binder lists, where its head may be bound on one side
+    and free on the other."""
+    kind = data.draw(st.sampled_from(["other", "alpha", "shared"]))
+    if kind == "other":
+        return a, other_term(data, a)
+    if kind == "alpha":
+        return a, alpha_partial(a if data.draw(st.booleans()) else perturbed(data, a))
+    head = data.draw(names)
+    return tuple(Node(tuple(data.draw(st.lists(names, max_size=2))), head, (a,))
+                 for _ in range(2))
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_aligned_walk_matches_recursive_references(a, data):
+    a, b = aligned_pair(data, a)
+    for x, y in ((a, b), (b, a)):
+        assert bohm.partial_leq(x, y) == ref_partial_leq(x, y)
+        assert bohm.divergence_level(x, y) == ref_divergence_level(x, y)
+        assert bohm.p_tree(x, y) == exact(dyadic(ref_divergence_level(x, y)))
+        assert bohm.first_difference(x, y, ()) == ref_first_difference(x, y, ())
+        if ref_partial_leq(x, y):
+            assert verify._fills_shallow_bottom(x, y) == \
+                ref_fills_shallow_bottom(x, y)
+    # fuel-unknown positions hold a bottom on the tentative side
+    bottoms = list(bottom_positions(a))
+    unknown = set(data.draw(st.lists(st.sampled_from(bottoms), max_size=3))
+                  if bottoms else ())
+    assert bohm.first_difference(a, b, unknown) == \
+        ref_first_difference(a, b, unknown)
+
+
+def test_shared_subtree_under_different_binders_differs():
+    shared = Node((), "x", ())
+    a, b = Node(("x",), "f", (shared,)), Node(("y",), "f", (shared,))
+    assert not bohm.partial_leq(a, b) and not bohm.partial_leq(b, a)
+    assert bohm.first_difference(a, b, ()) == 2
+    assert bohm.divergence_level(a, b) == 1
 
 
 # ---------------------------------------------------------------------------
