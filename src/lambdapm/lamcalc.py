@@ -1,6 +1,7 @@
 """Lambda terms with named variables, on the node base and cache fold that
-resource terms share: parsing, printing, substitution, head reduction and a
-fuelled solvability semi-decision with cycle certificates."""
+resource terms share: parsing, printing, substitution, and a head-reduction
+machine that runs normalization and a fuelled solvability semi-decision
+with cycle certificates."""
 
 from __future__ import annotations
 
@@ -438,28 +439,6 @@ def decompose(t: LambdaTerm):
     return tuple(binders), t, tuple(args)
 
 
-def head_form(t: LambdaTerm):
-    """The HeadForm of t if t is head-normal, else None."""
-    binders, h, args = decompose(t)
-    if isinstance(h, Var):
-        return HeadForm(binders, h.name, args)
-    return None
-
-
-def head_reduce_step(t: LambdaTerm):
-    """Contract the head redex; returns the reduct, or None if head-normal."""
-    binders, h, args = decompose(t)
-    if isinstance(h, Var):
-        return None
-    assert isinstance(h, Abs) and args
-    return _contract(binders, h, args)
-
-
-def _contract(binders, h: Abs, args) -> LambdaTerm:
-    """The reduct of lambda binders. h args for an abstraction h."""
-    return spine(binders, subst(h.body, h.binder, args[0]), args[1:])
-
-
 @dataclass(frozen=True)
 class SolvabilityStatus:
     kind: str  # "solvable" | "divergent" | "unknown"
@@ -480,63 +459,177 @@ class SolvabilityStatus:
         return self.kind == "unknown"
 
 
-# Reducts of the steps before this one are not hashed unless the run gets
-# here: most runs reach a head normal form sooner, and such a run has no
-# repeat to find.
-_DEFERRED = 8
+# ---------------------------------------------------------------------------
+# The head-reduction machine (docs/DECISIONS.md D15)
+#
+# A state lambda env. head stack stands for the term `spine(env[::-1], head,
+# args)`: `env` lists its binders innermost first, `head` is not an
+# application, and the stack is a linked list of cells, first argument on
+# top, each the list [argument, cell below or None, depth, hash].  The hash,
+# filled on demand, is that of the arguments from the cell down under `env`.
+# Binders grow only while the stack is empty, so a cell is only ever read
+# under the environment it was pushed under, and cells below the top are
+# shared between the states of a run.
+
+def _unwind(env, t: LambdaTerm, stack):
+    """The state of lambda env. t stack: t's application arguments pushed,
+    and its binders moved into `env` while the stack is empty.  A head step
+    pops the top cell of a state with an abstraction head and unwinds the
+    substituted body over the cells below."""
+    while True:
+        while t._kind == "app":
+            stack = [t.arg, stack, stack[2] + 1 if stack else 1, None]
+            t = t.fun
+        if stack or t._kind != "abs":
+            return env, t, stack
+        env = (t.binder,) + env
+        t = t.body
+
+
+def _args(stack) -> tuple:
+    args = []
+    while stack:
+        args.append(stack[0])
+        stack = stack[1]
+    return tuple(args)
+
+
+def _stack_hash(cell, env) -> int:
+    """The hash of the arguments from `cell` down under `env`, filling the
+    cells that have none yet."""
+    cells = []
+    while cell and cell[3] is None:
+        cells.append(cell)
+        cell = cell[1]
+    h = cell[3] if cell else 0
+    for c in reversed(cells):
+        h = c[3] = hash((_encode(c[0], env, "_hash", hash), h))
+    return h
+
+
+def _state_hash(env, head, stack) -> int:
+    return hash((len(env), _encode(head, env, "_hash", hash), _stack_hash(stack, env)))
+
+
+def _same_state(a, b) -> bool:
+    """Whether two states stand for alpha-equivalent terms.  The heads and
+    then the arguments, top first, are compared node by node under their
+    environments, in a loop that stops at the first difference; a stack
+    tail that both share under equal environments is not walked."""
+    (env_a, head_a, stack_a), (env_b, head_b, stack_b) = a, b
+    if len(env_a) != len(env_b):
+        return False
+    same_env = env_a == env_b
+    pairs = [(head_a, head_b, env_a, env_b)]
+    while True:
+        while pairs:
+            s, t, es, et = pairs.pop()
+            if s is t and es == et:
+                continue
+            kind = s._kind
+            if kind != t._kind:
+                return False
+            if kind == "var":
+                if db_index(s.name, es) != db_index(t.name, et):
+                    return False
+            elif kind == "abs":
+                pairs.append((s.body, t.body, (s.binder,) + es, (t.binder,) + et))
+            else:
+                pairs.append((s.arg, t.arg, es, et))
+                pairs.append((s.fun, t.fun, es, et))
+        if stack_a is stack_b and same_env or not (stack_a and stack_b):
+            return stack_a is stack_b  # a shared tail, or both stacks done
+        pairs.append((stack_a[0], stack_b[0], env_a, env_b))
+        stack_a, stack_b = stack_a[1], stack_b[1]
+
+
+def _enter(states: dict, key, step: int, state) -> int:
+    """The step of the state filed under `key` that equals `state`; if there
+    is none, `state` is filed there and `step` returned."""
+    bucket = states.setdefault(key, [])
+    for first, other in bucket:
+        if _same_state(state, other):
+            return first
+    bucket.append((step, state))
+    return step
+
+
+def _rebuild(env, head, stack) -> LambdaTerm:
+    return spine(env[::-1], head, _args(stack))
+
+
+# States of the steps before this one are filed by binder count and stack
+# depth, which equal states share, and compared in a loop that stops at the
+# first difference: most runs end sooner, and hash nothing.  From this step
+# on, states are filed by hash.
+_HASHED = 8
 
 
 def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
     """Head-reduce up to `fuel` steps; certify divergence on an alpha-repeat.
 
-    The reducts of the first `_DEFERRED` steps are hashed only once the run
-    goes past them or reaches `fuel`, and then in step order, so the repeat
-    found is still the first one (docs/DECISIONS.md D10)."""
+    Each state is looked up at its own step among the earlier states that
+    could equal it, so the repeat found is the first one
+    (docs/DECISIONS.md D15)."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    seen = {}  # term -> step; a head normal term is never hashed
-    held = []  # reducts not hashed yet, of the steps up to this one
-    cur = t
-    for step in range(fuel + 1):
-        binders, h, args = decompose(cur)
-        if isinstance(h, Var):
-            return SolvabilityStatus("solvable", steps=step,
-                                     head=HeadForm(binders, h.name, args))
-        held.append(cur)
-        if step >= _DEFERRED or step == fuel:
-            for s, u in enumerate(held, step + 1 - len(held)):
-                first = seen.setdefault(u, s)
-                if first != s:
-                    return SolvabilityStatus(
-                        "divergent", steps=s,
-                        certificate=(first, s, show(canonical(u))))
-            held.clear()
+    binders, head, args = decompose(t)
+    if head._kind == "var":  # most runs: no cells are built
+        return SolvabilityStatus("solvable", head=HeadForm(binders, head.name, args))
+    env, stack = binders[::-1], None
+    for a in reversed(args):
+        stack = [a, stack, stack[2] + 1 if stack else 1, None]
+    states = {}  # filing key -> [(step, state)]
+    step = 0
+    while True:
+        state = env, head, stack
+        if step < _HASHED:
+            first = _enter(states, (len(env), stack[2]), step, state)
+        else:
+            if step == _HASHED:  # refile the states so far, all distinct
+                held, states = states.values(), {}
+                for bucket in held:
+                    for s, u in bucket:
+                        states.setdefault(_state_hash(*u), []).append((s, u))
+            first = _enter(states, _state_hash(*state), step, state)
+        if first != step:
+            return SolvabilityStatus("divergent", steps=step, certificate=(
+                first, step, show(canonical(_rebuild(*state)))))
         if step == fuel:
-            break
-        cur = _contract(binders, h, args)
-    return SolvabilityStatus("unknown", steps=fuel)
+            return SolvabilityStatus("unknown", steps=fuel)
+        env, head, stack = _unwind(env, subst(head.body, head.binder, stack[0]), stack[1])
+        step += 1
+        if head._kind == "var":
+            return SolvabilityStatus("solvable", steps=step, head=HeadForm(
+                env[::-1], head.name, _args(stack)))
 
 
 def normalize(t: LambdaTerm, fuel: int = 1000):
-    """Full beta-normal form by leftmost-outermost reduction, or None if fuel runs out."""
-    cur = t
-    for _ in range(fuel):
-        nxt = _normal_step(cur)
-        if nxt is None:
-            return cur
-        cur = nxt
-    return None
-
-
-def _normal_step(t: LambdaTerm):
-    """The leftmost-outermost reduct of t, or None if t is normal.  Binder
-    chains and application spines are walked in loops; only arguments
-    nested in arguments recurse."""
-    binders, h, args = decompose(t)
-    if isinstance(h, Abs):
-        return _contract(binders, h, args)
-    for i, a in enumerate(args):
-        r = _normal_step(a)
-        if r is not None:
-            return spine(binders, h, args[:i] + (r,) + args[i + 1:])
-    return None
+    """Full beta-normal form by leftmost-outermost reduction, or None if it
+    takes `fuel` steps or more.  The machine runs a term to head normal form
+    and then its arguments, left to right, each to normal form; a frame per
+    open argument keeps the normal arguments before it and the cells after."""
+    budget = fuel - 1
+    if budget < 0:
+        return None
+    frames = []  # (term, env, head, normal args, cells left, reduced)
+    while True:
+        env, head, stack = _unwind((), t, None)
+        reduced = head._kind == "abs"
+        while head._kind == "abs":
+            if not budget:
+                return None
+            budget -= 1
+            env, head, stack = _unwind(env, subst(head.body, head.binder, stack[0]),
+                                       stack[1])
+        done = []
+        while not stack:  # the term at this level is normal
+            nf = spine(env[::-1], head, done) if reduced else t
+            if not frames:
+                return nf
+            changed = nf is not t
+            t, env, head, done, stack, reduced = frames.pop()
+            done.append(nf)
+            reduced = reduced or changed
+        frames.append((t, env, head, done, stack[1], reduced))
+        t = stack[0]

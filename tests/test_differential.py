@@ -2,8 +2,9 @@
 reference implementations that scan an outermost-first environment, the
 cached keys and hashes of terms built by substitution, plugging and head
 reduction against uncached references, the contextual queries served from
-outcome rows and settled contexts against memo-free loops, solvability's
-deferred cycle keys against a run that hashes every step, poset
+outcome rows and settled contexts against memo-free loops, the
+head-reduction machine behind solvability and normalize against runs that
+rebuild and key every term and a recursive normalizer, poset
 validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
@@ -11,6 +12,7 @@ every table, the aligned walk over two partial terms against the recursions
 and the truncation loop it replaced, and print/parse round trips for
 resource and partial terms."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +21,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lambdapm import bohm, contextual, corpus, resource, taylor, verify
+from lambdapm import (bohm, contextual, corpus, lamcalc, resource, taylor,
+                      verify)
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
 from lambdapm.distance import dyadic, exact
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
@@ -27,8 +30,8 @@ from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
 from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
-                              free_vars, head_reduce_step, key, normalize, parse,
-                              show, solvability, spine, subst)
+                              free_vars, key, normalize, parse, show,
+                              solvability, spine, subst)
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, free_rvars,
                                gen_height, is_normal, parse_resource,
                                resource_reduce, rkey, show_resource)
@@ -506,14 +509,25 @@ def test_plugged_keys_match_reference(m, idx):
     assert_cached_keys_match(u)
 
 
+def machine_states(t, steps):
+    """The head-reduction machine's states along t's head reduction, for at
+    most `steps` steps."""
+    state = lamcalc._unwind((), t, None)
+    yield state
+    for _ in range(steps):
+        if state[1]._kind == "var":
+            return
+        env, head, stack = state
+        state = lamcalc._unwind(env, subst(head.body, head.binder, stack[0]), stack[1])
+        yield state
+
+
 @given(lam_terms(), st.lists(lam_terms(), min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_head_reducts_keep_reference_keys(body, args):
     t = spine((), Abs("x", body), args)
-    for _ in range(6):
-        nxt = head_reduce_step(t)
-        if nxt is None:
-            break
+    for state in itertools.islice(machine_states(t, 6), 1, None):
+        nxt = lamcalc._rebuild(*state)
         assert show(nxt) == show(ref_head_step(t))
         assert_cached_keys_match(nxt)
         t = nxt
@@ -729,6 +743,228 @@ def test_deferred_cycle_keys_keep_the_first_repeat():
             else:
                 assert st_.certificate == ()
         assert solvability(t, 30).certificate[:2] == (0, k + 1)
+
+
+# ---------------------------------------------------------------------------
+# The head-reduction machine against whole-term references
+# (docs/DECISIONS.md D15)
+
+def assert_runs_like_reference(t, fuel):
+    """solvability(t, fuel) against ref_solvability, certificate included."""
+    st_ = solvability(t, fuel)
+    kind, steps, extra = ref_solvability(t, fuel)
+    assert (st_.kind, st_.steps) == (kind, steps), show(t)
+    if kind == "solvable":
+        hf = st_.head
+        assert (hf.binders, hf.head, hf.args) == extra
+        assert show(hf.to_term()) == show(ref_reduct(t, steps))
+    elif kind == "divergent":
+        assert st_.certificate == (extra, steps,
+                                   show(canonical(ref_reduct(t, steps))))
+    else:
+        assert st_.certificate == () and st_.head is None
+
+
+def ref_reduct(t, steps):
+    for _ in range(steps):
+        t = ref_head_step(t)
+    return t
+
+
+# The stack empties under an abstraction head, so a binder is added
+# mid-run: before a head normal form, before a repeat, and where the
+# substituted argument's free name clashes with the binder.
+MID_RUN_BINDERS = [
+    "(\\x. \\y. x y) (\\z. z)",
+    "(\\a. \\y. a a) (\\x. x x)",
+    "(\\x. \\y. \\z. x) a b",
+    "(\\x. \\y. x y) y",
+    "\\y. (\\x. \\y. x y) y",
+    "(\\x. \\y. x x) (\\z. \\y. z z)",
+    "(\\x. \\y. x (\\z. x z y)) (\\w. w w)",
+]
+
+
+def test_binders_added_mid_run_match_reference():
+    for text in MID_RUN_BINDERS:
+        t = parse(text)
+        for fuel in (1, 2, 3, 30):
+            assert_runs_like_reference(t, fuel)
+    # one binder added at step 1, then a repeat of step 1 at step 2
+    st_ = solvability(parse("(\\a. \\y. a a) (\\x. x x)"), 30)
+    assert st_.certificate == (1, 2, "\\x. (\\y. y y) (\\y. y y)")
+    # the clash renames the added binder
+    st_ = solvability(parse("(\\x. \\y. x y) y"), 30)
+    assert (st_.head.binders, st_.head.head, st_.head.args) == (("y0",), "y", (Var("y0"),))
+
+
+def test_cells_are_read_under_the_environment_they_were_pushed_under():
+    for text in MID_RUN_BINDERS + ["\\y. (\\x. \\z. x x z) (\\x. \\z. x x z) y"]:
+        pushed = {}  # id(cell) -> (cell, env)
+        for env, head, stack in machine_states(parse(text), 30):
+            assert stack or head._kind == "var"
+            cell, depth = stack, len(lamcalc._args(stack))
+            while cell:
+                assert pushed.setdefault(id(cell), (cell, env))[1] == env
+                assert cell[2] == depth
+                cell, depth = cell[1], depth - 1
+
+
+@given(some_terms, some_terms, st.sampled_from(["x", "y", "w"]), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_open_arguments_under_binders_match_reference(a, b, name, fuel):
+    """Arguments whose free names are bound by the run's binders, so their
+    hashes depend on the environment."""
+    y = Var(name)
+    for t in (Abs(name, App(App(a, y), b)), Abs(name, App(App(a, b), y)),
+              Abs(name, App(a, Abs("x", App(y, b)))), Abs(name, App(a, a))):
+        assert_runs_like_reference(t, fuel)
+
+
+def self_loop_under_binder(k):
+    """\\y. (\\x. \\z. I^k (x x z)) (\\x. \\z. I^k (x x z)) y, which first
+    repeats at step k + 2 with the open argument y on the stack."""
+    body = "x x z"
+    for _ in range(k):
+        body = f"(\\i. i) ({body})"
+    half = f"(\\x. \\z. {body})"
+    return parse(f"\\y. {half} {half} y")
+
+
+def test_first_repeat_ends_the_run_at_its_own_step(monkeypatch):
+    steps = []  # in solvability, one unwind per head step
+    unwind = lamcalc._unwind
+
+    def counted(*state):
+        steps.append(1)
+        return unwind(*state)
+
+    monkeypatch.setattr(lamcalc, "_unwind", counted)
+    for k in (0, 1, 3, 5, 6, 7, 8, 11):
+        for t, again in ((self_loop(k), k + 1), (self_loop_under_binder(k), k + 2)):
+            for fuel in (again - 1, again, again + 1, 30):
+                if fuel < 1:
+                    continue
+                assert_runs_like_reference(t, fuel)
+                steps.clear()
+                st_ = solvability(t, fuel)
+                assert len(steps) == st_.steps == min(again, fuel)
+            assert solvability(t, 30).certificate[:2] == (0, again)
+
+
+@st.composite
+def machine_state(draw):
+    """A state with at most two binders and two arguments, from terms over
+    two names, so that equal states are common."""
+    small = st.sampled_from([Var("x"), Var("y"), Var("u"), parse("\\x. x"),
+                             parse("\\y. x"), parse("\\x. y x"), parse("x y"),
+                             parse("\\x. x x")])
+    env = tuple(draw(st.lists(st.sampled_from(["x", "y"]), max_size=2)))
+    args = draw(st.lists(small, max_size=2))
+    head = draw(small.filter(lambda h: args and h._kind == "abs"
+                             or h._kind == "var"))
+    stack = None
+    for depth, a in enumerate(reversed(args), 1):
+        stack = [a, stack, depth, None]
+    return env, head, stack
+
+
+# One argument object under two environments: bound in one, free in the other.
+SHARED_ARG = [Var("x"), None, 1, None]
+
+
+@given(machine_state(), machine_state(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example((("x",), SPECIAL[4], SHARED_ARG), (("y",), SPECIAL[4], SHARED_ARG),
+         False, False)
+def test_states_are_equal_iff_their_terms_are_alpha_equal(a, b, rename, warm):
+    if rename:  # b is a's term under other names, unwound again
+        b = lamcalc._unwind((), alpha_variant(lamcalc._rebuild(*a)), None)
+    if warm:  # b's cells hashed before a's
+        lamcalc._state_hash(*b)
+    same = ref_key(lamcalc._rebuild(*a)) == ref_key(lamcalc._rebuild(*b))
+    assert lamcalc._same_state(a, b) == lamcalc._same_state(b, a) == same
+    if same:
+        assert lamcalc._state_hash(*a) == lamcalc._state_hash(*b)
+
+
+@pytest.mark.parametrize("t", SPECIAL)
+def test_states_along_a_run_are_equal_iff_their_terms_are(t):
+    states = list(machine_states(App(t, t), 12))
+    for a, b in itertools.combinations(states, 2):
+        same = ref_key(lamcalc._rebuild(*a)) == ref_key(lamcalc._rebuild(*b))
+        assert lamcalc._same_state(a, b) == same
+        if same:
+            assert lamcalc._state_hash(*a) == lamcalc._state_hash(*b)
+
+
+def test_omega3_against_reference_and_at_fuel_5000():
+    for fuel in (1, 2, 7, 8, 9, 300):
+        assert_runs_like_reference(corpus.OMEGA3, fuel)
+    st_ = solvability(corpus.OMEGA3, 5000)
+    assert (st_.kind, st_.steps, st_.head, st_.certificate) == ("unknown", 5000, None, ())
+
+
+def ref_normalize(t, fuel):
+    """Leftmost-outermost normalization by recursion on every node."""
+    def step(u):
+        if isinstance(u, App) and isinstance(u.fun, Abs):
+            return subst(u.fun.body, u.fun.binder, u.arg)
+        if isinstance(u, Abs):
+            b = step(u.body)
+            return None if b is None else Abs(u.binder, b)
+        if isinstance(u, App):
+            f = step(u.fun)
+            if f is not None:
+                return App(f, u.arg)
+            a = step(u.arg)
+            return None if a is None else App(u.fun, a)
+        return None
+
+    cur = t
+    for _ in range(fuel):
+        nxt = step(cur)
+        if nxt is None:
+            return cur
+        cur = nxt
+    return None
+
+
+@given(lam_terms(), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+@example(parse("x ((\\z. z) y) ((\\w. w) u) v"), 3)
+@example(parse("x ((\\z. z) y) ((\\w. w) u) v"), 2)
+def test_normalize_matches_recursive_reference(t, fuel):
+    got, want = normalize(t, fuel), ref_normalize(t, fuel)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert show(got) == show(want)
+
+
+@given(some_terms, some_terms, st.sampled_from(["x", "y", "w"]))
+@settings(max_examples=150, deadline=None)
+def test_normalize_needs_exactly_the_reference_steps(a, b, name):
+    """The zipper finds the normal form with the reference's step count as
+    fuel + 1 and not with less, also under binders and in nested arguments."""
+    y = Var(name)
+    for t in (App(a, b), Abs(name, App(App(y, App(a, y)), App(b, y)))):
+        fuel = next((f for f in range(1, 40) if ref_normalize(t, f) is not None), None)
+        if fuel is None:
+            assert normalize(t, 39) is None
+            continue
+        assert normalize(t, fuel - 1) is None
+        assert show(normalize(t, fuel)) == show(ref_normalize(t, fuel))
+
+
+def test_normalize_walks_each_argument_once():
+    k = 3000
+    t = parse("(\\z. z) x" + " ((\\w. w) y)" * k)
+    assert normalize(t, k + 1) is None  # k + 1 steps, and one more to see it
+    assert str(normalize(t, k + 2)) == "x" + " y" * k
+    normal = parse("\\v. x" + " (y (\\u. u v))" * k)
+    assert normalize(normal, 1) is normal
+    nested = parse("x (" * 150 + "(\\w. w) y" + ")" * 150)
+    assert str(normalize(nested, 2)) == "x (" * 149 + "x y" + ")" * 149
 
 
 # ---------------------------------------------------------------------------
@@ -1127,42 +1363,6 @@ def test_box_depth_is_the_last_level_in_the_expansion(a, data):
 @settings(max_examples=200, deadline=None)
 def test_box_relation_matches_reference(t, a):
     assert box_relation(t, a) == ref_box(t, a)
-
-
-def ref_normalize(t, fuel):
-    """Leftmost-outermost normalization by recursion on every node."""
-    def step(u):
-        if isinstance(u, App) and isinstance(u.fun, Abs):
-            return subst(u.fun.body, u.fun.binder, u.arg)
-        if isinstance(u, Abs):
-            b = step(u.body)
-            return None if b is None else Abs(u.binder, b)
-        if isinstance(u, App):
-            f = step(u.fun)
-            if f is not None:
-                return App(f, u.arg)
-            a = step(u.arg)
-            return None if a is None else App(u.fun, a)
-        return None
-
-    cur = t
-    for _ in range(fuel):
-        nxt = step(cur)
-        if nxt is None:
-            return cur
-        cur = nxt
-    return None
-
-
-@given(lam_terms(), st.integers(0, 6))
-@settings(max_examples=300, deadline=None)
-@example(parse("x ((\\z. z) y) ((\\w. w) u) v"), 3)
-@example(parse("x ((\\z. z) y) ((\\w. w) u) v"), 2)
-def test_normalize_matches_recursive_reference(t, fuel):
-    got, want = normalize(t, fuel), ref_normalize(t, fuel)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert show(got) == show(want)
 
 
 # ---------------------------------------------------------------------------

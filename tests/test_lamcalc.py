@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdapm.lamcalc import (Abs, App, ParseError, Var, alpha_eq, canonical,
-                              free_vars, head_form, head_reduce_step, key,
-                              normalize, parse, show, solvability, spine,
-                              subst)
+from lambdapm.lamcalc import (Abs, App, HeadForm, ParseError, Var, alpha_eq,
+                              canonical, decompose, free_vars, key, normalize,
+                              parse, show, solvability, spine, subst)
 
 I = parse("\\x. x")
 OMEGA = parse("(\\x. x x)(\\x. x x)")
@@ -67,6 +66,23 @@ def test_substitution_capture_avoiding():
     t = subst(Abs("y", App(Var("x"), Var("y"))), "x", Var("y"))
     assert isinstance(t, Abs) and t.binder != "y"
     assert alpha_eq(t, parse("\\z. y z"))
+
+
+# Head reduction on whole terms: the reference for the machine inside
+# `solvability` and `normalize`.
+
+def head_form(t):
+    """The HeadForm of t if t is head-normal, else None."""
+    binders, h, args = decompose(t)
+    return HeadForm(binders, h.name, args) if isinstance(h, Var) else None
+
+
+def head_reduce_step(t):
+    """The head reduct of t, or None if t is head-normal."""
+    binders, h, args = decompose(t)
+    if isinstance(h, Var):
+        return None
+    return spine(binders, subst(h.body, h.binder, args[0]), args[1:])
 
 
 def test_head_reduce_examples():
