@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .distance import DistanceValue, bracket, dyadic, exact
 from .limits import CapExceeded, within_cap  # CapExceeded: raised by function_space
@@ -392,6 +392,7 @@ def iter_monotone_tables(x: FinitePoset, y: FinitePoset, rng=None):
     order = sorted(range(n), key=lambda i: sum(row[i] for row in x.leq))
     below = [[j for j in range(n) if j != e and x.leq[j][e]] for e in range(n)]
     values, everything = range(y.size), (1 << y.size) - 1
+    members = {}  # mask -> its values in ascending order
     table = [None] * n
     stack = []
     while True:
@@ -400,17 +401,20 @@ def iter_monotone_tables(x: FinitePoset, y: FinitePoset, rng=None):
         allowed = everything
         for j in below[e]:
             allowed &= up[table[j]]
-        vals = values
-        if rng is not None:
-            vals = list(vals)
+        if rng is None:
+            vals = members.get(allowed)
+            if vals is None:
+                vals = members[allowed] = [v for v in values if allowed >> v & 1]
+        else:
+            vals = list(values)
             rng.shuffle(vals)
+            vals = [v for v in vals if allowed >> v & 1]
         if k + 1 < n:
-            stack.append(iter([v for v in vals if allowed >> v & 1]))
+            stack.append(iter(vals))
         else:
             for v in vals:
-                if allowed >> v & 1:
-                    table[e] = v
-                    yield tuple(table)
+                table[e] = v
+                yield tuple(table)
         # advance to the next node: the next value at the deepest level
         # that has one left
         while stack:
@@ -432,23 +436,39 @@ class LazyTop:
         self.n = tower.depth  # tables act on D_n
         self.poset = tower.level(self.n).poset
         self._injected = {}  # f -> i_n(f); at most |D_n| tables
+        self._rows = {}      # i_n(f) -> its leq rows, one per position
+        # j_n reads a table only at these positions, so their values key
+        # its result (docs/DECISIONS.md D16)
+        self._reads = ((self.poset.bottom,) if self.n == 0
+                       else tower.level(self.n - 1).inj)
+        self._read_values = itemgetter(*self._reads)
+        self._projected = {}  # read values -> j_n; never an error
 
     def le(self, t1: tuple, t2: tuple) -> bool:
-        return all(map(getitem, map(self.poset.leq.__getitem__, t1), t2))
+        rows = self._rows.get(t1)
+        if rows is None:
+            rows = map(self.poset.leq.__getitem__, t1)
+        return all(map(getitem, rows, t2))
 
     def inject_from_below(self, f: int) -> tuple:
         """i_n(f) for f an index of D_n, as a table over D_n."""
         table = self._injected.get(f)
         if table is None:
             table = self._injected[f] = _inject_table(self.tower.levels, self.n, f)
+            self._rows[table] = tuple(map(self.poset.leq.__getitem__, table))
         return table
 
     def project(self, table: tuple) -> int:
         """j_n of a table, as an index of D_n."""
-        try:
-            return _project_table(self.tower.levels, self.n, table)
-        except KeyError:
-            raise ValueError("projection left the function space") from None
+        read = self._read_values(table)
+        x = self._projected.get(read)
+        if x is None:
+            try:
+                x = _project_table(self.tower.levels, self.n, table)
+            except KeyError:
+                raise ValueError("projection left the function space") from None
+            self._projected[read] = x
+        return x
 
     def completions(self):
         """The least monotone table with given values at the positions that
@@ -456,7 +476,7 @@ class LazyTop:
         has: i_n . j_n <= id holds on every table iff it holds on these
         (docs/DECISIONS.md D6)."""
         p = self.poset
-        reads = (p.bottom,) if self.n == 0 else self.tower.level(self.n - 1).inj
+        reads = self._reads
         lub = {mask: i for i, mask in enumerate(p.up)}  # D5: lub = up-set owner
         sub = FinitePoset(tuple(tuple(p.leq[a][b] for b in reads) for a in reads),
                           reads.index(p.bottom))

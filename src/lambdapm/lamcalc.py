@@ -366,39 +366,57 @@ def parse(text: str, strict: bool = False) -> LambdaTerm:
 
 
 def show(t: LambdaTerm) -> str:
-    """Print t; binder chains and application spines are walked in loops."""
-    prefix = []
-    while isinstance(t, Abs):
-        prefix.append(f"\\{t.binder}. ")
-        t = t.body
-    _, head, args = decompose(t)
-    if isinstance(head, Var):
-        parts = [head.name]
-    else:
-        parts = [f"({show(head)})"]
-    parts.extend(a.name if isinstance(a, Var) else f"({show(a)})" for a in args)
-    return "".join(prefix) + " ".join(parts)
+    """Print t; binder chains and application spines are walked in loops,
+    and nested subterms through a stack of the pieces left to print."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+            continue
+        while isinstance(t, Abs):
+            out.append(f"\\{t.binder}. ")
+            t = t.body
+        _, head, args = decompose(t)
+        pieces = [head.name] if isinstance(head, Var) else ["(", head, ")"]
+        for a in args:
+            pieces += (" ", a.name) if isinstance(a, Var) else (" (", a, ")")
+        todo.extend(reversed(pieces))
+    return "".join(out)
 
 
 _PRETTY = list(string.ascii_lowercase[23:] + string.ascii_lowercase[:23])
 
 
 def canonical(t: LambdaTerm) -> LambdaTerm:
-    """Alpha-canonical renaming: binders renamed to x,y,z,a,b,... skipping free names."""
-    return _canonical(t, {}, set(free_vars(t)))
-
-
-def _canonical(t: LambdaTerm, env: dict, avoid: set) -> LambdaTerm:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, App):
+    """Alpha-canonical renaming: binders renamed to x,y,z,a,b,... skipping
+    free names.  Binder chains and spines are walked in loops, and nested
+    subterms through a stack: each renamed subterm fills its slot in the
+    parts of its spine, which is rebuilt once all of them are filled."""
+    root = [t]
+    todo = [(t, {}, set(free_vars(t)), root, 0)]
+    while todo:
+        item = todo.pop()
+        if len(item) == 4:  # (binders, parts, into, i): every part is filled
+            binders, parts, into, i = item
+            into[i] = spine(binders, parts[0], parts[1:])
+            continue
+        t, env, avoid, into, i = item
+        binders = []
+        while isinstance(t, Abs):
+            nb = _fresh(_PRETTY[len(env) % len(_PRETTY)], avoid)
+            binders.append(nb)
+            env, avoid = {**env, t.binder: nb}, avoid | {nb}
+            t = t.body
         _, head, args = decompose(t)
-        return spine((), _canonical(head, env, avoid),
-                     [_canonical(a, env, avoid) for a in args])
-    depth = len(env)
-    base = _PRETTY[depth % len(_PRETTY)]
-    nb = _fresh(base, avoid)
-    return Abs(nb, _canonical(t.body, {**env, t.binder: nb}, avoid | {nb}))
+        parts = [head, *args]
+        todo.append((binders, parts, into, i))
+        for k, u in enumerate(parts):
+            if isinstance(u, Var):
+                parts[k] = Var(env.get(u.name, u.name))
+            else:
+                todo.append((u, env, avoid, parts, k))
+    return root[0]
 
 
 # ---------------------------------------------------------------------------

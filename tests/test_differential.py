@@ -25,7 +25,7 @@ from lambdapm import (bohm, contextual, corpus, lamcalc, resource, taylor,
                       verify)
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
 from lambdapm.distance import dyadic, exact
-from lambdapm.domains import (FinitePoset, LazyTop, build_tower,
+from lambdapm.domains import (FinitePoset, LazyTop, build_tower, flat,
                               function_space, iter_monotone_tables)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
@@ -348,6 +348,94 @@ def test_lazy_le_and_project_match_pointwise_reference(seed):
     for t in tables:
         for u in tables:
             assert top.le(t, u) == all(p.le(a, b) for a, b in zip(t, u))
+
+
+def read_positions(top):
+    """The positions of a table that j_n reads."""
+    return (top.poset.bottom,) if top.n == 0 else top.tower.level(top.n - 1).inj
+
+
+def test_project_outside_the_space_raises_on_every_call():
+    """A table whose read values are not monotone has no projection, and
+    the error is never memoized as a result."""
+    top = LazyTop(build_tower(flat(2), unit_metric, 1))
+    inj = read_positions(top)
+    # j_0 reads each i_0(x) at bottom: bottom goes to 1, the others to 0
+    table = [inj[0]] * top.poset.size
+    table[inj[0]] = inj[1]
+    table = tuple(table)
+    with pytest.raises(KeyError):
+        reference_project(top, table)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="left the function space"):
+            top.project(table)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_project_memo_answers_as_reference(seed):
+    """Raw tables, many outside the function space, and tables that agree
+    with a monotone one at the read positions only: each gets the
+    reference's index, or ValueError where the reference has none, on a
+    first and on a repeated call."""
+    rng = random.Random(seed)
+    top = random_lazy_top(rng, 4)
+    p = top.poset
+    reads = read_positions(top)
+    tables = [tuple(rng.randrange(p.size) for _ in p.elements())
+              for _ in range(6)]
+    for t in [top.random_table(rng) for _ in range(3)]:
+        twin = tuple(v if x in reads else rng.randrange(p.size)
+                     for x, v in enumerate(t))
+        assert top.project(twin) == top.project(t)
+        tables += [t, twin]
+    for t in tables * 2:
+        try:
+            expected = reference_project(top, t)
+        except KeyError:
+            with pytest.raises(ValueError):
+                top.project(t)
+        else:
+            assert top.project(t) == expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_le_from_cached_rows_matches_fresh_tuples(seed):
+    """le on i_n(f), whose leq rows inject_from_below keeps, answers as on
+    an equal tuple built fresh and as the pointwise order."""
+    rng = random.Random(seed)
+    top = random_lazy_top(rng, 4)
+    p = top.poset
+    others = [top.random_table(rng) for _ in range(3)]
+    others += [tuple(rng.randrange(p.size) for _ in p.elements())
+               for _ in range(3)]
+    injected = [top.inject_from_below(f) for f in p.elements()]
+    for t in injected:
+        fresh = tuple(list(t))
+        for u in others + injected:
+            pointwise = all(p.le(a, b) for a, b in zip(t, u))
+            assert top.le(t, u) == top.le(fresh, u) == pointwise
+            assert top.le(u, t) == all(p.le(a, b) for a, b in zip(u, t))
+    assert len(top._rows) == p.size
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_lazy_memos_stay_bounded_over_the_whole_stream(seed):
+    """Over every table of a small level, project and le agree with the
+    references; the rows stay one per element of D_n, and the projection
+    keys are the read values some table has, one per least completion
+    (docs/DECISIONS.md D6, D16)."""
+    top = random_lazy_top(random.Random(seed), 3)
+    p = top.poset
+    for t in top.tables():
+        x = top.project(t)
+        assert x == reference_project(top, t)
+        assert top.le(top.inject_from_below(x), t) == \
+            all(p.le(a, b) for a, b in zip(reference_inject(top, x), t))
+    assert len(top._rows) <= p.size
+    assert len(top._projected) == len(list(top.completions()))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -963,8 +1051,8 @@ def test_normalize_walks_each_argument_once():
     assert str(normalize(t, k + 2)) == "x" + " y" * k
     normal = parse("\\v. x" + " (y (\\u. u v))" * k)
     assert normalize(normal, 1) is normal
-    nested = parse("x (" * 150 + "(\\w. w) y" + ")" * 150)
-    assert str(normalize(nested, 2)) == "x (" * 149 + "x y" + ")" * 149
+    nested = parse("x (" * 450 + "(\\w. w) y" + ")" * 450)
+    assert str(normalize(nested, 2)) == "x (" * 449 + "x y" + ")" * 449
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,10 @@ def test_lazy_flat2_law_holds_on_every_table():
     assert (count, holds) == (642723, True)
     completions = list(top.completions())
     assert len(completions) == 197
+    # the memos are bounded: one row per element of D_1, one projection key
+    # per choice of read values, which is one per least completion
+    assert len(top._rows) <= top.poset.size == 11
+    assert len(top._projected) == 197
     assert all(top.le(top.inject_from_below(top.project(t)), t)
                for t in completions)
 

@@ -185,6 +185,25 @@ def test_deep_spine_under_a_binder_keys_and_reduces():
     assert solvability(redex, 5).head.args == (Var("y"),) * 3000
 
 
+def nested_arguments(k):
+    """x (x (… ((\\w. w) y))) with the redex under k nested arguments."""
+    return "x (" * k + "(\\w. w) y" + ")" * k
+
+
+def test_nested_arguments_print_and_rename_in_loops():
+    # 450 nested arguments is about the deepest the parser takes; printing
+    # and renaming used to recurse once per level and failed from ~400
+    text = nested_arguments(450)
+    t = parse(text)
+    assert show(t) == text
+    assert parse(show(t)) == t
+    c = canonical(t)
+    assert show(c) == text.replace("\\w. w", "\\x0. x0")
+    assert c == t
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(nested_arguments(1000))
+
+
 def test_very_long_spine_hashes_without_nested_tuples():
     # hashing a key nested 200,000 deep would recurse in C past the stack
     args = [Var("y")] * 200_000
