@@ -3,12 +3,14 @@ heights, truncations and the resource partial metric."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .distance import DistanceValue, dyadic, exact, truncation_below
-from .lamcalc import (ParseError, Term, _cache, _encode, _fresh, _Parser,
-                      db_index, fold, free_vars)
+from .lamcalc import (ParseError, Term, _cache, _encode, _fresh, _hash_app,
+                      _Parser, db_index, fold, free_vars)
 from .limits import within_cap
 
 
@@ -37,7 +39,7 @@ class RVar(ResourceTerm):
 class RAbs(ResourceTerm):
     binder: str
     body: ResourceTerm
-    _places: tuple = _cache()  # where the binder occurs free in the body
+    _places: tuple = _cache()  # the plan of the body for the binder (_Plan)
     _kind = "abs"
 
 
@@ -141,51 +143,6 @@ def parse_resource(text: str) -> ResourceTerm:
 # ---------------------------------------------------------------------------
 # Linear reduction
 
-def _subst_assignment(t: ResourceTerm, name: str, queue) -> ResourceTerm:
-    """Replace the occurrences of `name` left to right by the terms of
-    `queue`, one each.  Subterms without `name` come back as they are."""
-    if name not in free_rvars(t):
-        return t
-    return _fill(t, name, queue, [0, None])
-
-
-def _fill(t, name, queue, at) -> ResourceTerm:
-    """_subst_assignment of a t in which `name` is free, from queue[at[0]]
-    on.  A binder is renamed when it would capture a free name of the terms
-    still to be placed; at[1] lists those names per start index, built at
-    the first binder met.  Application spines are walked in a loop, and a
-    node whose free names are known has its children's known too."""
-    if isinstance(t, RVar):
-        i = at[0]
-        at[0] = i + 1
-        return queue[i]
-    if isinstance(t, RAbs):
-        avoid = at[1]
-        if avoid is None:  # avoid[i]: the free names of queue[i:]
-            avoid = at[1] = [frozenset()] * (len(queue) + 1)
-            for i in range(len(queue) - 1, -1, -1):
-                fv = free_rvars(queue[i])
-                avoid[i] = avoid[i + 1] if fv <= avoid[i + 1] else avoid[i + 1] | fv
-        rest = avoid[at[0]]
-        if t.binder in rest:
-            nb = _fresh(t.binder, rest | t.body._fv | {name})
-            body = _subst_assignment(t.body, t.binder,
-                                     [RVar(nb)] * len(_places_of(t)[0]))
-            free_rvars(body)
-            return RAbs(nb, _fill(body, name, queue, at))
-        return RAbs(t.binder, _fill(t.body, name, queue, at))
-    apps = []
-    while isinstance(t, RApp) and name in t._fv:
-        apps.append(t)
-        t = t.fun
-    if name in t._fv:
-        t = _fill(t, name, queue, at)
-    for app in reversed(apps):
-        t = RApp(t, tuple([_fill(u, name, queue, at) if name in u._fv
-                           else u for u in app.bag]))
-    return t
-
-
 def canonical_binders(t: ResourceTerm) -> ResourceTerm:
     """Rename binders to depth-indexed names, so alpha-equivalent subterms at
     equal depths become literally equal."""
@@ -209,44 +166,160 @@ def canonical_binders(t: ResourceTerm) -> ResourceTerm:
     return go(t, 0, {})
 
 
-def _places_of(fun: RAbs) -> tuple:
-    """The free occurrences of fun's binder in its body, found once, in the
-    order `_fill` meets them: the group of each, and the places of those in
-    head position.  The bare items of one bag form one group, since their
-    order in it does not matter; every other occurrence is a group of its
-    own.  A bag is told apart by the visit that meets it, not by its node,
-    since one node may sit at two places of the body."""
-    if fun._places is not None:
-        return fun._places
-    name = fun.binder
+class _Plan(NamedTuple):
+    """How to rebuild a body with the free occurrences of `name` replaced,
+    found by one walk (docs/DECISIONS.md D8, D17).  The occurrences are
+    numbered, as places, in the order the items are placed: the function
+    before its bag, bag items in tuple order.
+
+    `groups` and `heads` are D8's: the group of each place, and the places
+    in head position.  The bare items of one bag form one group, since
+    their order in it does not matter; every other occurrence is a group
+    of its own.  A bag is told apart by the visit that meets it, not by its
+    node, since one node may sit at two places of the body.
+
+    `steps` rebuild the nodes in which `name` is free, in post-order, each
+    into its own slot of a value list whose tail holds the nodes kept as
+    they are.  A place is (0, slot, place), an application (1, slot, fun,
+    items), and an abstraction (2, slot, node, body, lo, steps, his), with
+    `lo` its first place and the steps of its body in a list of their own,
+    which a renamed binder skips.  Children are given by their slots.
+    `his[i]` is the end of step i's place range.  It never decreases along
+    a list, so the steps whose places reach past a prefix of the queue are
+    a suffix of it."""
+    groups: list
+    heads: list
+    steps: list
+    his: list
+    template: list  # the value list, its slots empty and the kept nodes set
+    root: int
+    name: str
+
+
+_END = object()  # marks a node whose children are done
+
+
+def _places_of(fun: RAbs) -> _Plan:
+    """The plan of fun's body for its binder, compiled once per abstraction."""
+    plan = fun._places
+    if plan is None:
+        plan = fun._places = _compile(fun.body, fun.binder)
+    return plan
+
+
+def _compile(body: ResourceTerm, name: str) -> _Plan:
+    """The plan of `body` for `name`, in one walk on an explicit stack that
+    enters only the subterms in which `name` is free."""
     groups, heads, bag_group = [], [], {}
-    visits = 0
-    todo = [(fun.body, None, False)]  # (subterm, visit of the bag holding it, is a head)
+    steps, his, outer, kept, refs = [], [], [], [], []
+    visits = slots = 0
+    free_rvars(body)  # fills the free names of every node below, read as _fv
+    if name not in body._fv:
+        return _Plan(groups, heads, steps, his, [body], -1, name)
+    todo = [(body, None, False)]  # (subterm, visit of the bag holding it, is a head)
     while todo:
         t, bag, head = todo.pop()
-        if name not in free_rvars(t):
-            continue
-        if isinstance(t, RVar):
+        if bag is _END:  # refs ends with the slots of t's children entered
+            if t._kind == "app":
+                kids = []
+                for u in reversed((t.fun,) + t.bag):
+                    if name in u._fv:
+                        kids.append(refs.pop())
+                    else:
+                        kept.append(u)
+                        kids.append(-len(kept))
+                kids.reverse()
+                step = (1, slots, kids[0], tuple(kids[1:]))
+            else:  # here head holds the abstraction's first place
+                step = (2, slots, t, refs.pop(), head, steps, his)
+                steps, his = outer.pop()
+        elif t._kind == "var":
+            p = len(groups)
             if head:
-                heads.append(len(groups))
-            g = len(groups) if bag is None else bag_group.setdefault(bag, len(groups))
-            groups.append(g)
-        elif isinstance(t, RAbs):
+                heads.append(p)
+            groups.append(p if bag is None else bag_group.setdefault(bag, p))
+            step = (0, slots, p)
+        elif t._kind == "abs":
+            outer.append((steps, his))
+            steps, his = [], []
+            todo.append((t, _END, len(groups)))
             todo.append((t.body, None, False))
+            continue
         else:
             visits += 1
-            todo.extend((u, visits, False) for u in reversed(t.bag))
-            todo.append((t.fun, None, True))
-    fun._places = (groups, heads)
-    return fun._places
+            todo.append((t, _END, False))
+            for u in reversed(t.bag):
+                if name in u._fv:
+                    todo.append((u, visits, False))
+            if name in t.fun._fv:
+                todo.append((t.fun, None, True))
+            continue
+        steps.append(step)
+        his.append(len(groups))
+        refs.append(slots)
+        slots += 1
+    return _Plan(groups, heads, steps, his, [None] * slots + kept[::-1],
+                 refs[0], name)
+
+
+def _build(plan: _Plan, queue, base: int = 0, avoid=None) -> ResourceTerm:
+    """The body of `plan` with queue[base:] put in its places, every step
+    built."""
+    vals = plan.template[:]
+    _run(plan, plan.steps, plan.his, vals, 0, queue, base, avoid)
+    return vals[plan.root]
+
+
+def _run(plan, steps, his, vals, j, queue, base, avoid):
+    """Build into `vals` the steps whose places reach past the first j,
+    with queue[base + p] at place p.  The other steps keep the values
+    built for an earlier queue that agrees on those j places (D17).  A new
+    application stores its hash, as `_hash_app` computes it.  An
+    abstraction renames its binder when it would capture a free name of
+    the items not yet placed, as D8 states; `avoid[i]` holds the free
+    names of queue[i:], built at the first abstraction.  Returns `avoid`."""
+    for i in range(bisect_right(his, j), len(steps)):
+        s = steps[i]
+        kind = s[0]
+        if kind == 1:
+            f = vals[s[2]]
+            v = RApp(f, tuple([vals[r] for r in s[3]]))
+            v._hash = _hash_app(v, f._hash or hash(f))
+        elif kind == 0:
+            v = queue[base + s[2]]
+        else:
+            node, lo = s[2], base + s[4]
+            if avoid is None:
+                avoid = _avoid(queue)
+            rest = avoid[lo]
+            if node.binder in rest:
+                nb = _fresh(node.binder, rest | free_rvars(node.body) | {plan.name})
+                own = _places_of(node)
+                body = _build(own, [RVar(nb)] * len(own.groups))
+                v = RAbs(nb, _build(_compile(body, plan.name), queue, lo, avoid))
+            else:
+                avoid = _run(plan, s[5], s[6], vals, j, queue, base, avoid)
+                v = RAbs(node.binder, vals[s[3]])
+        vals[s[1]] = v
+    return avoid
+
+
+def _avoid(queue) -> list:
+    """avoid[i]: the free names of queue[i:]."""
+    avoid = [frozenset()] * (len(queue) + 1)
+    for i in range(len(queue) - 1, -1, -1):
+        fv = free_rvars(queue[i])
+        avoid[i] = avoid[i + 1] if fv <= avoid[i + 1] else avoid[i + 1] | fv
+    return avoid
 
 
 def _assignments(groups: list, members: list):
-    """Each distinct assignment of the items to the occurrences, once: a
-    queue for `_fill`.  `members[c]` lists the items of alpha class c as
-    given; the places of a class receive its members in that order.  Within
-    a group the classes are placed in ascending order, so a group's
-    multiset is yielded once, not once per ordering."""
+    """Each distinct assignment of the items to the places, once: a queue
+    whose item i goes to place i of the plan (`_places_of`).  `members[c]`
+    lists the items of alpha class c as given; the places of a class
+    receive its members in that order.  Within a group the classes are
+    placed in ascending order, so a group's multiset is yielded once, not
+    once per ordering.  Queues that share a prefix come together."""
     n = len(groups)
     if len(members) == n == len(set(groups)):
         # distinct items into groups of one place: the assignments are the
@@ -292,8 +365,11 @@ def _contract(fun: RAbs, items: tuple) -> list:
     """The reducts of (\\x. body)<items>: the items distributed over the free
     occurrences of x, one reduct per distinct assignment (docs/DECISIONS.md
     D8).  Raises CapExceeded before building any when there are more than
-    LAMBDA_PM_CAP of them."""
-    groups, heads = _places_of(fun)
+    LAMBDA_PM_CAP of them.  A reduct rebuilds only the steps whose places
+    reach past the prefix its queue shares with the previous one, and
+    shares the others with the reducts before it (D17)."""
+    plan = _places_of(fun)
+    groups, heads = plan.groups, plan.heads
     if len(groups) != len(items):
         return []
     if not items:
@@ -307,9 +383,16 @@ def _contract(fun: RAbs, items: tuple) -> list:
     # a reduct is normal when the body and the items are, unless an
     # abstraction lands in head position
     normal = _is_normal(fun.body) and all(map(_is_normal, items))
-    out = []
+    vals, out, prev = plan.template[:], [], ()
     for queue in queues:
-        r = _subst_assignment(fun.body, fun.binder, queue)
+        j = 0  # the length of the prefix shared with the previous queue
+        for a, b in zip(queue, prev):
+            if a is not b:
+                break
+            j += 1
+        _run(plan, plan.steps, plan.his, vals, j, queue, 0, None)
+        prev = queue
+        r = vals[plan.root]
         out.append(r)
         if normal and not any(isinstance(queue[i], RAbs) for i in heads):
             while type(r) is RAbs:

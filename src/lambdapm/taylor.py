@@ -197,7 +197,7 @@ def _demand(f: ResourceTerm) -> int | None:
         f = f.body
     if applied or not isinstance(f, RAbs):
         return None
-    return len(resource._places_of(f)[0])
+    return len(resource._places_of(f).groups)
 
 
 # ---------------------------------------------------------------------------

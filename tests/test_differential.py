@@ -9,8 +9,9 @@ validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
 every table, the aligned walk over two partial terms against the recursions
-and the truncation loop it replaced, and print/parse round trips for
-resource and partial terms."""
+and the truncation loop it replaced, prefix-shared contraction against
+filling each queue on its own, and print/parse round trips for resource
+and partial terms."""
 
 import itertools
 import math
@@ -32,9 +33,10 @@ from lambdapm.contextual import (enumerate_context, genericity_violations,
 from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
                               free_vars, key, normalize, parse, show,
                               solvability, spine, subst)
-from lambdapm.resource import (RAbs, RApp, RVar, _assignments, free_rvars,
-                               gen_height, is_normal, parse_resource,
-                               resource_reduce, rkey, show_resource)
+from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
+                               _places_of, free_rvars, gen_height, is_normal,
+                               parse_resource, resource_reduce, rkey,
+                               show_resource)
 from lambdapm.taylor import box_relation, taylor_of_term
 
 # A three-name alphabet makes shadowed binders common.
@@ -1309,6 +1311,103 @@ def test_bag_redexes_match_permutation_reference(t):
     fast = assert_reduces_like_reference(t)
     for nf in fast:
         assert ref_step(nf) is None and is_normal(nf)
+
+
+def ref_queue_subst(t, name, queue):
+    """Replace the occurrences of `name` left to right by the terms of
+    `queue`, one each, building every reduct on its own.  Subterms without
+    `name` come back as they are.  A binder is renamed when it would capture
+    a free name of the terms still to be placed."""
+    if name not in free_rvars(t):
+        return t
+    return ref_fill(t, name, queue, [0, None])
+
+
+def ref_fill(t, name, queue, at):
+    """ref_queue_subst of a t in which `name` is free, from queue[at[0]] on;
+    at[1] lists the free names of queue[i:] per i, built at the first
+    binder met."""
+    if isinstance(t, RVar):
+        i = at[0]
+        at[0] = i + 1
+        return queue[i]
+    if isinstance(t, RAbs):
+        avoid = at[1]
+        if avoid is None:
+            avoid = at[1] = [frozenset()] * (len(queue) + 1)
+            for i in range(len(queue) - 1, -1, -1):
+                avoid[i] = avoid[i + 1] | free_rvars(queue[i])
+        rest = avoid[at[0]]
+        if t.binder in rest:
+            nb = _fresh(t.binder, rest | free_rvars(t.body) | {name})
+            body = ref_queue_subst(t.body, t.binder,
+                                   [RVar(nb)] * ref_occurrences(t.body, t.binder))
+            return RAbs(nb, ref_fill(body, name, queue, at))
+        return RAbs(t.binder, ref_fill(t.body, name, queue, at))
+    apps = []
+    while isinstance(t, RApp) and name in free_rvars(t):
+        apps.append(t)
+        t = t.fun
+    if name in free_rvars(t):
+        t = ref_fill(t, name, queue, at)
+    for app in reversed(apps):
+        t = RApp(t, tuple([ref_fill(u, name, queue, at) if name in free_rvars(u)
+                           else u for u in app.bag]))
+    return t
+
+
+def rapps(t):
+    """The application nodes of t, once per place."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, RAbs):
+            todo.append(u.body)
+        elif isinstance(u, RApp):
+            yield u
+            todo.append(u.fun)
+            todo.extend(u.bag)
+
+
+@given(bag_redexes())
+@example(parse_resource("(\\x. \\y. \\y0. y<x, y0>)<y>"))
+@example(parse_resource("(\\x. \\y. \\y0. \\y00. y<y0<x>, y00, x>)<y, y0>"))
+@example(parse_resource("(\\x. \\y. \\z. \\y0. y<z<x>, y0, x>)<y, z>"))
+@example(parse_resource("(\\x. h<\\y. x<y>, \\y. x<y>>)<y<>, z>"))
+@settings(max_examples=300, deadline=None)
+def test_contraction_matches_per_queue_reference(t):
+    """_contract builds, reduct for reduct and binder name for binder name,
+    what filling each queue of _assignments on its own builds, and every
+    hash it stores is the hash of the node."""
+    fun, items = t.fun, t.bag
+    got = _contract(fun, items)
+    groups = _places_of(fun).groups
+    if len(groups) != len(items):
+        assert got == [] and ref_occurrences(fun.body, fun.binder) != len(items)
+        return
+    by_class = {}
+    for u in items:
+        by_class.setdefault(u, []).append(u)
+    want = [ref_queue_subst(fun.body, fun.binder, q)
+            for q in _assignments(groups, list(by_class.values()))]
+    assert list(map(show_resource, got)) == list(map(show_resource, want))
+    for r in got:
+        for node in rapps(r):
+            assert node._hash is None or node._hash == hash(copy_rterm(node))
+
+
+def test_factorial_redex_builds_each_shared_node_once():
+    """The 5,040 reducts of (\\x. h<x>...<x>)<v0, ..., v6> share their
+    spines: one node per distinct prefix of a queue, sum over j of 7!/(7-j)!,
+    each built with its hash."""
+    items = ", ".join(f"v{i}" for i in range(7))
+    t = parse_resource(f"(\\x. h{'<x>' * 7})<{items}>")
+    reducts = _contract(t.fun, t.bag)
+    assert len({show_resource(r) for r in reducts}) == 5040
+    nodes = {id(node): node for r in reducts for node in rapps(r)}
+    assert len(nodes) == sum(math.perm(7, j) for j in range(1, 8)) == 13699
+    for node in nodes.values():
+        assert node._hash is not None and node._hash == hash(copy_rterm(node))
 
 
 def test_shared_bag_node_keeps_every_reduct():

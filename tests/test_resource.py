@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambdapm import corpus
+from lambdapm import corpus, resource
 from lambdapm.distance import dyadic, exact
 from lambdapm.domains import CapExceeded as DomainsCapExceeded
 from lambdapm.lamcalc import Abs, ParseError, Var
@@ -215,6 +215,15 @@ def test_factorial_contraction_raises_before_building(monkeypatch):
     assert DomainsCapExceeded is CapExceeded
     with pytest.raises(CapExceeded, match="more than 100000 distinct reducts, exceeds cap 100000"):
         resource_reduce(_singleton_bags_redex(9))
+
+
+def test_cap_is_checked_before_any_reduct_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("a reduct was built")
+    monkeypatch.setenv("LAMBDA_PM_CAP", "23")
+    monkeypatch.setattr(resource, "_run", build)
+    with pytest.raises(CapExceeded, match="exceeds cap 23"):
+        resource_reduce(_singleton_bags_redex(4))
 
 
 def test_contraction_cap_reads_the_environment(monkeypatch):
