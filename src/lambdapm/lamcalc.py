@@ -20,8 +20,8 @@ def _cache():
 @dataclass(eq=False, slots=True)
 class Term:
     """A node of a lambda or a resource term, never changed once built but
-    for its caches, each filled at most once by `fold`: here the free names
-    and the closed key's hash.  Nodes of one family are equal by key."""
+    for its caches, whose values never change once filled: here the free
+    names and the closed key's hash.  Nodes of one family are equal by key."""
 
     _fv: frozenset = _cache()
     _hash: int = _cache()
@@ -31,27 +31,25 @@ class Term:
         return self._show()
 
     def __eq__(self, other):
-        closed_key = type(self)._closed_key  # one per family
-        return self is other or (getattr(type(other), "_closed_key", None) is closed_key
+        return self is other or (getattr(other, "_family", None) is self._family
                                  and hash(self) == hash(other)
-                                 and _same_key(closed_key(self), closed_key(other)))
+                                 and _same_key(key(self), key(other)))
 
     def __hash__(self):
         h = self._hash
-        return fold(self, "_hash", _hash_leaf, _hash_app) if h is None else h
+        if h is None:  # kept here for a variable, which no walk stores
+            h = self._hash = _encode(self, (), hash)
+        return h
 
 
 @dataclass(eq=False, slots=True)
 class LambdaTerm(Term):
-    """A lambda term node; it also caches its closed key (D7)."""
+    """A lambda term node; its key is built when asked for (D7)."""
 
-    _key: tuple = _cache()
+    _family = "lambda"  # nodes of two families are never equal (D12)
 
     def _show(self):
         return show(self)
-
-    def _closed_key(self):
-        return key(self)
 
 
 @dataclass(eq=False, slots=True)
@@ -79,7 +77,7 @@ def fold(t: Term, slot: str, leaf, app):
     in a loop down to the first node that is not an application or whose
     slot is filled; `leaf(node)` gives that node's value if it is not, and
     `app(node, v)` each application's from v, its function's.  Every value
-    is stored but the hashes inside the spine (docs/DECISIONS.md D12)."""
+    is stored (docs/DECISIONS.md D12)."""
     top, apps = t, []
     while t._kind == "app":
         apps.append(t)
@@ -92,11 +90,9 @@ def fold(t: Term, slot: str, leaf, app):
         setattr(t, slot, v)
         if t is top:
             return v
-    inner = slot != "_hash"
     for node in reversed(apps):
         v = app(node, v)
-        if inner or node is top:
-            setattr(node, slot, v)
+        setattr(node, slot, v)
     return v
 
 
@@ -107,75 +103,70 @@ def db_index(name: str, env: tuple):
     return ("b", env.index(name)) if name in env else ("f", name)
 
 
-def key(t: LambdaTerm, env=()):
-    """Hashable de Bruijn encoding; alpha-equivalent terms share keys.
-
-    `env` lists the enclosing binders, innermost first.  A subterm in which
-    no name of `env` is free has its closed key, which each node computes
-    once, from its children's."""
-    return _encode(t, env, "_key", tuple)
+def key(t: Term, env=()):
+    """Hashable de Bruijn encoding of a lambda or resource term under `env`,
+    its binders innermost first; alpha-equivalent terms share keys."""
+    return _encode(t, env, tuple)
 
 
-def _encode(t: Term, env: tuple, slot, seal):
+def _encode(t: Term, env: tuple, seal):
     """The key of t under `env` folded bottom-up through `seal`: with
     `tuple`, which returns a tuple as it is, the key; with `hash` a hash of
-    the key built from the hashes of its parts.  A subterm in which no name of `env` is free has its
-    closed value, cached in `slot` if there is one (docs/DECISIONS.md D12)."""
-    if slot is None or env and not free_vars(t).isdisjoint(env):
-        return _encode_open(t, env, slot, seal)
-    v = getattr(t, slot)
-    return fold(t, slot, *_CLOSED[slot]) if v is None else v
-
-
-def _encode_open(t: Term, env: tuple, slot, seal):
-    """The value of t under `env`, where some name of `env` is free in t or
-    there is no slot.  The application spine is walked in a loop."""
-    if t._kind == "var":
-        return seal(db_index(t.name, env))
-    if t._kind == "abs":
-        return seal(("l", _encode(t.body, (t.binder,) + env, slot, seal)))
-    apps = []
+    the key built from the hashes of its parts.  A part with no name of its
+    environment free has its closed value, a hash kept in `_hash`; any
+    other value is kept for the call by node and environment (D18)."""
+    hashing = seal is hash
+    memo, frames, u = {}, [], t
+    top = apps = mkey = left = vals = None  # the open frame, with env
     while True:
-        apps.append(t)
-        t = t.fun
-        if t._kind != "app" or slot and free_vars(t).isdisjoint(env):
-            break
-    v = _encode(t, env, slot, seal)
-    for node in reversed(apps):
-        if type(node) is App:
-            part = _encode(node.arg, env, slot, seal)
-        else:  # a bag's part is the sorted tuple of its items' values
-            part = tuple(sorted([_encode(u, env, slot, seal) for u in node.bag]))
-        v = seal(("a", v, part))
-    return v
+        if u._kind == "var":
+            v = seal(db_index(u.name, env))
+        else:
+            closed = not env or (u._fv or free_vars(u)).isdisjoint(env)
+            at = (None if hashing else id(u)) if closed else (id(u), env)
+            v = u._hash if at is None else memo.get(at)
+            if v is None:  # the node gets a frame, with its parts left
+                frames.append((top, apps, env, left, vals, mkey))
+                top, apps, mkey, vals, left = u, [], at, [], []
+                env = () if closed else env
+                if u._kind == "abs":
+                    env, left = (u.binder,) + env, [u.body]
+                while u._kind == "app":  # a spine, down to its head or a closed part
+                    apps.append(u)
+                    left += (u.arg,) if type(u) is App else u.bag
+                    u = u.fun
+                    if u._kind != "app" or ((u._fv or free_vars(u)).isdisjoint(env)
+                                            if env else hashing and u._hash is not None):
+                        left.append(u)
+                        break
+        if v is not None:
+            if not frames:
+                return v
+            vals.append(v)
+        while not left:  # every part of the frame's node has its value
+            v, k = vals[0], 1
+            for node in reversed(apps):
+                if type(node) is App:
+                    part, k = vals[k], k + 1
+                else:  # a bag's part is the sorted tuple of its items' values
+                    n = k + len(node.bag)
+                    part, k = tuple(sorted(vals[k:n])), n
+                v = _hash_app(v, part) if hashing else ("a", v, part)
+            if top._kind == "abs":
+                v = seal(("l", v))
+            if mkey is None:
+                top._hash = v
+            else:
+                memo[mkey] = v
+            top, apps, env, left, vals, mkey = frames.pop()
+            if not frames:
+                return v
+            vals.append(v)
+        u = left.pop()
 
 
-def _key_leaf(t):  # a leaf's closed value is its value at the empty environment
-    return _encode_open(t, (), "_key", tuple)
-
-
-def _key_app(node, k):  # resource keys are not cached
-    a = node.arg
-    return ("a", k, a._key or fold(a, "_key", _key_leaf, _key_app))
-
-
-def _hash_leaf(t):
-    return _encode_open(t, (), "_hash", hash)
-
-
-def _hash_app(node, h):
-    if type(node) is App:
-        a = node.arg
-        return hash(("a", h, a._hash or fold(a, "_hash", _hash_leaf, _hash_app)))
-    part = []
-    for u in node.bag:
-        part.append(u._hash or fold(u, "_hash", _hash_leaf, _hash_app))
-    part.sort()
-    return hash(("a", h, tuple(part)))
-
-
-# `fold`'s leaf and app for the closed values that `_encode` caches
-_CLOSED = {"_key": (_key_leaf, _key_app), "_hash": (_hash_leaf, _hash_app)}
+def _hash_app(h, part):  # an application's hash from its function's and its part
+    return hash(("a", h, part))
 
 
 def _same_key(a, b) -> bool:
@@ -207,27 +198,37 @@ _NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
 
 
 def free_vars(t: Term) -> frozenset:
-    """The free names of t, computed once per node.  A node whose names are
-    those of one child shares that child's set."""
-    fv = t._fv
-    return fold(t, "_fv", _names_leaf, _names_app) if fv is None else fv
-
-
-def _names_leaf(t):
-    if t._kind == "var":
-        return _NAMES.get(t.name) or _NAMES.setdefault(t.name, frozenset((t.name,)))
-    fv = free_vars(t.body)
-    return fv - _NAMES[t.binder] if t.binder in fv else fv
-
-
-def _names_app(node, fv):
-    for u in (node.arg,) if type(node) is App else node.bag:
-        a = u._fv
-        if a is None:
-            a = fold(u, "_fv", _names_leaf, _names_app)
-        if not a <= fv:
-            fv = a if fv <= a else fv | a
-    return fv
+    """The free names of t, computed once per node, on a stack where a node
+    waits under its unfilled children; a child's equal set is shared."""
+    if t._fv is not None:
+        return t._fv
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if u._fv is not None:
+            continue
+        if u._kind == "var":
+            u._fv = _NAMES.get(u.name) or _NAMES.setdefault(u.name, frozenset((u.name,)))
+            continue
+        parts = ((u.body,) if u._kind == "abs" else (u.fun, u.arg) if type(u) is App
+                 else (u.fun, *u.bag))
+        n = len(todo)
+        for a in parts:
+            if a._fv is None:
+                todo.append(a)
+        if len(todo) > n:
+            todo.insert(n, u)
+            continue
+        fv = parts[0]._fv
+        if u._kind == "abs":
+            u._fv = fv - _NAMES[u.binder] if u.binder in fv else fv
+            continue
+        for a in parts:
+            a = a._fv
+            if not a <= fv:
+                fv = a if fv <= a else fv | a
+        u._fv = fv
+    return t._fv
 
 
 def _fresh(base: str, avoid) -> str:
@@ -242,7 +243,7 @@ def _fresh(base: str, avoid) -> str:
 def subst(t: LambdaTerm, name: str, repl: LambdaTerm) -> LambdaTerm:
     """Capture-avoiding substitution t[repl/name].  A subterm in which
     `name` is not free comes back as it is, so t and the result share it
-    and its cached key."""
+    and its caches."""
     if name not in free_vars(t):
         return t
     if isinstance(t, Var):
@@ -521,12 +522,12 @@ def _stack_hash(cell, env) -> int:
         cell = cell[1]
     h = cell[3] if cell else 0
     for c in reversed(cells):
-        h = c[3] = hash((_encode(c[0], env, "_hash", hash), h))
+        h = c[3] = hash((_encode(c[0], env, hash), h))
     return h
 
 
 def _state_hash(env, head, stack) -> int:
-    return hash((len(env), _encode(head, env, "_hash", hash), _stack_hash(stack, env)))
+    return hash((len(env), _encode(head, env, hash), _stack_hash(stack, env)))
 
 
 def _same_state(a, b) -> bool:

@@ -9,24 +9,22 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .distance import DistanceValue, dyadic, exact, truncation_below
-from .lamcalc import (ParseError, Term, _cache, _encode, _fresh, _hash_app,
-                      _Parser, db_index, fold, free_vars)
+from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser,
+                      db_index, fold, free_vars, key)
 from .limits import within_cap
 
 
 @dataclass(eq=False, slots=True)
 class ResourceTerm(Term):
     """A resource term node; it also caches whether it is neutral and its
-    structural height (docs/DECISIONS.md D8, D12).  Its key is not cached."""
+    structural height (docs/DECISIONS.md D8, D12)."""
 
     _neutral: bool = _cache()
     _height: int = _cache()
+    _family = "resource"
 
     def _show(self):
         return show_resource(self)
-
-    def _closed_key(self):
-        return rkey(self)
 
 
 @dataclass(eq=False, slots=True)
@@ -50,11 +48,6 @@ class RApp(ResourceTerm):
     _kind = "app"
 
 
-def rkey(t: ResourceTerm, env=()):
-    """De Bruijn encoding with bags canonically sorted; alpha-stable."""
-    return _encode(t, env, None, tuple)
-
-
 def rsize(t: ResourceTerm) -> int:
     if isinstance(t, RVar):
         return 1
@@ -64,6 +57,7 @@ def rsize(t: ResourceTerm) -> int:
 
 
 free_rvars = free_vars
+rkey = key  # a bag's part of the key is the sorted tuple of its items' keys
 
 
 def gen_height(t: ResourceTerm) -> int:
@@ -282,9 +276,13 @@ def _run(plan, steps, his, vals, j, queue, base, avoid):
         s = steps[i]
         kind = s[0]
         if kind == 1:
-            f = vals[s[2]]
-            v = RApp(f, tuple([vals[r] for r in s[3]]))
-            v._hash = _hash_app(v, f._hash or hash(f))
+            f, bag, part = vals[s[2]], [], []
+            for r in s[3]:
+                bag.append(u := vals[r])
+                part.append(u._hash or hash(u))
+            part.sort()
+            v = RApp(f, tuple(bag))
+            v._hash = _hash_app(f._hash or hash(f), tuple(part))
         elif kind == 0:
             v = queue[base + s[2]]
         else:

@@ -203,3 +203,11 @@ def test_commute_is_two_sided_on_nested_copies(capsys):
     out = json.loads(printed)
     assert code == 0 and '"equal": true' in printed
     assert len(out["lhs"]) == 10 and out["lhs"] == out["rhs"]
+
+
+def test_parse_verb_prints_abstractions_nested_in_arguments(capsys):
+    # free names and hashes recursed once per abstraction and argument, so
+    # this exited 2 with "maximum recursion depth exceeded"
+    term = "x (\\a. " * 200 + "a" + ")" * 200
+    code, out = run(capsys, "parse", "--term", term)
+    assert code == 0 and out["term"] == term

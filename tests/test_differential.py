@@ -1758,6 +1758,101 @@ def test_shared_subtree_under_different_binders_differs():
 
 
 # ---------------------------------------------------------------------------
+# Shared subterms: the encoder keeps each part it encodes by node and
+# environment within one call (docs/DECISIONS.md D18)
+
+@st.composite
+def shared_terms(draw, var, abs_, app, steps):
+    """A term built bottom-up from a pool whose nodes may be used again, so
+    one node object sits at several places, under binders that bind its
+    free names at different depths or not at all.  A drawn subset of the
+    pool has its hash or its free names filled before the term is read."""
+    pool = [var(n) for n in ("x", "y", "z")]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, steps))):
+        if draw(st.booleans()):
+            pool.append(abs_(draw(names), pick()))
+        else:
+            pool.append(app(pick, draw))
+    for fill in (hash, free_vars):
+        for _ in range(draw(st.integers(0, 4))):
+            fill(pick())
+    return pool[-1]
+
+
+lam_shared = shared_terms(Var, Abs, lambda pick, draw: App(pick(), pick()), 8)
+resource_shared = shared_terms(RVar, RAbs, lambda pick, draw: RApp(
+    pick(), tuple(pick() for _ in range(draw(st.integers(0, 2))))), 6)
+# x y under \y, which binds y, and beside it, where y is free; then under
+# two environments that agree on the innermost binder only
+XY = App(Var("x"), Var("y"))
+
+
+def assert_shared_encodings_match(t, walk, encode, ref_k, ref_h, ref_fv, copy, abs_):
+    """The whole term first, in one call each, then every subterm under
+    every environment it sits under; its hash there is read through new
+    binders around it."""
+    assert encode(t) == ref_k(t)
+    assert hash(t) == ref_h(ref_k(t)) == hash(copy(t))
+    assert t == copy(t)
+    seen = set()
+    for u, env in walk(t):
+        if (id(u), env) in seen:
+            continue
+        seen.add((id(u), env))
+        k = ref_k(u, env[::-1])
+        assert encode(u, env) == k
+        wrapped = u
+        for b in env:
+            wrapped = abs_(b, wrapped)
+        assert hash(wrapped) == ref_h(ref_k(wrapped))
+        assert hash(u) == ref_h(ref_k(u))
+        assert free_vars(u) == ref_fv(u)
+
+
+@given(lam_shared)
+@example(Abs("x", App(Abs("y", XY), XY)))
+@example(App(Abs("x", Abs("y", XY)), Abs("z", Abs("y", XY))))
+@settings(max_examples=150, deadline=None)
+def test_shared_lambda_subterms_match_references(t):
+    assert_shared_encodings_match(t, subterms, key, ref_key, ref_hash,
+                                  ref_free_vars, copy_term, Abs)
+
+
+@given(resource_shared)
+@settings(max_examples=150, deadline=None)
+def test_shared_resource_subterms_match_references(t):
+    assert_shared_encodings_match(t, rsubterms, rkey, ref_rkey, ref_rhash,
+                                  ref_free_rvars, copy_rterm, RAbs)
+
+
+# Its head reducts double in size every two steps but share their parts, a
+# few dozen distinct nodes under the outer binder.
+SHARING = parse(r"\y. (\x. \y. y (x x) y) y (\x. \y. y (x x) y)")
+
+
+def test_reducts_of_a_sharing_term_keep_reference_keys():
+    states = list(itertools.islice(machine_states(SHARING, 28), 20, None))
+    assert len(states) == 9
+    for state in states:
+        u = lamcalc._rebuild(*state)
+        assert key(u) == ref_key(u)
+        assert hash(u) == ref_hash(ref_key(u))
+
+
+def test_solvability_of_a_sharing_term_stays_linear():
+    # every step hashes its state from step 8 on; walked as trees, those
+    # hashes made the run take 0.008 / 0.031 / 0.113 s at fuel 20 / 24 / 28,
+    # doubling every two steps, so fuel 60 would take hours
+    at30, at60 = solvability(SHARING, 30), solvability(SHARING, 60)
+    assert (at60.kind, at60.steps) == ("unknown", 60)
+    assert at30.is_unknown or at30.kind == at60.kind
+
+
+# ---------------------------------------------------------------------------
 # Round trips
 
 @given(resource_terms())

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambdapm.lamcalc import (Abs, App, HeadForm, ParseError, Var, alpha_eq,
-                              canonical, decompose, free_vars, key, normalize,
-                              parse, show, solvability, spine, subst)
+from lambdapm.lamcalc import (Abs, App, HeadForm, ParseError, Var, _same_key,
+                              alpha_eq, canonical, decompose, free_vars, key,
+                              normalize, parse, show, solvability, spine, subst)
 
 I = parse("\\x. x")
 OMEGA = parse("(\\x. x x)(\\x. x x)")
@@ -209,3 +209,31 @@ def test_very_long_spine_hashes_without_nested_tuples():
     args = [Var("y")] * 200_000
     a, b = spine((), Var("x"), args), spine((), Var("x"), args)
     assert hash(a) == hash(b) and a == b
+
+
+def deep_term(shape, n):
+    """x (x (… y)), \\a. \\a. … a or x (\\a. x (\\a. … a)) with n levels,
+    built by constructors: the parser stops far sooner."""
+    t = Var("y" if shape == "args" else "a")
+    for _ in range(n):
+        if shape == "args":
+            t = App(Var("x"), t)
+        elif shape == "binders":
+            t = Abs("a", t)
+        else:
+            t = App(Var("x"), Abs("a", t))
+    return t
+
+
+@pytest.mark.parametrize("shape", ["args", "binders", "mixed"])
+def test_deep_terms_answer_without_recursion(shape):
+    # free names and hashes recursed into bodies and arguments, and raised
+    # RecursionError from about 165 levels of the mixed shape
+    t, fresh = deep_term(shape, 10_000), deep_term(shape, 10_000)
+    assert free_vars(t) == {"args": {"x", "y"}, "binders": set(), "mixed": {"x"}}[shape]
+    assert hash(t) == hash(fresh)
+    assert _same_key(key(t), key(fresh))  # == on the tuples would recurse
+    assert t == fresh and t != deep_term(shape, 9_999)
+    assert show(t) == show(fresh)
+    status = solvability(t, 10)
+    assert status.is_solvable and status.steps == 0
