@@ -1,4 +1,4 @@
-"""Lambda terms with named variables, on the node base and cache fold that
+"""Lambda terms with named variables, on the node base and cache walks that
 resource terms share: parsing, printing, substitution, and a head-reduction
 machine that runs normalization and a fuelled solvability semi-decision
 with cycle certificates."""
@@ -21,7 +21,7 @@ def _cache():
 class Term:
     """A node of a lambda or a resource term, never changed once built but
     for its caches, whose values never change once filled: here the free
-    names and the closed key's hash.  Nodes of one family are equal by key."""
+    names and the closed key's hash.  Each family's base defines equality."""
 
     _fv: frozenset = _cache()
     _hash: int = _cache()
@@ -29,11 +29,6 @@ class Term:
 
     def __str__(self):
         return self._show()
-
-    def __eq__(self, other):
-        return self is other or (getattr(other, "_family", None) is self._family
-                                 and hash(self) == hash(other)
-                                 and _same_key(key(self), key(other)))
 
     def __hash__(self):
         h = self._hash
@@ -44,9 +39,13 @@ class Term:
 
 @dataclass(eq=False, slots=True)
 class LambdaTerm(Term):
-    """A lambda term node; its key is built when asked for (D7)."""
+    """A lambda term node; equality walks both terms node by node (D18)."""
 
-    _family = "lambda"  # nodes of two families are never equal (D12)
+    def __eq__(self, other):
+        return self is other or (isinstance(other, LambdaTerm) and hash(self) == hash(other)
+                                 and _alpha_same(self, other, (), ()))
+
+    __hash__ = Term.__hash__
 
     def _show(self):
         return show(self)
@@ -70,30 +69,6 @@ class App(LambdaTerm):
     fun: LambdaTerm
     arg: LambdaTerm
     _kind = "app"
-
-
-def fold(t: Term, slot: str, leaf, app):
-    """The value of t in its empty `slot`.  The application spine is walked
-    in a loop down to the first node that is not an application or whose
-    slot is filled; `leaf(node)` gives that node's value if it is not, and
-    `app(node, v)` each application's from v, its function's.  Every value
-    is stored (docs/DECISIONS.md D12)."""
-    top, apps = t, []
-    while t._kind == "app":
-        apps.append(t)
-        t = t.fun
-        v = getattr(t, slot)
-        if v is not None:
-            break
-    else:
-        v = leaf(t)
-        setattr(t, slot, v)
-        if t is top:
-            return v
-    for node in reversed(apps):
-        v = app(node, v)
-        setattr(node, slot, v)
-    return v
 
 
 def db_index(name: str, env: tuple):
@@ -199,7 +174,8 @@ _NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
 
 def free_vars(t: Term) -> frozenset:
     """The free names of t, computed once per node, on a stack where a node
-    waits under its unfilled children; a child's equal set is shared."""
+    waits under its unfilled parts; a part's equal set is shared.  The visit
+    fills a resource node's height and neutrality too (D12)."""
     if t._fv is not None:
         return t._fv
     todo = [t]
@@ -207,27 +183,42 @@ def free_vars(t: Term) -> frozenset:
         u = todo.pop()
         if u._fv is not None:
             continue
-        if u._kind == "var":
-            u._fv = _NAMES.get(u.name) or _NAMES.setdefault(u.name, frozenset((u.name,)))
-            continue
-        parts = ((u.body,) if u._kind == "abs" else (u.fun, u.arg) if type(u) is App
-                 else (u.fun, *u.bag))
+        kind = u._kind
+        parts = ((u,) if kind == "var" else (u.body,) if kind == "abs"
+                 else (u.fun, u.arg) if type(u) is App else (u.fun, *u.bag))
         n = len(todo)
-        for a in parts:
+        for a in parts:  # a variable is filled here, not pushed, and so is t if it is one
             if a._fv is None:
-                todo.append(a)
+                if a._kind != "var":
+                    todo.append(a)
+                    continue
+                a._fv = _NAMES.get(a.name) or _NAMES.setdefault(a.name, frozenset((a.name,)))
+                if type(a) is not Var:
+                    a._height, a._neutral = 1, True
         if len(todo) > n:
             todo.insert(n, u)
             continue
         fv = parts[0]._fv
-        if u._kind == "abs":
+        if kind == "abs":
             u._fv = fv - _NAMES[u.binder] if u.binder in fv else fv
-            continue
-        for a in parts:
-            a = a._fv
-            if not a <= fv:
-                fv = a if fv <= a else fv | a
-        u._fv = fv
+            if type(u) is not Abs:
+                u._height, u._neutral = u.body._height, False
+        elif type(u) is App:
+            a = u.arg._fv
+            u._fv = fv if a <= fv else a if fv <= a else fv | a
+        elif kind == "app":
+            h, neutral = u.fun._height, u.fun._neutral
+            for a in u.bag:
+                s = a._fv
+                if not s <= fv:
+                    fv = s if fv <= s else fv | s
+                if a._height >= h:
+                    h = a._height + 1
+                if neutral:  # the item must be normal: neutral below its binders
+                    while a._kind == "abs":
+                        a = a.body
+                    neutral = a._neutral
+            u._fv, u._height, u._neutral = fv, h, neutral
     return t._fv
 
 
@@ -530,36 +521,41 @@ def _state_hash(env, head, stack) -> int:
     return hash((len(env), _encode(head, env, hash), _stack_hash(stack, env)))
 
 
+def _alpha_same(s, t, es, et) -> bool:
+    """Whether s under `es` and t under `et` are alpha-equivalent, compared
+    node by node in a loop that stops at the first difference."""
+    pairs = [(s, t, es, et)]
+    while pairs:
+        s, t, es, et = pairs.pop()
+        if s is t and es == et:
+            continue
+        kind = s._kind
+        if kind != t._kind:
+            return False
+        if kind == "var":
+            if db_index(s.name, es) != db_index(t.name, et):
+                return False
+        elif kind == "abs":
+            pairs.append((s.body, t.body, (s.binder,) + es, (t.binder,) + et))
+        else:
+            pairs.append((s.arg, t.arg, es, et))
+            pairs.append((s.fun, t.fun, es, et))
+    return True
+
+
 def _same_state(a, b) -> bool:
     """Whether two states stand for alpha-equivalent terms.  The heads and
-    then the arguments, top first, are compared node by node under their
-    environments, in a loop that stops at the first difference; a stack
+    then the arguments, top first, are compared by `_alpha_same`; a stack
     tail that both share under equal environments is not walked."""
-    (env_a, head_a, stack_a), (env_b, head_b, stack_b) = a, b
+    (env_a, s, stack_a), (env_b, t, stack_b) = a, b
     if len(env_a) != len(env_b):
         return False
     same_env = env_a == env_b
-    pairs = [(head_a, head_b, env_a, env_b)]
-    while True:
-        while pairs:
-            s, t, es, et = pairs.pop()
-            if s is t and es == et:
-                continue
-            kind = s._kind
-            if kind != t._kind:
-                return False
-            if kind == "var":
-                if db_index(s.name, es) != db_index(t.name, et):
-                    return False
-            elif kind == "abs":
-                pairs.append((s.body, t.body, (s.binder,) + es, (t.binder,) + et))
-            else:
-                pairs.append((s.arg, t.arg, es, et))
-                pairs.append((s.fun, t.fun, es, et))
+    while _alpha_same(s, t, env_a, env_b):
         if stack_a is stack_b and same_env or not (stack_a and stack_b):
             return stack_a is stack_b  # a shared tail, or both stacks done
-        pairs.append((stack_a[0], stack_b[0], env_a, env_b))
-        stack_a, stack_b = stack_a[1], stack_b[1]
+        s, stack_a, t, stack_b = stack_a[0], stack_a[1], stack_b[0], stack_b[1]
+    return False
 
 
 def _enter(states: dict, key, step: int, state) -> int:

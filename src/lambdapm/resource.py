@@ -5,23 +5,28 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import NamedTuple
 
 from .distance import DistanceValue, dyadic, exact, truncation_below
 from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser,
-                      db_index, fold, free_vars, key)
+                      _same_key, db_index, free_vars, key)
 from .limits import within_cap
 
 
 @dataclass(eq=False, slots=True)
 class ResourceTerm(Term):
     """A resource term node; it also caches whether it is neutral and its
-    structural height (docs/DECISIONS.md D8, D12)."""
+    structural height (docs/DECISIONS.md D8, D12); it is equal by key."""
 
     _neutral: bool = _cache()
     _height: int = _cache()
-    _family = "resource"
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, ResourceTerm) and hash(self) == hash(other)
+                                 and _same_key(key(self), key(other)))
+
+    __hash__ = Term.__hash__
 
     def _show(self):
         return show_resource(self)
@@ -61,43 +66,46 @@ rkey = key  # a bag's part of the key is the sorted tuple of its items' keys
 
 
 def gen_height(t: ResourceTerm) -> int:
-    """Structural height, computed once per node; it agrees with `height` on
-    normal terms."""
-    h = t._height
-    return fold(t, "_height", _height_leaf, _height_app) if h is None else h
-
-
-def _height_leaf(t):
-    return 1 if type(t) is RVar else gen_height(t.body)
-
-
-def _height_app(node, h):
-    for u in node.bag:
-        b = 1 + (u._height or fold(u, "_height", _height_leaf, _height_app))
-        if b > h:
-            h = b
-    return h
+    """Structural height, filled with the free names; it agrees with
+    `height` on normal terms."""
+    if t._height is None:
+        free_rvars(t)
+    return t._height
 
 
 # ---------------------------------------------------------------------------
 # Parsing / printing:  bags are written <t1, t2>, the empty bag <>
 
 def show_resource(t: ResourceTerm) -> str:
-    """Print t; the application spine is walked in a loop."""
-    if isinstance(t, RVar):
-        return t.name
-    if isinstance(t, RAbs):
-        return f"\\{t.binder}. {show_resource(t.body)}"
-    bags = []
-    while isinstance(t, RApp):
-        bags.append(t.bag)
-        t = t.fun
-    f = show_resource(t)
-    parts = [f"({f})" if isinstance(t, RAbs) else f]
-    for bag in reversed(bags):
-        inner = ", ".join(sorted(show_resource(u) for u in bag))
-        parts.append(f"<{inner}>")
-    return "".join(parts)
+    """Print t; binder chains and spines are walked in loops, and a spine
+    waits on a stack under its parts, whose strings land on `done` in order."""
+    done, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:  # (binders, head, bags): every part is printed
+            binders, head, bags = u
+            k = len(done) - 1 - sum(map(len, bags))
+            parts = iter(done[k:])
+            del done[k:]
+            f = next(parts)
+            done.append("".join([binders, f"({f})" if type(head) is RAbs else f] + [
+                "<" + ", ".join(sorted(islice(parts, len(b)))) + ">" for b in bags]))
+            continue
+        binders, bags = [], []
+        while type(u) is RAbs:
+            binders.append(f"\\{u.binder}. ")
+            u = u.body
+        while type(u) is RApp:
+            bags.append(u.bag)
+            u = u.fun
+        if not bags:  # u is a variable
+            done.append("".join(binders) + u.name)
+            continue
+        todo.append(("".join(binders), u, bags[::-1]))
+        for bag in bags:
+            todo.extend(reversed(bag))
+        todo.append(u)
+    return done[0]
 
 
 class ResourceParseError(ParseError):
@@ -400,21 +408,13 @@ def _contract(fun: RAbs, items: tuple) -> list:
 
 
 def _is_normal(t: ResourceTerm) -> bool:
-    """No redex in t: under its binders, t is neutral, a variable applied
-    to bags of normal terms.  Binder chains are walked in a loop, and
-    neutrality is computed once per node."""
+    """No redex in t: below its binders, which are walked in a loop, t is
+    neutral, a variable applied to bags of normal terms (D12)."""
     while type(t) is RAbs:
         t = t.body
-    n = t._neutral
-    return fold(t, "_neutral", _neutral_leaf, _neutral_app) if n is None else n
-
-
-def _neutral_leaf(t):
-    return type(t) is RVar  # an abstraction applied is a redex
-
-
-def _neutral_app(node, n):
-    return n and all(map(_is_normal, node.bag))
+    if t._neutral is None:
+        free_rvars(t)
+    return t._neutral
 
 
 def _step(t: ResourceTerm):
@@ -501,6 +501,8 @@ def spine(binders, head: ResourceTerm, bags) -> ResourceTerm:
 def height(t: ResourceTerm) -> int:
     """1 + tallest bag element; a term with all-empty bags has height 1.
     Raises ValueError unless t is normal."""
+    while type(t) is RAbs:  # an abstraction has its body's height
+        t = t.body
     if not _is_normal(t):
         raise ValueError("term is not in normal form")
     return gen_height(t)

@@ -211,3 +211,14 @@ def test_parse_verb_prints_abstractions_nested_in_arguments(capsys):
     term = "x (\\a. " * 200 + "a" + ")" * 200
     code, out = run(capsys, "parse", "--term", term)
     assert code == 0 and out["term"] == term
+
+
+def test_resource_verbs_answer_on_nested_bags(capsys):
+    # normality, heights and printing recursed once per bag, so both verbs
+    # exited 2 with "maximum recursion depth exceeded" from 250 nested bags;
+    # 900 is below the parser's limit on every supported Python
+    term = "x<" * 900 + "y" + ">" * 900
+    code, out = run(capsys, "rreduce", "--term", term)
+    assert code == 0 and out == [term]
+    code, out = run(capsys, "rmetric", "--a", term, "--b", "x<y>")
+    assert code == 0 and out["value"] == {"kind": "exact", "num": 1, "den_pow2": 1}

@@ -129,6 +129,38 @@ def test_rkey_matches_reference(t):
     assert rkey(t) == ref_rkey(t)
 
 
+@st.composite
+def lambda_pairs(draw):
+    """Two lambda terms: unrelated, an alpha-variant, a copy, one with a
+    shadowing binder added or removed, or an unrelated term given the first
+    one's hash, as a collision would."""
+    a = draw(lam_terms())
+    how = draw(st.sampled_from(["any", "variant", "copy", "shadow", "collide"]))
+    if how == "variant":
+        return a, alpha_variant(a)
+    if how == "copy":
+        return a, copy_term(a)
+    b = draw(lam_terms())
+    if how == "shadow":
+        x = draw(names)
+        return Abs(x, Abs(x, a)), Abs(x, Abs(draw(names), b))
+    if how == "collide":
+        b._hash = hash(a)
+    return a, b
+
+
+@given(lambda_pairs())
+@example((parse("\\x. \\x. x"), parse("\\x. \\y. y")))
+@example((parse("\\x. \\x. x"), parse("\\x. \\y. x")))
+@example((parse("\\x. x (\\x. x)"), parse("\\y. y (\\x. y)")))
+@settings(max_examples=300, deadline=None)
+def test_lambda_equality_is_key_equality(pair):
+    a, b = pair
+    same = ref_key(a) == ref_key(b)
+    assert (a == b) == (b == a) == same
+    assert (a != b) != same
+
+
 def test_keys_resolve_shadowing_to_the_closest_binder():
     t = Abs("x", Abs("y", Abs("x", App(Var("x"), Var("y")))))
     assert key(t) == ref_key(t) == ("l", ("l", ("l", ("a", ("b", 0), ("b", 1)))))
@@ -1829,6 +1861,43 @@ def test_shared_resource_subterms_match_references(t):
                                   ref_free_rvars, copy_rterm, RAbs)
 
 
+@st.composite
+def marked_reducts(draw):
+    """A reduct of a drawn bag redex, whose node below its binders
+    `_contract` may have marked neutral before its free names exist, as an
+    item of a bag that holds it twice, beside a drawn term."""
+    t = draw(bag_redexes())
+    reducts = _contract(t.fun, t.bag)
+    if not reducts:
+        return t
+    r = draw(st.sampled_from(reducts))
+    return RApp(RVar("w"), (r, draw(resource_terms(2)), r))
+
+
+SLOT_READERS = [free_rvars, gen_height, is_normal]
+
+
+@given(st.one_of(resource_shared, marked_reducts()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_walk_fills_free_names_heights_and_neutrality(t, data):
+    """Whichever of the three readers fills a node first, and in whatever
+    order the subterms are read, a node whose free names are filled has its
+    height and neutrality too, and all three are the references'."""
+    nodes = [u for u, _ in rsubterms(t)]
+    reads = data.draw(st.lists(st.tuples(st.integers(0, len(nodes) - 1),
+                                         st.sampled_from(SLOT_READERS))))
+    for i, read in reads:
+        read(nodes[i])
+        for u in nodes:
+            assert u._fv is None or None not in (u._height, u._neutral)
+    data.draw(st.sampled_from(SLOT_READERS[:2]))(t)
+    for w in nodes:
+        assert w._fv == ref_free_rvars(w)
+        assert w._height == ref_gen_height(w)
+        assert w._neutral == (type(w) is not RAbs and ref_step(w) is None)
+        assert is_normal(w) == (ref_step(w) is None)
+
+
 # Its head reducts double in size every two steps but share their parts, a
 # few dozen distinct nodes under the outer binder.
 SHARING = parse(r"\y. (\x. \y. y (x x) y) y (\x. \y. y (x x) y)")
@@ -1861,6 +1930,27 @@ def test_resource_print_parse_roundtrip(t):
     back = parse_resource(show_resource(t))
     assert back == t
     assert show_resource(back) == show_resource(t)
+
+
+def ref_show_resource(t):
+    """The recursive printer: a bag prints its items sorted by their
+    strings, and an abstraction in head position in parentheses."""
+    if isinstance(t, RVar):
+        return t.name
+    if isinstance(t, RAbs):
+        return f"\\{t.binder}. {ref_show_resource(t.body)}"
+    f = ref_show_resource(t.fun)
+    if isinstance(t.fun, RAbs):
+        f = f"({f})"
+    return f + "<" + ", ".join(sorted(ref_show_resource(u) for u in t.bag)) + ">"
+
+
+@given(resource_terms())
+@example(RApp(RAbs("a", RVar("a")), (RVar("z"), RAbs("b", RApp(RVar("y"), ())), RVar("x"))))
+@settings(max_examples=200, deadline=None)
+def test_show_resource_matches_recursive_printer(t):
+    for u in (t, alpha_rvariant(t)):  # the variant's bags are reversed
+        assert show_resource(u) == str(u) == ref_show_resource(u)
 
 
 @given(partial_terms())

@@ -6,7 +6,7 @@ import pytest
 from lambdapm import corpus, resource
 from lambdapm.distance import dyadic, exact
 from lambdapm.domains import CapExceeded as DomainsCapExceeded
-from lambdapm.lamcalc import Abs, ParseError, Var
+from lambdapm.lamcalc import Abs, ParseError, Var, _same_key
 from lambdapm.limits import CapExceeded
 from lambdapm.resource import (EMPTY_MARK, RAbs, RApp, RVar, ResourceParseError,
                                bag_leq, free_rvars, gen_height, height,
@@ -281,3 +281,36 @@ def test_lambda_and_resource_nodes_are_never_equal():
     assert not Var("x") == RVar("x")
     assert len({Var("x"), RVar("x")}) == 2
     assert len({Abs("x", Var("x")), RAbs("y", RVar("y"))}) == 2
+
+
+def deep_rterm(shape, n):
+    """x<x<… y>>, \\a. \\a. … a or x<\\a. x<\\a. … a>> with n levels, built
+    by constructors: the parser stops at about 985 nested bags."""
+    t = RVar("y" if shape == "bags" else "a")
+    for _ in range(n):
+        if shape == "bags":
+            t = RApp(RVar("x"), (t,))
+        elif shape == "binders":
+            t = RAbs("a", t)
+        else:
+            t = RApp(RVar("x"), (RAbs("a", t),))
+    return t
+
+
+@pytest.mark.parametrize("shape", ["bags", "binders", "mixed"])
+def test_deep_resource_terms_answer_without_recursion(shape):
+    # heights and normality recursed into bodies and bag items, and
+    # printing into bag items, so these raised RecursionError from about
+    # 250 nested bags
+    n = 10_000
+    t, fresh = deep_rterm(shape, n), deep_rterm(shape, n)
+    names, h, text = {"bags": ({"x", "y"}, n + 1, "x<" * n + "y" + ">" * n),
+                      "binders": (set(), 1, "\\a. " * n + "a"),
+                      "mixed": ({"x"}, n + 1, "x<\\a. " * n + "a" + ">" * n)}[shape]
+    assert free_rvars(t) == names
+    assert gen_height(t) == height(t) == h
+    assert is_normal(t)
+    assert hash(t) == hash(fresh)
+    assert _same_key(rkey(t), rkey(fresh))  # == on the tuples would recurse
+    assert t == fresh and t != deep_rterm(shape, n - 1)
+    assert str(t) == show_resource(fresh) == text
