@@ -124,39 +124,51 @@ def truncate(t: PartialTerm, n: int) -> PartialTerm:
 def aligned(a: PartialTerm, b: PartialTerm):
     """The pairs of subtrees of a and b at equal positions, shallowest first.
 
-    Yields (position, x, y, same): the position is an index path, () at the
-    root, and `same` says that x and y are nodes with the same label --
-    binder count, de Bruijn head and arity.  The walk goes below such pairs
-    only, so every yielded pair has equally labelled ancestors."""
-    queue = deque([((), a, b, (), ())])
+    Yields (depth, pos, x, y, same): the root sits at depth 1 and position
+    (), and the i-th argument below position p at (p, i), so that a step
+    costs the same at every depth; `_path` reads a position as an index
+    path.  `same` says that x and y are nodes with the same label -- binder
+    count, de Bruijn head and arity.  The walk goes below such pairs only,
+    so every yielded pair has equally labelled ancestors."""
+    queue = deque([(1, (), a, b, (), ())])
     while queue:
-        pos, x, y, ex, ey = queue.popleft()
+        depth, pos, x, y, ex, ey = queue.popleft()
         same = (isinstance(x, Node) and isinstance(y, Node)
                 and len(x.binders) == len(y.binders)
                 and len(x.args) == len(y.args))
         if same:
             ex, ey = x.binders[::-1] + ex, y.binders[::-1] + ey
             same = db_index(x.head, ex) == db_index(y.head, ey)
-        yield pos, x, y, same
+        yield depth, pos, x, y, same
         if same:
-            queue.extend((pos + (i,), u, v, ex, ey)
+            queue.extend((depth + 1, (pos, i), u, v, ex, ey)
                          for i, (u, v) in enumerate(zip(x.args, y.args)))
+
+
+def _path(pos) -> tuple:
+    """The index path of a position that `aligned` yields."""
+    out = []
+    while pos:
+        pos, i = pos
+        out.append(i)
+    return tuple(reversed(out))
 
 
 def first_difference(a: PartialTerm, b: PartialTerm, unknown):
     """First level holding a position, outside `unknown`, where a and b
     differ: a node against a bottom, or nodes with different labels; inf if
     there is none (docs/DECISIONS.md D14)."""
-    for pos, x, y, same in aligned(a, b):
-        if not (same or pos in unknown
-                or (isinstance(x, Bottom) and isinstance(y, Bottom))):
-            return len(pos) + 1
+    for depth, pos, x, y, same in aligned(a, b):
+        if not (same or (isinstance(x, Bottom) and isinstance(y, Bottom))
+                or (unknown and _path(pos) in unknown)):
+            return depth
     return math.inf
 
 
 def partial_leq(a: PartialTerm, b: PartialTerm) -> bool:
     """Contextual closure of bottom <= A: b refines a by filling bottoms."""
-    return all(same or isinstance(x, Bottom) for _, x, _, same in aligned(a, b))
+    return all(same or isinstance(x, Bottom)
+               for _, _, x, _, same in aligned(a, b))
 
 
 def truncation_leq(a: PartialTerm, b: PartialTerm) -> bool:

@@ -5,6 +5,7 @@ commutation check."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -209,34 +210,56 @@ def _demand(f: ResourceTerm) -> int | None:
 # inner inf is the deepest truncation level realizable inside the other
 # fragment -- a membership test, not an enumeration.  The maximal elements
 # are those whose bags over non-bottom arguments all have exactly b items.
+# For b >= 1 there is one, each such bag holding b copies of its argument's
+# maximal element; its height is bohm.height(a), and its depth against the
+# other term (D8 point 6) is a min over identical items, so both are read off
+# the two trees without building the element (docs/DECISIONS.md D19).
 
 def _bags_within(t: ResourceTerm, b: int) -> bool:
-    if isinstance(t, RVar):
-        return True
-    if isinstance(t, RAbs):
-        return _bags_within(t.body, b)
-    return len(t.bag) <= b and _bags_within(t.fun, b) and all(
-        _bags_within(u, b) for u in t.bag)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, RAbs):
+            stack.append(t.body)
+        elif isinstance(t, RApp):
+            if len(t.bag) > b:
+                return False
+            stack.append(t.fun)
+            stack.extend(t.bag)
+    return True
+
+
+def _tree_depth(a: Node, other: PartialTerm):
+    """D8 point 6's depth of the maximal element of a's expansion against
+    `other`: the depth (root 0) of the shallowest node of a that `other` does
+    not match below matching ancestors, or math.inf if there is none."""
+    queue = deque([(a, other, (), (), 0)])
+    while queue:
+        x, y, ex, ey, depth = queue.popleft()
+        if (isinstance(y, Bottom) or len(x.binders) != len(y.binders)
+                or len(x.args) != len(y.args)):
+            return depth
+        ex, ey = x.binders[::-1] + ex, y.binders[::-1] + ey
+        if db_index(x.head, ex) != db_index(y.head, ey):
+            return depth
+        queue.extend((u, v, ex, ey, depth + 1)
+                     for u, v in zip(x.args, y.args) if isinstance(u, Node))
+    return math.inf
 
 
 def _side_fast(a: PartialTerm, other: PartialTerm, b: int) -> Fraction:
     """sup over the a-fragment of the inf of r against the other fragment."""
     if isinstance(a, Bottom):
         return Fraction(0)  # sup over the empty set
-    if isinstance(other, Bottom):
-        return Fraction(1)  # inf over the empty set
-    level = None  # the shallowest best level; the sup is 2**-level
-    for t in _expand(a, (b,), math.inf):
-        n = min(resource.height(t), _box_depth(t, other, (), ()))
-        if level is None or n < level:
-            level = n
-            if n == 0:
-                break
-    return Fraction(0) if level is None else dyadic(level)
+    if b == 0:  # the one element is the root with empty bags
+        a = bohm.truncate(a, 1)
+    return dyadic(min(bohm.height(a), _tree_depth(a, other)))
 
 
 def hstar_fragments(a: PartialTerm, other: PartialTerm, mult_bound: int) -> Fraction:
     """Exact H*_r between the bounded expansions of two partial terms."""
+    if mult_bound < 0:
+        raise ValueError("mult_bound must be >= 0")
     return max(_side_fast(a, other, mult_bound), _side_fast(other, a, mult_bound))
 
 
@@ -276,11 +299,19 @@ def commutation_check(m: LambdaTerm, mult_bound: int, height_bound: int,
 
 
 def _syntactic_depth(m: LambdaTerm) -> int:
-    if isinstance(m, Var):
-        return 1
-    if isinstance(m, Abs):
-        return _syntactic_depth(m.body)
-    return 1 + max(_syntactic_depth(m.fun), _syntactic_depth(m.arg))
+    """1 at a variable; an abstraction has its body's depth, an application
+    1 + the deeper of its two parts."""
+    best, stack = 0, [(m, 1)]
+    while stack:
+        u, depth = stack.pop()
+        if isinstance(u, Var):
+            best = max(best, depth)
+        elif isinstance(u, Abs):
+            stack.append((u.body, depth))
+        else:
+            stack.append((u.fun, depth + 1))
+            stack.append((u.arg, depth + 1))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +437,20 @@ def enumeration_isometry(a: PartialTerm, b: PartialTerm, prefix: int) -> dict:
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     K = prefix
-    pb_sum = Fraction(0)
     terms = [enumerate_partial(n) for n in range(1, K + 1)]
-    for n, t in enumerate(terms, start=1):
-        if not (bohm.partial_leq(t, a) and bohm.partial_leq(t, b)):
-            pb_sum += dyadic(n)
+    # both sums are kept as integer numerators over 2**K and 2**(2K)
+    pb_num = sum(1 << (K - n) for n, t in enumerate(terms, start=1)
+                 if not (bohm.partial_leq(t, a) and bohm.partial_leq(t, b)))
+    pb_sum = Fraction(pb_num, 1 << K)
     pb = bracket(pb_sum, pb_sum + dyadic(K))
 
-    pp_sum = Fraction(0)
+    pp_num = 0
     for n, src in enumerate(terms, start=1):
         # per_term(src, m) for m = 1..K, keying src once
         for m, v in enumerate(islice(cycle(faithful_pool(src)), K), start=1):
             if not (box_relation(v, a) and box_relation(v, b)):
-                pp_sum += dyadic(n) * dyadic(m)
+                pp_num += 1 << (2 * K - n - m)
+    pp_sum = Fraction(pp_num, 1 << (2 * K))
     unexplored = (1 - dyadic(K)) * dyadic(K) + dyadic(K)
     pp = bracket(pp_sum, pp_sum + unexplored)
 

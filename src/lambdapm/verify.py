@@ -151,7 +151,7 @@ def _fills_shallow_bottom(a, b) -> bool:
     a bottom at depth <= height(a)?  The root sits at depth 1."""
     limit = bohm.height(a)
     return any(isinstance(x, bohm.Bottom) and isinstance(y, bohm.Node)
-               and len(pos) < limit for pos, x, y, _ in bohm.aligned(a, b))
+               and depth <= limit for depth, _, x, y, _ in bohm.aligned(a, b))
 
 
 def suite_order_capture() -> dict:

@@ -222,3 +222,17 @@ def test_resource_verbs_answer_on_nested_bags(capsys):
     assert code == 0 and out == [term]
     code, out = run(capsys, "rmetric", "--a", term, "--b", "x<y>")
     assert code == 0 and out["value"] == {"kind": "exact", "num": 1, "den_pow2": 1}
+
+
+def test_isometry_verb_at_multiplicity_zero_and_below(capsys):
+    # at mult 0 each expansion holds the root with empty bags alone
+    code, out = run(capsys, "isometry", "--a", "x (y z)", "--b", "x (y z)",
+                    "--mult", "0")
+    assert code == 0 and out == {
+        "equal": False, "stable": False,
+        "lhs": {"kind": "exact", "num": 1, "den_pow2": 1},
+        "rhs": {"kind": "exact", "num": 1, "den_pow2": 3}}
+    code = main(["isometry", "--a", "x (y z)", "--b", "x (y z)", "--mult", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "mult_bound must be >= 0" in captured.err

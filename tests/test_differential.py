@@ -10,8 +10,10 @@ brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
 every table, the aligned walk over two partial terms against the recursions
 and the truncation loop it replaced, prefix-shared contraction against
-filling each queue on its own, and print/parse round trips for resource
-and partial terms."""
+filling each queue on its own, the H* side read off two partial trees
+against the loop over the maximal element and against brute force, the
+integer sums of the enumeration isometry against Fraction sums, and
+print/parse round trips for resource and partial terms."""
 
 import itertools
 import math
@@ -25,7 +27,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lambdapm import (bohm, contextual, corpus, lamcalc, resource, taylor,
                       verify)
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
-from lambdapm.distance import dyadic, exact
+from lambdapm.distance import bracket, dyadic, exact
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower, flat,
                               function_space, iter_monotone_tables)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
@@ -38,6 +40,7 @@ from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
                                parse_resource, resource_reduce, rkey,
                                show_resource)
 from lambdapm.taylor import box_relation, taylor_of_term
+from test_taylor import brute_hstar
 
 # A three-name alphabet makes shadowed binders common.
 names = st.sampled_from(["x", "y", "z"])
@@ -1548,10 +1551,12 @@ def other_term(data, a):
     return perturbed(data, a)
 
 
-@given(partial_terms(), st.data(), st.sampled_from([1, 2]))
+@given(partial_terms(), st.data(), st.sampled_from([0, 1, 2, 3]))
 @settings(max_examples=300, deadline=None)
 def test_hstar_side_matches_truncation_loop(a, data, b):
     other = other_term(data, a)
+    if data.draw(st.booleans()):
+        other = alpha_partial(other)
     assert taylor._side_fast(a, other, b) == ref_side_fast(a, other, b)
     assert taylor._side_fast(other, a, b) == ref_side_fast(other, a, b)
 
@@ -1582,6 +1587,70 @@ def test_box_depth_is_the_last_level_in_the_expansion(a, data):
 @settings(max_examples=200, deadline=None)
 def test_box_relation_matches_reference(t, a):
     assert box_relation(t, a) == ref_box(t, a)
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hstar_does_not_depend_on_the_multiplicity(a, data):
+    """docs/DECISIONS.md D19: the H* sides are the same at every b >= 1."""
+    other = other_term(data, a)
+    values = {taylor.hstar_fragments(a, other, m) for m in range(1, 5)}
+    assert len(values) == 1
+
+
+@st.composite
+def thin_partial_terms(draw, live, depth=1):
+    """Partial terms of height <= 3 in which at most `live` arguments of the
+    root, and at most one of every other node, are not bottom.  Their
+    expansions have at most 9 elements at mult 1 with live 2, and at most
+    10 at mult 2 with live 1, so the brute-force H* stays fast."""
+    args = []
+    for _ in range(draw(st.integers(0, 2)) if depth < 3 else 0):
+        if live and draw(st.booleans()):
+            live -= 1
+            args.append(draw(thin_partial_terms(1, depth + 1)))
+        else:
+            args.append(BOT)
+    return Node(tuple(draw(st.lists(names, max_size=1))), draw(names),
+                tuple(args))
+
+
+@pytest.mark.parametrize("mult, live", [(1, 2), (2, 1)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hstar_matches_brute_force_on_drawn_pairs(mult, live, data):
+    a = data.draw(thin_partial_terms(live))
+    b = data.draw(thin_partial_terms(live)) if data.draw(st.booleans()) \
+        else perturbed(data, a)
+    assert taylor.hstar_fragments(a, b, mult) == brute_hstar(a, b, mult)
+
+
+def ref_enumeration_isometry(a, b, prefix):
+    """enumeration_isometry with both sums added up in Fractions."""
+    K = prefix
+    terms = [taylor.enumerate_partial(n) for n in range(1, K + 1)]
+    pb_sum = Fraction(0)
+    for n, t in enumerate(terms, start=1):
+        if not (bohm.partial_leq(t, a) and bohm.partial_leq(t, b)):
+            pb_sum += dyadic(n)
+    pp_sum = Fraction(0)
+    for n, src in enumerate(terms, start=1):
+        for m in range(1, K + 1):
+            v = taylor.per_term(src, m)
+            if not (box_relation(v, a) and box_relation(v, b)):
+                pp_sum += dyadic(n) * dyadic(m)
+    pb = bracket(pb_sum, pb_sum + dyadic(K))
+    pp = bracket(pp_sum, pp_sum + (1 - dyadic(K)) * dyadic(K) + dyadic(K))
+    return {"pP": pp, "pB": pb, "gap": abs(pp.midpoint() - pb.midpoint()),
+            "tail": (pb.width() + pp.width()) / 2}
+
+
+@given(partial_terms(), st.data(), st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_integer_enumeration_sums_match_fractions(a, data, prefix):
+    b = other_term(data, a)
+    assert taylor.enumeration_isometry(a, b, prefix) == \
+        ref_enumeration_isometry(a, b, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -1779,6 +1848,33 @@ def test_aligned_walk_matches_recursive_references(a, data):
                   if bottoms else ())
     assert bohm.first_difference(a, b, unknown) == \
         ref_first_difference(a, b, unknown)
+
+
+def subtree(t, path):
+    for i in path:
+        t = t.args[i]
+    return t
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_aligned_positions_lead_to_their_pairs(a, data):
+    a, b = aligned_pair(data, a)
+    for depth, pos, x, y, _ in bohm.aligned(a, b):
+        path = bohm._path(pos)
+        assert depth == len(path) + 1
+        assert subtree(a, path) is x and subtree(b, path) is y
+
+
+def test_unknown_positions_and_shallow_bottoms_by_depth():
+    a, b = parse_partial("x (y z _|_) (y z z)"), parse_partial("x (y z w) (y z z)")
+    assert bohm.first_difference(a, b, {(0, 1)}) == math.inf
+    assert bohm.first_difference(a, b, {(1, 0)}) == 3
+    # a bottom at depth height(a) counts, one below it does not
+    assert verify._fills_shallow_bottom(parse_partial("x _|_ y"),
+                                        parse_partial("x z y"))
+    assert not verify._fills_shallow_bottom(parse_partial("x (y _|_)"),
+                                            parse_partial("x (y z)"))
 
 
 def test_shared_subtree_under_different_binders_differs():

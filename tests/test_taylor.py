@@ -5,16 +5,17 @@ import pytest
 from lambdapm import bohm, corpus, resource
 from lambdapm.bohm import BOT, parse_partial
 from lambdapm.distance import dyadic, exact
-from lambdapm.lamcalc import parse
+from lambdapm.lamcalc import Abs, App, Var, parse
 from lambdapm.limits import CapExceeded
 from lambdapm.pmetric import LiftedSet, hausdorff_star
-from lambdapm.resource import bag_leq, parse_resource, r_metric
+from lambdapm.resource import (RAbs, RApp, RVar, bag_leq, parse_resource,
+                               r_metric)
 from lambdapm.taylor import (TentativeTreeError, box_relation,
                              commutation_check, enumerate_partial,
                              enumeration_isometry, faithful_pool, gen_height,
                              hstar_fragments, isometry_check, min_source,
                              pair_index, per_term, taylor_expand,
-                             taylor_of_term, _bags_within)
+                             taylor_of_term, _bags_within, _syntactic_depth)
 
 
 def test_box_relation_rules():
@@ -135,6 +136,53 @@ def test_tree_expansion_is_within_both_bounds():
             for h in (1, 2, 3):
                 for t in taylor_expand(a, mult, h).elements:
                     assert resource.height(t) <= h and _bags_within(t, mult)
+
+
+def test_isometry_on_deep_chains_without_recursion():
+    # x (x (... _|_)) against the same chain ending in y, 10,000 nodes deep:
+    # the maximal element of a fragment has about b**height nodes, and
+    # building it recursed once per level
+    a, b = BOT, bohm.Node((), "y", ())
+    for _ in range(10_000):
+        a, b = bohm.Node((), "x", (a,)), bohm.Node((), "x", (b,))
+    res = isometry_check(a, b, 2)
+    assert res["equal"] and res["stable"]
+    assert res["lhs"] == exact(dyadic(10_000))
+
+
+def deep_lambda(shape, n):
+    """x (x (… y)), ((y x) x) … x, \\a. \\a. … a or x (\\a. x (\\a. … a)) with
+    n levels, built by constructors."""
+    t = Var("y" if shape in ("args", "funs") else "a")
+    for _ in range(n):
+        if shape == "args":
+            t = App(Var("x"), t)
+        elif shape == "funs":
+            t = App(t, Var("x"))
+        elif shape == "binders":
+            t = Abs("a", t)
+        else:
+            t = App(Var("x"), Abs("a", t))
+    return t
+
+
+@pytest.mark.parametrize("shape, depth", [("args", 10_001), ("funs", 10_001),
+                                          ("binders", 1), ("mixed", 10_001)])
+def test_syntactic_depth_answers_on_deep_terms(shape, depth):
+    assert _syntactic_depth(deep_lambda(shape, 10_000)) == depth
+
+
+@pytest.mark.parametrize("shape, widest", [("bags", 1), ("binders", 1),
+                                           ("mixed", 1), ("wide", 2)])
+def test_bags_within_answers_on_deep_terms(shape, widest):
+    # x<x<… y>>, \\a. … a<a>, x<\\a. x<… a>> or x<x<… y<z, z>>>, 10,000 levels
+    t = {"bags": RVar("y"), "binders": RApp(RVar("a"), (RVar("a"),)),
+         "mixed": RVar("a"),
+         "wide": RApp(RVar("y"), (RVar("z"), RVar("z")))}[shape]
+    for _ in range(10_000):
+        t = (RAbs("a", t) if shape == "binders" else
+             RApp(RVar("x"), (RAbs("a", t) if shape == "mixed" else t,)))
+    assert _bags_within(t, widest) and not _bags_within(t, widest - 1)
 
 
 def test_commutation_rejects_tentative_trees():
