@@ -172,26 +172,43 @@ def hausdorff_star(dist, A: LiftedSet, B: LiftedSet) -> DistanceValue:
 
     Conventions: sup over the empty set is 0, inf over the empty set is 1,
     the bound of the underlying 1-bounded space; a distance above 1 raises.
-    """
+    Each side measures near(a2), the min of the finite dist(a2, b) over b
+    in dst, once per element a2 that some up-set reaches; the inf over the
+    pairs (a2 >= a, b) is then the min of near over the up-set of a
+    (docs/DECISIONS.md D20)."""
     def side(src: LiftedSet, dst: LiftedSet):
+        near = {}  # a2 -> near(a2), or None when no dist(a2, b) is finite
         best = Fraction(0)  # sup over src
         for a in src.elements:
-            inner = None  # inf over pairs (a' >= a in src, b in dst)
+            inner = None
             for a2 in src.upset_of(a):
-                for b in dst.elements:
-                    v = dist(a2, b)
-                    if is_inf(v):
-                        continue
-                    if v > 1:
-                        raise ValueError("space is not bounded by the declared top")
-                    if inner is None or v < inner:
-                        inner = v
+                if a2 in near:
+                    v = near[a2]
+                else:
+                    v = near[a2] = _nearest(dist, a2, dst)
+                if v is not None and (inner is None or v < inner):
+                    inner = v
             inner = Fraction(1) if inner is None else inner
             if inner > best:
                 best = inner
         return best
 
     return exact(max(side(A, B), side(B, A)))
+
+
+def _nearest(dist, a, dst: LiftedSet):
+    """The min of the finite dist(a, b) over b in dst, or None if none is
+    finite."""
+    near = None
+    for b in dst.elements:
+        v = dist(a, b)
+        if is_inf(v):
+            continue
+        if v > 1:
+            raise ValueError("space is not bounded by the declared top")
+        if near is None or v < near:
+            near = v
+    return near
 
 
 def hausdorff_plain(dist, A, B) -> DistanceValue:

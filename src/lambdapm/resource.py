@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 from typing import NamedTuple
 
-from .distance import DistanceValue, dyadic, exact, truncation_below
+from .distance import DistanceValue, dyadic, exact
 from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser,
                       _same_key, db_index, free_vars, key)
 from .limits import within_cap
@@ -16,11 +16,13 @@ from .limits import within_cap
 
 @dataclass(eq=False, slots=True)
 class ResourceTerm(Term):
-    """A resource term node; it also caches whether it is neutral and its
-    structural height (docs/DECISIONS.md D8, D12); it is equal by key."""
+    """A resource term node; it also caches whether it is neutral, its
+    structural height and the keys of its truncations (docs/DECISIONS.md
+    D8, D12, D20); it is equal by key."""
 
     _neutral: bool = _cache()
     _height: int = _cache()
+    _levels: list = _cache()  # key(truncate(t, k)) at index k - 1 (_levels)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, ResourceTerm) and hash(self) == hash(other)
@@ -54,11 +56,17 @@ class RApp(ResourceTerm):
 
 
 def rsize(t: ResourceTerm) -> int:
-    if isinstance(t, RVar):
-        return 1
-    if isinstance(t, RAbs):
-        return 1 + rsize(t.body)
-    return 1 + rsize(t.fun) + sum(rsize(u) for u in t.bag)
+    """The number of nodes of t as a tree, counted on an explicit stack."""
+    n, todo = 0, [t]
+    while todo:
+        u = todo.pop()
+        n += 1
+        if u._kind == "abs":
+            todo.append(u.body)
+        elif u._kind == "app":
+            todo.append(u.fun)
+            todo.extend(u.bag)
+    return n
 
 
 free_rvars = free_vars
@@ -526,31 +534,104 @@ EMPTY_MARK = EmptyMark()
 
 
 def truncate(t: ResourceTerm, n: int):
-    """Cut below height n: heads at height n keep their arity, bags emptied."""
+    """Cut below height n: heads at height n keep their arity, bags emptied.
+    A spine waits on a stack under its bag items, whose truncations land on
+    `done` in order."""
     if n <= 0:
         return EMPTY_MARK
-    binders, head, bags = normal_view(t)
-    if n == 1:
-        return spine(binders, RVar(head), [() for _ in bags])
-    return spine(binders, RVar(head),
-                 [tuple(truncate(u, n - 1) for u in b) for b in bags])
+    done, todo = [], [(t, n)]
+    while todo:
+        u, k = todo.pop()
+        if k == 0:  # u is (binders, head, bags), every bag item cut
+            binders, head, bags = u
+            at = len(done) - sum(map(len, bags))
+            items = iter(done[at:])
+            del done[at:]
+            done.append(spine(binders, RVar(head),
+                              [tuple(islice(items, len(b))) for b in bags]))
+            continue
+        binders, head, bags = normal_view(u)
+        if k == 1:
+            done.append(spine(binders, RVar(head), [()] * len(bags)))
+            continue
+        todo.append(((binders, head, bags), 0))
+        for b in reversed(bags):
+            todo.extend((v, k - 1) for v in reversed(b))
+    return done[0]
+
+
+def _levels(t: ResourceTerm, n: int) -> list:
+    """The keys of t's truncations, key(truncate(t, k)) at index k - 1,
+    filled at least up to k = n, for a normal t and n <= height(t).  They
+    are kept in t's `_levels`, grown only when a query needs a deeper
+    level (docs/DECISIONS.md D20).  One walk on an explicit stack builds
+    level k of a spine from its bag items' levels k - 1.  A part with no
+    name of its environment free keeps its levels in its own slot; any
+    other part keeps them for the walk, by node and environment, as
+    `_encode` does (D18)."""
+    if t._levels is None:
+        t._levels = []
+    elif len(t._levels) >= n:
+        return t._levels
+    memo = {}
+    todo = [(t, t._levels, (), n)]
+    while todo:
+        u, levels, env, m = todo.pop()
+        if u is _END:  # env is (head key, binders, each bag's item level lists)
+            head, binders, lists = env
+            for k in range(len(levels) + 1, m + 1):
+                v = head
+                for items in lists:  # an item below height k - 1 is whole at its height
+                    v = ("a", v, tuple(sorted([lv[min(k - 1, len(lv)) - 1] for lv in items]))
+                         if k > 1 else ())
+                for _ in range(binders):
+                    v = ("l", v)
+                levels.append(v)
+            continue
+        binders = 0
+        while u._kind == "abs":
+            env, binders, u = (u.binder,) + env, binders + 1, u.body
+        bags = []
+        while u._kind == "app":
+            bags.append(u.bag)
+            u = u.fun
+        lists = []
+        todo.append((_END, levels, (db_index(u.name, env), binders, lists), m))
+        for bag in reversed(bags):
+            items = []
+            for v in bag:
+                if env and not free_rvars(v).isdisjoint(env):
+                    lv, venv = memo.setdefault((id(v), env), []), env
+                else:
+                    if v._levels is None:
+                        v._levels = []
+                    lv, venv = v._levels, ()
+                items.append(lv)
+                need = min(m - 1, gen_height(v))
+                if len(lv) < need:
+                    todo.append((v, lv, venv, need))
+            lists.append(items)
+    return t._levels
 
 
 def r_metric(t: ResourceTerm, u: ResourceTerm) -> DistanceValue:
     """2**-n for the deepest n with both heights >= n and equal truncations.
 
-    Truncations nest, so agreement stops at the first level that differs."""
+    Truncations nest, so agreement stops at the first level that differs;
+    the levels are read from the cached keys (D20)."""
+    h = min(height(t), height(u))
+    a, b = _levels(t, h), _levels(u, h)
     level = 0
-    for n in range(1, min(height(t), height(u)) + 1):
-        if truncate(t, n) != truncate(u, n):
-            break
-        level = n
+    while level < h and _same_key(a[level], b[level]):
+        level += 1
     return exact(dyadic(level))
 
 
 def r_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
-    """The order induced by r: t is a full truncation of u."""
-    return truncation_below(t, u, height, truncate)
+    """The order induced by r: t is a full truncation of u.  A normal t is
+    its own truncation at its height h, so this compares level h (D20)."""
+    h = height(t)
+    return height(u) >= h and _same_key(_levels(u, h)[h - 1], _levels(t, h)[h - 1])
 
 
 def bag_leq(t: ResourceTerm, u: ResourceTerm) -> bool:

@@ -11,13 +11,16 @@ their pointwise forms, the completion check of i.j <= id against the check on
 every table, the aligned walk over two partial terms against the recursions
 and the truncation loop it replaced, prefix-shared contraction against
 filling each queue on its own, the H* side read off two partial trees
-against the loop over the maximal element and against brute force, the
-integer sums of the enumeration isometry against Fraction sums, and
-print/parse round trips for resource and partial terms."""
+against the loop over the maximal element and against brute force, r, its
+order and H* against the loops that truncate at every level and measure
+each pair once per element below, the integer sums of the enumeration
+isometry against Fraction sums, and print/parse round trips for resource
+and partial terms."""
 
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -27,7 +30,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lambdapm import (bohm, contextual, corpus, lamcalc, resource, taylor,
                       verify)
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
-from lambdapm.distance import bracket, dyadic, exact
+from lambdapm.distance import (INF, bracket, dyadic, exact, is_inf,
+                               truncation_below)
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower, flat,
                               function_space, iter_monotone_tables)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
@@ -35,10 +39,11 @@ from lambdapm.contextual import (enumerate_context, genericity_violations,
 from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
                               free_vars, key, normalize, parse, show,
                               solvability, spine, subst)
+from lambdapm.pmetric import LiftedSet, hausdorff_star
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
-                               _places_of, free_rvars, gen_height, is_normal,
-                               parse_resource, resource_reduce, rkey,
-                               show_resource)
+                               _levels, _places_of, free_rvars, gen_height,
+                               is_normal, parse_resource, resource_reduce,
+                               rkey, show_resource)
 from lambdapm.taylor import box_relation, taylor_of_term
 from test_taylor import brute_hstar
 
@@ -2015,6 +2020,162 @@ def test_solvability_of_a_sharing_term_stays_linear():
     at30, at60 = solvability(SHARING, 30), solvability(SHARING, 60)
     assert (at60.kind, at60.steps) == ("unknown", 60)
     assert at30.is_unknown or at30.kind == at60.kind
+
+
+# ---------------------------------------------------------------------------
+# r, its order and H* against the loops they replaced: truncate both terms
+# afresh at every level, and measure each pair (a', b) once for every
+# element below a' (docs/DECISIONS.md D20)
+
+def ref_r_metric(t, u):
+    level = 0
+    for n in range(1, min(resource.height(t), resource.height(u)) + 1):
+        if resource.truncate(t, n) != resource.truncate(u, n):
+            break
+        level = n
+    return exact(dyadic(level))
+
+
+def ref_r_leq(t, u):
+    return truncation_below(t, u, resource.height, resource.truncate)
+
+
+def ref_hausdorff_star(dist, A, B):
+    def side(src, dst):
+        best = Fraction(0)
+        for a in src.elements:
+            inner = None
+            for a2 in src.upset_of(a):
+                for b in dst.elements:
+                    v = dist(a2, b)
+                    if is_inf(v):
+                        continue
+                    if v > 1:
+                        raise ValueError("space is not bounded by the declared top")
+                    if inner is None or v < inner:
+                        inner = v
+            inner = Fraction(1) if inner is None else inner
+            if inner > best:
+                best = inner
+        return best
+
+    return exact(max(side(A, B), side(B, A)))
+
+
+normal_rterms = resource_terms().filter(is_normal)
+normal_shared = resource_shared.filter(is_normal)
+
+
+@given(st.one_of(normal_rterms, normal_shared), st.data())
+@example(parse_resource("\\x. x<\\y. x<y<x>>, y<x<z>>><x<x<x>>>"), None)
+@settings(max_examples=200, deadline=None)
+def test_levels_are_the_keys_of_the_truncations(t, data):
+    """Filled at once or grown from a smaller fill, with some parts' slots
+    filled first at the top, where their open names are free."""
+    h = resource.height(t)
+    if data is not None:
+        for u, _ in rsubterms(t):
+            if is_normal(u) and data.draw(st.booleans()):
+                _levels(u, data.draw(st.integers(1, resource.height(u))))
+        small = data.draw(st.integers(1, h))
+        assert len(_levels(t, small)) >= small
+    n = h if data is None else data.draw(st.integers(1, h))
+    levels = _levels(t, n)
+    for k in range(1, n + 1):
+        assert levels[k - 1] == key(resource.truncate(t, k))
+    for u, _ in rsubterms(t):
+        if u._levels is not None:
+            assert u._levels == [key(resource.truncate(u, k))
+                                 for k in range(1, len(u._levels) + 1)]
+
+
+def r_partner(data, t):
+    """A term to measure t against: another drawn term, a copy, an alpha
+    variant with its bags reversed, or one of t's truncations, or of the
+    variant's."""
+    kind = data.draw(st.sampled_from(["drawn", "copy", "alpha", "cut", "alpha cut"]))
+    if kind == "drawn":
+        return data.draw(normal_rterms)
+    if kind == "copy":
+        return copy_rterm(t)
+    u = alpha_rvariant(t)
+    if kind == "alpha":
+        return u
+    src = t if kind == "cut" else u
+    return resource.truncate(src, data.draw(st.integers(1, resource.height(src))))
+
+
+@given(normal_rterms, st.data())
+@settings(max_examples=300, deadline=None)
+def test_r_metric_and_r_leq_match_references(t, data):
+    u = r_partner(data, t)
+    for a, b in ((t, u), (u, t), (t, t)):
+        assert resource.r_metric(a, b) == ref_r_metric(a, b)
+        assert resource.r_leq(a, b) == ref_r_leq(a, b)
+
+
+@st.composite
+def term_sets(draw):
+    """A few normal terms, some with all their truncations."""
+    out = set()
+    for t in draw(st.lists(normal_rterms, max_size=3)):
+        out.add(t)
+        if draw(st.booleans()):
+            out.update(resource.truncate(t, n) for n in range(1, resource.height(t)))
+    return frozenset(out)
+
+
+def measured_pairs(src, dst):
+    return {(a2, b) for a in src.elements for a2 in src.upset_of(a)
+            for b in dst.elements}
+
+
+@given(term_sets(), term_sets(), st.sampled_from(["r_leq", "bag_leq", "drawn"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_hausdorff_star_matches_reference(ea, eb, order, data):
+    """Under r's order, the bag order and a drawn relation that need not be
+    reflexive, on r and on a drawn table that may hold infinities and values
+    above 1.  Each side measures each pair once, and the same pairs as the
+    reference."""
+    if order == "drawn":
+        elems = sorted(ea | eb, key=lambda t: repr(key(t)))
+        rel = data.draw(st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
+                        if elems else st.just(set()))
+        leq = lambda a, b: (a, b) in rel
+    else:
+        leq = {"r_leq": resource.r_leq, "bag_leq": resource.bag_leq}[order]
+    A, B = LiftedSet(ea, leq), LiftedSet(eb, leq)
+    if data.draw(st.booleans()):
+        table = {}
+        values = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                  Fraction(1), INF, Fraction(3, 2)])
+
+        def base(a, b):
+            if (a, b) not in table:
+                table[a, b] = data.draw(values)
+            return table[a, b]
+    else:
+        def base(a, b):
+            return resource.r_metric(a, b).value
+
+    fast_calls, ref_calls = Counter(), Counter()
+
+    def counted(calls):
+        def dist(a, b):
+            calls[a, b] += 1
+            return base(a, b)
+        return dist
+
+    try:
+        ref = ref_hausdorff_star(counted(ref_calls), A, B)
+    except ValueError:
+        with pytest.raises(ValueError):
+            hausdorff_star(counted(fast_calls), A, B)
+        return
+    assert hausdorff_star(counted(fast_calls), A, B) == ref
+    assert set(fast_calls) == set(ref_calls)
+    assert fast_calls == Counter(measured_pairs(A, B)) + Counter(measured_pairs(B, A))
 
 
 # ---------------------------------------------------------------------------

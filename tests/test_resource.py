@@ -314,3 +314,40 @@ def test_deep_resource_terms_answer_without_recursion(shape):
     assert _same_key(rkey(t), rkey(fresh))  # == on the tuples would recurse
     assert t == fresh and t != deep_rterm(shape, n - 1)
     assert str(t) == show_resource(fresh) == text
+
+
+def cut_chain(shape, k):
+    """truncate(deep_rterm(shape, n), k) for 1 <= k <= n: k - 1 levels of
+    the chain above x<>."""
+    t = RApp(RVar("x"), ())
+    for _ in range(k - 1):
+        t = RApp(RVar("x"), (t if shape == "bags" else RAbs("a", t),))
+    return t
+
+
+@pytest.mark.parametrize("shape", ["bags", "binders", "mixed"])
+def test_truncate_and_rsize_answer_on_deep_terms(shape):
+    # truncate recursed about three frames per nested bag, and so raised
+    # RecursionError from 333 nested bags
+    n = 10_000
+    if shape == "binders":  # \a. \a. … a<>
+        t = RApp(RVar("a"), ())
+        for _ in range(n):
+            t = RAbs("a", t)
+    else:
+        t = deep_rterm(shape, n)
+    h = height(t)
+    for k in (1, 2, 5_000, h):
+        cut = truncate(t, k)
+        assert cut == (t if k >= h else cut_chain(shape, k))
+        assert height(cut) == min(k, h)
+    assert rsize(t) == {"bags": 2 * n + 1, "binders": n + 2, "mixed": 3 * n + 1}[shape]
+
+
+def test_r_compares_deep_terms_without_recursion():
+    # the keys of the deep levels nest past the recursion limit that tuple
+    # comparison observes, from about 500 bags
+    a, b = deep_rterm("bags", 600), deep_rterm("bags", 600)
+    assert r_metric(a, b) == exact(dyadic(601))
+    assert r_leq(a, b) and r_leq(truncate(a, 300), b)
+    assert not r_leq(truncate(a, 300), deep_rterm("bags", 299))
