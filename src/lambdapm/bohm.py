@@ -62,18 +62,8 @@ def pkey(t: PartialTerm, env=()):
 
 
 def show_partial(t: PartialTerm) -> str:
-    if isinstance(t, Bottom):
-        return "_|_"
-    parts = [t.head]
-    for a in t.args:
-        s = show_partial(a)
-        if isinstance(a, Node) and (a.binders or a.args):
-            s = f"({s})"
-        parts.append(s)
-    body = " ".join(parts)
-    for b in reversed(t.binders):
-        body = f"\\{b}. {body}"
-    return body
+    """Print t as `lamcalc.show` prints its embedding (docs/DECISIONS.md D21)."""
+    return lamcalc.show(_embed(t))
 
 
 def parse_partial(text: str) -> PartialTerm:
@@ -95,9 +85,26 @@ def from_lambda(t: LambdaTerm) -> PartialTerm:
 
 def to_lambda(t: PartialTerm) -> LambdaTerm:
     """Embed a bottom-free partial term back into the lambda syntax."""
-    if isinstance(t, Bottom):
+    if "_|_" in lamcalc.free_vars(m := _embed(t)):
         raise ValueError("bottom has no lambda-term embedding")
-    return lamcalc.spine(t.binders, Var(t.head), [to_lambda(a) for a in t.args])
+    return m
+
+
+def _embed(t: PartialTerm) -> LambdaTerm:
+    """t as a lambda term whose bottoms are the variable `_|_`, which no
+    binder captures, as it is not an identifier (D3).  A node waits on a
+    stack under its arguments, whose embeddings land on `done` in order."""
+    done, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:  # (node,): its arguments are embedded
+            k = len(done) - len(u[0].args)
+            done[k:] = [lamcalc.spine(u[0].binders, Var(u[0].head), done[k:])]
+        elif isinstance(u, Bottom):
+            done.append(Var("_|_"))
+        else:
+            todo += (u,), *reversed(u.args)
+    return done[0]
 
 
 def height(t: PartialTerm) -> int:

@@ -382,33 +382,45 @@ _PRETTY = list(string.ascii_lowercase[23:] + string.ascii_lowercase[:23])
 
 def canonical(t: LambdaTerm) -> LambdaTerm:
     """Alpha-canonical renaming: binders renamed to x,y,z,a,b,... skipping
-    free names.  Binder chains and spines are walked in loops, and nested
-    subterms through a stack: each renamed subterm fills its slot in the
-    parts of its spine, which is rebuilt once all of them are filled."""
-    root = [t]
-    todo = [(t, {}, set(free_vars(t)), root, 0)]
+    free names and the new names of the binders around them."""
+    return _rename(t, lambda env, depth, taken:
+                   _fresh(_PRETTY[len(env) % len(_PRETTY)], taken))
+
+
+def _rename(t: Term, fresh) -> Term:
+    """t, of either family, with each binder renamed to fresh(env, depth,
+    taken): `env` maps the old names of the binders around it to their new
+    names, `depth` counts those binders, and `taken` holds t's free names
+    and those binders' new names (docs/DECISIONS.md D21).  A node waits on a
+    stack under its parts, whose renamings land on `done` in order."""
+    env, taken, depth = {}, set(free_vars(t)), 0
+    done, todo = [], [t]
     while todo:
-        item = todo.pop()
-        if len(item) == 4:  # (binders, parts, into, i): every part is filled
-            binders, parts, into, i = item
-            into[i] = spine(binders, parts[0], parts[1:])
-            continue
-        t, env, avoid, into, i = item
-        binders = []
-        while isinstance(t, Abs):
-            nb = _fresh(_PRETTY[len(env) % len(_PRETTY)], avoid)
-            binders.append(nb)
-            env, avoid = {**env, t.binder: nb}, avoid | {nb}
-            t = t.body
-        _, head, args = decompose(t)
-        parts = [head, *args]
-        todo.append((binders, parts, into, i))
-        for k, u in enumerate(parts):
-            if isinstance(u, Var):
-                parts[k] = Var(env.get(u.name, u.name))
-            else:
-                todo.append((u, env, avoid, parts, k))
-    return root[0]
+        u = todo.pop()
+        if type(u) is tuple:  # (node, the binder's outer new name): its parts are renamed
+            u, outer = u
+            if u._kind == "abs":  # the binder leaves the scope
+                nb, depth = env.pop(u.binder), depth - 1
+                taken.remove(nb)
+                if outer is not None:
+                    env[u.binder] = outer
+                done[-1] = type(u)(nb, done[-1])
+            elif type(u) is App:
+                done[-2:] = [App(done[-2], done[-1])]
+            else:  # a bag node, built by its own class
+                k = len(done) - len(u.bag)
+                done[k - 1:] = [type(u)(done[k - 1], tuple(done[k:]))]
+        elif u._kind == "var":
+            done.append(type(u)(env[u.name]) if u.name in env else u)
+        elif u._kind == "abs":
+            todo += (u, env.get(u.binder)), u.body
+            env[u.binder] = nb = fresh(env, depth, taken)
+            taken.add(nb)
+            depth += 1
+        else:
+            todo.append((u, None))
+            todo += reversed((u.fun, u.arg) if type(u) is App else (u.fun, *u.bag))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@ heights, truncations and the resource partial metric."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice, permutations
 from typing import NamedTuple
 
 from .distance import DistanceValue, dyadic, exact
 from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser,
-                      _same_key, db_index, free_vars, key)
+                      _rename, _same_key, db_index, free_vars, key)
 from .limits import within_cap
 
 
@@ -154,26 +154,17 @@ def parse_resource(text: str) -> ResourceTerm:
 # Linear reduction
 
 def canonical_binders(t: ResourceTerm) -> ResourceTerm:
-    """Rename binders to depth-indexed names, so alpha-equivalent subterms at
-    equal depths become literally equal."""
-    avoid = free_rvars(t)
+    """Rename binders to depth-indexed names, c<depth> plus primes skipping
+    free names, so alpha-equivalent subterms at equal depths become
+    literally equal."""
+    return _rename(t, _depth_name)
 
-    def name_for(depth):
-        cand = f"c{depth}"
-        while cand in avoid:
-            cand += "'"
-        return cand
 
-    def go(u, depth, env):
-        if isinstance(u, RVar):
-            return RVar(env.get(u.name, u.name))
-        if isinstance(u, RAbs):
-            nb = name_for(depth)
-            return RAbs(nb, go(u.body, depth + 1, {**env, u.binder: nb}))
-        return RApp(go(u.fun, depth, env),
-                    tuple(go(v, depth, env) for v in u.bag))
-
-    return go(t, 0, {})
+def _depth_name(env, depth, taken):
+    cand = f"c{depth}"
+    while cand in taken:
+        cand += "'"
+    return cand
 
 
 class _Plan(NamedTuple):
@@ -427,27 +418,33 @@ def _is_normal(t: ResourceTerm) -> bool:
 
 def _step(t: ResourceTerm):
     """Contract the leftmost-outermost redex; returns the list of reducts,
-    which may repeat, or None if t is normal.  The application spine above
-    the redex is walked in a loop."""
+    which may repeat, or None if t is normal.  The walk down to the redex
+    runs in a loop that keeps each binder, each spine of outer bags and each
+    bag slot it passes, and the reducts are rebuilt outward through them."""
     if _is_normal(t):
         return None
-    if isinstance(t, RAbs):
-        return [RAbs(t.binder, u) for u in _step(t.body)]
-    bags = []
-    while not isinstance(t.fun, RAbs) and not _is_normal(t.fun):
-        bags.append(t.bag)
-        t = t.fun
-    if isinstance(t.fun, RAbs):
-        out = _contract(t.fun, t.bag)
-    else:
-        items = t.bag
-        for i, u in enumerate(items):
-            if not _is_normal(u):
-                break
-        before, after = items[:i], items[i + 1:]
-        out = [RApp(t.fun, before + (v,) + after) for v in _step(u)]
-    for bag in reversed(bags):
-        out = [RApp(u, bag) for u in out]
+    path = []  # (0, binder), (1, bag) or (2, function, items before, items after)
+    while True:
+        while type(t) is RAbs:
+            path.append((0, t.binder))
+            t = t.body
+        while type(t.fun) is not RAbs and not _is_normal(t.fun):
+            path.append((1, t.bag))
+            t = t.fun
+        if type(t.fun) is RAbs:
+            out = _contract(t.fun, t.bag)
+            break
+        items = t.bag  # t.fun is neutral, so an item holds the redex
+        i = next(i for i, u in enumerate(items) if not _is_normal(u))
+        path.append((2, t.fun, items[:i], items[i + 1:]))
+        t = items[i]
+    for c in reversed(path):
+        if c[0] == 0:
+            out = [RAbs(c[1], u) for u in out]
+        elif c[0] == 1:
+            out = [RApp(u, c[1]) for u in out]
+        else:
+            out = [RApp(c[1], c[2] + (u,) + c[3]) for u in out]
     return out
 
 
@@ -617,13 +614,11 @@ def _levels(t: ResourceTerm, n: int) -> list:
 def r_metric(t: ResourceTerm, u: ResourceTerm) -> DistanceValue:
     """2**-n for the deepest n with both heights >= n and equal truncations.
 
-    Truncations nest, so agreement stops at the first level that differs;
-    the levels are read from the cached keys (D20)."""
+    Truncations nest, so the levels that agree are a prefix, and the first
+    level that differs is found by bisection over the cached keys (D20)."""
     h = min(height(t), height(u))
     a, b = _levels(t, h), _levels(u, h)
-    level = 0
-    while level < h and _same_key(a[level], b[level]):
-        level += 1
+    level = bisect_left(range(h), True, key=lambda k: not _same_key(a[k], b[k]))
     return exact(dyadic(level))
 
 

@@ -8,7 +8,7 @@ from lambdapm.bohm import (BOT, bohm_truncate, direct_approximant,
                            divergence_level, height, p_bohm, p_tree,
                            parse_partial, partial_leq, truncate, truncation_leq)
 from lambdapm.distance import bracket, dyadic, exact
-from lambdapm.lamcalc import Abs, App, Var, parse
+from lambdapm.lamcalc import Abs, App, Var, parse, show
 
 I = parse("\\x. x")
 OMEGA = parse("(\\x. x x)(\\x. x x)")
@@ -245,3 +245,21 @@ def test_partial_print_parse_roundtrip():
               "x (y _|_) (\\a. a)"]:
         t = parse_partial(s)
         assert parse_partial(str(t)) == t
+
+
+@pytest.mark.parametrize("binder", [False, True])
+def test_deep_chains_print_and_embed_without_recursion(binder):
+    # x (x (... _|_)) or \a. a (\a. a (... _|_)), and the chain ending in y,
+    # 10,000 nodes deep: the recursive printer and embedding raised
+    # RecursionError from about 1,000 and 500 levels
+    n = 10_000
+    binders, head = (("a",), "a") if binder else ((), "x")
+    a, b = BOT, bohm.Node((), "y", ())
+    for _ in range(n):
+        a, b = bohm.Node(binders, head, (a,)), bohm.Node(binders, head, (b,))
+    inner = "\\a. a " if binder else "x "
+    outer, close = (inner + "(") * (n - 1), ")" * (n - 1)
+    assert str(a) == bohm.show_partial(a) == outer + inner + "_|_" + close
+    assert show(bohm.to_lambda(b)) == str(b) == outer + inner + "y" + close
+    with pytest.raises(ValueError, match="bottom has no lambda-term embedding"):
+        bohm.to_lambda(a)

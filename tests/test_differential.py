@@ -14,8 +14,9 @@ filling each queue on its own, the H* side read off two partial trees
 against the loop over the maximal element and against brute force, r, its
 order and H* against the loops that truncate at every level and measure
 each pair once per element below, the integer sums of the enumeration
-isometry against Fraction sums, and print/parse round trips for resource
-and partial terms."""
+isometry against Fraction sums, print/parse round trips for resource and
+partial terms, and the one renaming walk and the printing of partial terms
+through their embedding against the walks they replaced."""
 
 import itertools
 import math
@@ -41,9 +42,10 @@ from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
                               solvability, spine, subst)
 from lambdapm.pmetric import LiftedSet, hausdorff_star
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
-                               _levels, _places_of, free_rvars, gen_height,
-                               is_normal, parse_resource, resource_reduce,
-                               rkey, show_resource)
+                               _levels, _places_of, canonical_binders,
+                               free_rvars, gen_height, is_normal,
+                               parse_resource, resource_reduce, rkey,
+                               show_resource)
 from lambdapm.taylor import box_relation, taylor_of_term
 from test_taylor import brute_hstar
 
@@ -2216,3 +2218,138 @@ def test_partial_print_parse_roundtrip(t):
     back = parse_partial(show_partial(t))
     assert back == t
     assert show_partial(back) == show_partial(t)
+
+
+# ---------------------------------------------------------------------------
+# One renaming walk for both families, one printer for lambda and partial
+# terms (docs/DECISIONS.md D21), against the walks they replaced
+
+def ref_canonical(t):
+    """canonical's own walk: binder chains and spines in loops, each nested
+    subterm renamed into its slot in the parts of its spine, with `env` and
+    `avoid` copied at every binder."""
+    root = [t]
+    todo = [(t, {}, set(free_vars(t)), root, 0)]
+    while todo:
+        item = todo.pop()
+        if len(item) == 4:  # (binders, parts, into, i): every part is filled
+            binders, parts, into, i = item
+            into[i] = spine(binders, parts[0], parts[1:])
+            continue
+        t, env, avoid, into, i = item
+        binders = []
+        while isinstance(t, Abs):
+            nb = _fresh(lamcalc._PRETTY[len(env) % len(lamcalc._PRETTY)], avoid)
+            binders.append(nb)
+            env, avoid = {**env, t.binder: nb}, avoid | {nb}
+            t = t.body
+        _, head, args = decompose(t)
+        parts = [head, *args]
+        todo.append((binders, parts, into, i))
+        for k, u in enumerate(parts):
+            if isinstance(u, Var):
+                parts[k] = Var(env.get(u.name, u.name))
+            else:
+                todo.append((u, env, avoid, parts, k))
+    return root[0]
+
+
+def ref_canonical_binders(t):
+    """The recursive renamer: c<depth> plus primes, skipping free names."""
+    avoid = free_rvars(t)
+
+    def name_for(depth):
+        cand = f"c{depth}"
+        while cand in avoid:
+            cand += "'"
+        return cand
+
+    def go(u, depth, env):
+        if isinstance(u, RVar):
+            return RVar(env.get(u.name, u.name))
+        if isinstance(u, RAbs):
+            nb = name_for(depth)
+            return RAbs(nb, go(u.body, depth + 1, {**env, u.binder: nb}))
+        return RApp(go(u.fun, depth, env), tuple(go(v, depth, env) for v in u.bag))
+
+    return go(t, 0, {})
+
+
+def ref_show_partial(t):
+    """The recursive printer of partial terms."""
+    if not isinstance(t, Node):
+        return "_|_"
+    parts = [t.head]
+    for a in t.args:
+        s = ref_show_partial(a)
+        if isinstance(a, Node) and (a.binders or a.args):
+            s = f"({s})"
+        parts.append(s)
+    body = " ".join(parts)
+    for b in reversed(t.binders):
+        body = f"\\{b}. {body}"
+    return body
+
+
+def ref_to_lambda(t):
+    """The recursive embedding of a bottom-free partial term."""
+    if not isinstance(t, Node):
+        raise ValueError("bottom has no lambda-term embedding")
+    return spine(t.binders, Var(t.head), [ref_to_lambda(a) for a in t.args])
+
+
+# free names that both naming rules would pick, under binders that shadow
+# one another
+clashing = st.sampled_from(["x", "y", "y0", "a", "c0", "c1", "c0'"])
+shadowing = st.sampled_from(["x", "y", "a"])
+
+
+@st.composite
+def clashing_terms(draw, var, abs_, app, depth=0):
+    kind = draw(st.sampled_from(["var", "abs", "app"] if depth < 5 else ["var"]))
+    if kind == "var":
+        return var(draw(clashing))
+    if kind == "abs":
+        return abs_(draw(shadowing), draw(clashing_terms(var, abs_, app, depth + 1)))
+    return app(draw, lambda: draw(clashing_terms(var, abs_, app, depth + 1)))
+
+
+SHADOWED = Abs("a", Abs("y", Abs("a", App(App(Var("a"), Var("y0")), Abs("y", Var("c0"))))))
+
+
+@given(st.one_of(lam_terms(), lam_shared,
+                 clashing_terms(Var, Abs, lambda draw, sub: App(sub(), sub()))))
+@example(SHADOWED)
+@example(App(Var("x"), Abs("x", Abs("y", Abs("x", Var("y"))))))
+@settings(max_examples=300, deadline=None)
+def test_canonical_matches_reference_walk(t):
+    c = canonical(t)
+    assert show(c) == show(ref_canonical(t))
+    assert c == t
+
+
+@given(st.one_of(resource_terms(), resource_shared, clashing_terms(
+    RVar, RAbs, lambda draw, sub: RApp(sub(), tuple(sub() for _ in range(draw(st.integers(0, 2))))))))
+@example(parse_resource("\\a. \\a. a<c0, c0', \\a. c1<a>>"))
+@example(parse_resource("c0<\\x. \\y. x<y, c1'>, \\c0. c0>"))
+@settings(max_examples=300, deadline=None)
+def test_canonical_binders_matches_recursive_renamer(t):
+    c = canonical_binders(t)
+    assert show_resource(c) == show_resource(ref_canonical_binders(t))
+    assert c == t
+
+
+@given(partial_terms())
+@example(BOT)
+@example(Node(("x", "x"), "x", (Node(("y",), "y", ()), Node((), "z", (BOT,)), BOT)))
+@settings(max_examples=300, deadline=None)
+def test_partial_printing_and_embedding_match_recursive_walks(t):
+    assert str(t) == show_partial(t) == ref_show_partial(t)
+    try:
+        expected = ref_to_lambda(t)
+    except ValueError:
+        with pytest.raises(ValueError, match="bottom has no lambda-term embedding"):
+            bohm.to_lambda(t)
+    else:
+        m = bohm.to_lambda(t)
+        assert show(m) == show(expected) and key(m) == key(expected)

@@ -351,3 +351,34 @@ def test_r_compares_deep_terms_without_recursion():
     assert r_metric(a, b) == exact(dyadic(601))
     assert r_leq(a, b) and r_leq(truncate(a, 300), b)
     assert not r_leq(truncate(a, 300), deep_rterm("bags", 299))
+
+
+def test_r_finds_a_deep_first_difference():
+    # the first differing level is found by bisection over the cached levels
+    a, b = deep_rterm("bags", 200), RVar("y")
+    for i in range(200):  # the head at depth 101 is w
+        b = RApp(RVar("w" if i == 99 else "x"), (b,))
+    assert r_metric(a, b) == r_metric(b, a) == exact(dyadic(100))
+    assert not r_leq(a, b) and not r_leq(b, a)
+
+
+@pytest.mark.parametrize("shape, n", [("bags", 10_000), ("binders", 3_000), ("mixed", 3_000)])
+def test_canonical_binders_answers_on_deep_terms(shape, n):
+    # the recursive renamer raised RecursionError from about 500 levels
+    t = deep_rterm(shape, n)
+    text = {"bags": "x<" * n + "y" + ">" * n,
+            "binders": "".join(f"\\c{d}. " for d in range(n)) + f"c{n - 1}",
+            "mixed": "".join(f"x<\\c{d}. " for d in range(n)) + f"c{n - 1}" + ">" * n}[shape]
+    renamed = resource.canonical_binders(t)
+    assert str(renamed) == text and renamed == t
+
+
+@pytest.mark.parametrize("n", [2_000, 10_000])
+def test_nested_redex_reduces_without_recursion(n):
+    # _step recursed once per nested bag into the item holding the redex,
+    # and raised RecursionError from 2,000 bags
+    t = RApp(RAbs("z", RVar("z")), (RVar("y"),))
+    for _ in range(n):
+        t = RApp(RVar("x"), (t,))
+    assert _step(t) == [deep_rterm("bags", n)]
+    assert [str(u) for u in resource_reduce(t)] == ["x<" * n + "y" + ">" * n]
