@@ -1,5 +1,6 @@
-"""Partial terms (finite Boehm trees), the approximant order, fuelled
-Boehm-tree truncations, the tree partial metric and the Boehm distance."""
+"""Partial terms (finite Boehm trees) on the node base of lambda and
+resource terms, the approximant order, fuelled Boehm-tree truncations, the
+tree partial metric and the Boehm distance."""
 
 from __future__ import annotations
 
@@ -10,55 +11,37 @@ from fractions import Fraction
 
 from . import lamcalc
 from .distance import DistanceValue, bracket, dyadic, exact, truncation_below
-from .lamcalc import Abs, LambdaTerm, Var, db_index, solvability
+from .lamcalc import LambdaTerm, Term, Var, _cache, db_index, key, solvability
 
 
-class PartialTerm:
-    """Beta-normal term with bottom leaves, normalized for bottom absorption.
+@dataclass(eq=False, slots=True)
+class PartialTerm(Term):
+    """Beta-normal term with bottom leaves, normalized for bottom absorption:
+    `Bottom`, the empty tree, or `Node(binders, head, args)`, that is
+    lambda x1..xm. h A1...An.  It is equal by key, and caches its height
+    (docs/DECISIONS.md D22)."""
 
-    Canonically one of:
-      * Bottom            -- the empty tree
-      * Node(binders, head, args)  -- lambda x1..xm. h A1...An
-    """
+    _height: int = _cache()
 
-    __slots__ = ()
-
-    def __str__(self):
+    def _show(self):
         return show_partial(self)
 
-    def __eq__(self, other):
-        return isinstance(other, PartialTerm) and pkey(self) == pkey(other)
 
-    def __hash__(self):
-        return hash(pkey(self))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Bottom(PartialTerm):
-    pass
+    _kind = "bot"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Node(PartialTerm):
     binders: tuple
     head: str
     args: tuple  # of PartialTerm
+    _kind = "node"
 
 
 BOT = Bottom()
-
-
-def node(binders, head, args) -> PartialTerm:
-    return Node(tuple(binders), head, tuple(args))
-
-
-def pkey(t: PartialTerm, env=()):
-    """Hashable de Bruijn encoding; alpha-equivalent terms share keys."""
-    if isinstance(t, Bottom):
-        return ("bot",)
-    inner = t.binders[::-1] + env
-    return ("n", len(t.binders), db_index(t.head, inner),
-            tuple(pkey(a, inner) for a in t.args))
+pkey = key  # ("n", binder count, de Bruijn head, argument keys), or ("bot",)
 
 
 def show_partial(t: PartialTerm) -> str:
@@ -74,13 +57,12 @@ def parse_partial(text: str) -> PartialTerm:
 
 def from_lambda(t: LambdaTerm) -> PartialTerm:
     """Convert a beta-normal LambdaTerm (possibly with `_|_` variables)."""
-    binders, h, args = lamcalc.decompose(t)
-    if isinstance(h, Var) and h.name == "_|_":
-        return BOT  # lambda x. bottom and bottom-applied both absorb
-    if not isinstance(h, Var):
-        raise ValueError(f"not a beta-normal term: {t}")
-    pt = node(binders, h.name, [from_lambda(a) for a in args])
-    return pt
+    def label(u, depth, pos):
+        binders, h, args = lamcalc.decompose(u)
+        if h._kind != "var":
+            raise ValueError(f"not a beta-normal term: {u}")
+        return None if h.name == "_|_" else (binders, h.name, args)  # bottom absorbs
+    return _grow(t, label)
 
 
 def to_lambda(t: PartialTerm) -> LambdaTerm:
@@ -108,21 +90,50 @@ def _embed(t: PartialTerm) -> LambdaTerm:
 
 
 def height(t: PartialTerm) -> int:
-    """Empty tree has height 0; a node is 1 + the tallest argument."""
-    best, stack = 0, [(t, 1)]
-    while stack:
-        u, depth = stack.pop()
-        if isinstance(u, Node):
-            best = max(best, depth)
-            stack.extend((a, depth + 1) for a in u.args)
-    return best
+    """Empty tree has height 0; a node is 1 + the tallest argument.  The
+    answer is kept on t."""
+    if t._height is None:
+        best, stack = 0, [(t, 1)]
+        while stack:
+            u, depth = stack.pop()
+            if u._kind == "node":
+                best = max(best, depth)
+                stack.extend((a, depth + 1) for a in u.args)
+        t._height = best
+    return t._height
 
 
 def truncate(t: PartialTerm, n: int) -> PartialTerm:
     """Keep nodes at depth <= n; deeper subtrees become bottom."""
-    if isinstance(t, Bottom) or n <= 0:
-        return BOT
-    return Node(t.binders, t.head, tuple(truncate(a, n - 1) for a in t.args))
+    return _grow(t, lambda u, depth, pos: None if u._kind == "bot" or depth > n
+                 else (u.binders, u.head, u.args))
+
+
+def _grow(t, label) -> PartialTerm:
+    """The partial tree that `label` reads off t.  label(u, depth, pos) is
+    None for a bottom, or else the binders, head and argument sources of a
+    node, for a source u at `depth` and `pos` as `aligned` yields them; it
+    is asked in preorder, as a recursion would ask it.  A node waits on the
+    stack, depth 0, under its arguments, whose trees land on `done` in
+    order (docs/DECISIONS.md D22)."""
+    done, todo = [], [(t, 1, ())]
+    while todo:
+        u, depth, pos = todo.pop()
+        if not depth:  # u is the label of a node whose arguments are grown
+            k = len(done) - len(u[2])
+            done[k:] = [Node(u[0], u[1], tuple(done[k:]))]
+            continue
+        lab = label(u, depth, pos)
+        if lab is None:
+            done.append(BOT)
+        elif not lab[2]:
+            done.append(Node(*lab))
+        else:
+            todo.append((lab, 0, None))
+            args, depth = lab[2], depth + 1
+            for i in range(len(args) - 1, -1, -1):
+                todo.append((args[i], depth, (pos, i)))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +196,10 @@ def truncation_leq(a: PartialTerm, b: PartialTerm) -> bool:
 
 def direct_approximant(t: LambdaTerm) -> PartialTerm:
     """Structural approximant: head redexes collapse to bottom."""
-    binders, h, args = lamcalc.decompose(t)
-    if isinstance(h, Abs):  # decompose leaves an Abs head only under application
-        return BOT
-    assert isinstance(h, Var)
-    return node(binders, h.name, [direct_approximant(a) for a in args])
+    def label(u, depth, pos):
+        binders, h, args = lamcalc.decompose(u)  # an Abs head only under application
+        return None if h._kind == "abs" else (binders, h.name, args)
+    return _grow(t, label)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +226,21 @@ def bohm_truncate(t: LambdaTerm, depth: int, fuel: int) -> BohmTruncation:
     """Compute the Boehm tree of t down to `depth` by iterated solvability."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    tentative: list = []
-    cut: list = []
+    tentative, cut = [], []
 
-    def go(u: LambdaTerm, d: int, pos: tuple) -> PartialTerm:
-        if d == 0:
-            cut.append(pos)
-            return BOT
+    def label(u, level, pos):
+        if level > depth:
+            cut.append(_path(pos))
+            return None
         st = solvability(u, fuel)
-        if st.is_divergent:
-            return BOT
+        if st.is_solvable:
+            hf = st.head
+            return hf.binders, hf.head, hf.args
         if st.is_unknown:
-            tentative.append(pos)
-            return BOT
-        hf = st.head
-        args = [go(a, d - 1, pos + (i,)) for i, a in enumerate(hf.args)]
-        return node(hf.binders, hf.head, args)
+            tentative.append(_path(pos))
+        return None
 
-    tree = go(t, depth, ())
+    tree = _grow(t, label)
     return BohmTruncation(tree, depth, tuple(tentative), tuple(cut))
 
 

@@ -19,16 +19,22 @@ def _cache():
 
 @dataclass(eq=False, slots=True)
 class Term:
-    """A node of a lambda or a resource term, never changed once built but
-    for its caches, whose values never change once filled: here the free
-    names and the closed key's hash.  Each family's base defines equality."""
+    """A node of a lambda, a resource or a partial term, never changed once
+    built but for its caches, whose values never change once filled: here
+    the free names and the closed key's hash.  Terms are equal when their
+    hashes and then their keys are; a resource key never equals a partial
+    one, and lambda terms keep an equality of their own (D18, D22)."""
 
     _fv: frozenset = _cache()
     _hash: int = _cache()
-    _kind = None  # "var", "abs" or "app": the node class's place in a term
+    _kind = None  # "var", "abs" or "app", or a partial term's "node" or "bot"
 
     def __str__(self):
         return self._show()
+
+    def __eq__(self, other):
+        return self is other or (type(other).__eq__ is Term.__eq__ and hash(self) == hash(other)
+                                 and _same_key(key(self), key(other)))
 
     def __hash__(self):
         h = self._hash
@@ -79,8 +85,8 @@ def db_index(name: str, env: tuple):
 
 
 def key(t: Term, env=()):
-    """Hashable de Bruijn encoding of a lambda or resource term under `env`,
-    its binders innermost first; alpha-equivalent terms share keys."""
+    """Hashable de Bruijn encoding of a term of any family under `env`, its
+    binders innermost first; alpha-equivalent terms share keys."""
     return _encode(t, env, tuple)
 
 
@@ -89,7 +95,9 @@ def _encode(t: Term, env: tuple, seal):
     `tuple`, which returns a tuple as it is, the key; with `hash` a hash of
     the key built from the hashes of its parts.  A part with no name of its
     environment free has its closed value, a hash kept in `_hash`; any
-    other value is kept for the call by node and environment (D18)."""
+    other value is kept for the call by node and environment (D18).  A
+    partial node's value is ("n", its binder count, its head's index, its
+    arguments' values), and a bottom's is ("bot",) (D22)."""
     hashing = seal is hash
     memo, frames, u = {}, [], t
     top = apps = mkey = left = vals = None  # the open frame, with env
@@ -103,32 +111,40 @@ def _encode(t: Term, env: tuple, seal):
             if v is None:  # the node gets a frame, with its parts left
                 frames.append((top, apps, env, left, vals, mkey))
                 top, apps, mkey, vals, left = u, [], at, [], []
-                env = () if closed else env
-                if u._kind == "abs":
+                env, kind = () if closed else env, u._kind
+                if kind == "abs":
                     env, left = (u.binder,) + env, [u.body]
-                while u._kind == "app":  # a spine, down to its head or a closed part
-                    apps.append(u)
-                    left += (u.arg,) if type(u) is App else u.bag
-                    u = u.fun
-                    if u._kind != "app" or ((u._fv or free_vars(u)).isdisjoint(env)
-                                            if env else hashing and u._hash is not None):
-                        left.append(u)
-                        break
+                elif kind == "app":
+                    while True:  # a spine, down to its head or a closed part
+                        apps.append(u)
+                        left += (u.arg,) if type(u) is App else u.bag
+                        u = u.fun
+                        if u._kind != "app" or ((u._fv or free_vars(u)).isdisjoint(env)
+                                                if env else hashing and u._hash is not None):
+                            left.append(u)
+                            break
+                elif kind == "node":  # a partial node, its first argument on top
+                    env, left = u.binders[::-1] + env, list(reversed(u.args))
         if v is not None:
             if not frames:
                 return v
             vals.append(v)
         while not left:  # every part of the frame's node has its value
-            v, k = vals[0], 1
-            for node in reversed(apps):
-                if type(node) is App:
-                    part, k = vals[k], k + 1
-                else:  # a bag's part is the sorted tuple of its items' values
-                    n = k + len(node.bag)
-                    part, k = tuple(sorted(vals[k:n])), n
-                v = _hash_app(v, part) if hashing else ("a", v, part)
-            if top._kind == "abs":
-                v = seal(("l", v))
+            kind = top._kind
+            if kind == "abs":
+                v = seal(("l", vals[0]))
+            elif kind == "app":
+                v, k = vals[0], 1
+                for node in reversed(apps):
+                    if type(node) is App:
+                        part, k = vals[k], k + 1
+                    else:  # a bag's part is the sorted tuple of its items' values
+                        n = k + len(node.bag)
+                        part, k = tuple(sorted(vals[k:n])), n
+                    v = _hash_app(v, part) if hashing else ("a", v, part)
+            else:  # a partial node or a bottom
+                v = seal(("n", len(top.binders), db_index(top.head, env), tuple(vals))
+                         if kind == "node" else ("bot",))
             if mkey is None:
                 top._hash = v
             else:
@@ -175,7 +191,8 @@ _NAMES: dict = {}  # name -> frozenset({name}), shared by every variable
 def free_vars(t: Term) -> frozenset:
     """The free names of t, computed once per node, on a stack where a node
     waits under its unfilled parts; a part's equal set is shared.  The visit
-    fills a resource node's height and neutrality too (D12)."""
+    fills a resource node's height and neutrality too (D12).  A partial
+    node's names are its head's and its arguments' less its binders."""
     if t._fv is not None:
         return t._fv
     todo = [t]
@@ -185,7 +202,8 @@ def free_vars(t: Term) -> frozenset:
             continue
         kind = u._kind
         parts = ((u,) if kind == "var" else (u.body,) if kind == "abs"
-                 else (u.fun, u.arg) if type(u) is App else (u.fun, *u.bag))
+                 else (u.fun, u.arg) if type(u) is App else (u.fun, *u.bag) if kind == "app"
+                 else u.args if kind == "node" else ())
         n = len(todo)
         for a in parts:  # a variable is filled here, not pushed, and so is t if it is one
             if a._fv is None:
@@ -198,16 +216,16 @@ def free_vars(t: Term) -> frozenset:
         if len(todo) > n:
             todo.insert(n, u)
             continue
-        fv = parts[0]._fv
         if kind == "abs":
+            fv = u.body._fv
             u._fv = fv - _NAMES[u.binder] if u.binder in fv else fv
             if type(u) is not Abs:
                 u._height, u._neutral = u.body._height, False
         elif type(u) is App:
-            a = u.arg._fv
+            fv, a = u.fun._fv, u.arg._fv
             u._fv = fv if a <= fv else a if fv <= a else fv | a
         elif kind == "app":
-            h, neutral = u.fun._height, u.fun._neutral
+            fv, h, neutral = u.fun._fv, u.fun._height, u.fun._neutral
             for a in u.bag:
                 s = a._fv
                 if not s <= fv:
@@ -219,6 +237,9 @@ def free_vars(t: Term) -> frozenset:
                         a = a.body
                     neutral = a._neutral
             u._fv, u._height, u._neutral = fv, h, neutral
+        elif kind != "var":  # a partial node or a bottom
+            u._fv = (frozenset({u.head}.union(*(a._fv for a in parts)).difference(u.binders))
+                     if kind == "node" else frozenset())
     return t._fv
 
 
@@ -382,9 +403,23 @@ _PRETTY = list(string.ascii_lowercase[23:] + string.ascii_lowercase[:23])
 
 def canonical(t: LambdaTerm) -> LambdaTerm:
     """Alpha-canonical renaming: binders renamed to x,y,z,a,b,... skipping
-    free names and the new names of the binders around them."""
-    return _rename(t, lambda env, depth, taken:
-                   _fresh(_PRETTY[len(env) % len(_PRETTY)], taken))
+    free names and the new names of the binders around them.  A base's scan
+    of base, base0, base1, ... resumes where the nearest binder around with
+    that base stopped, as the names before it are taken (D21 point 4)."""
+    resume, scopes = {}, []  # base -> next suffix, -1 for the base; (depth, base, old)
+
+    def fresh(env, depth, taken):
+        while scopes and scopes[-1][0] >= depth:  # a binder whose scope is done
+            _, base, resume[base] = scopes.pop()
+        base = _PRETTY[len(env) % len(_PRETTY)]
+        n = old = resume.get(base, -1)
+        while (cand := f"{base}{n}" if n >= 0 else base) in taken:
+            n += 1
+        scopes.append((depth, base, old))
+        resume[base] = n + 1
+        return cand
+
+    return _rename(t, fresh)
 
 
 def _rename(t: Term, fresh) -> Term:

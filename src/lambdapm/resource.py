@@ -24,12 +24,6 @@ class ResourceTerm(Term):
     _height: int = _cache()
     _levels: list = _cache()  # key(truncate(t, k)) at index k - 1 (_levels)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, ResourceTerm) and hash(self) == hash(other)
-                                 and _same_key(key(self), key(other)))
-
-    __hash__ = Term.__hash__
-
     def _show(self):
         return show_resource(self)
 

@@ -410,15 +410,14 @@ def faithful_pool(a: PartialTerm) -> tuple:
     which is what makes the per-term grouping identity exact.  The pool is
     cycled when an enumeration needs more indices than it has elements.
     """
-    k = bohm.pkey(a)
-    if k not in _POOLS:
+    if a not in _POOLS:
         pool = [t for t in _expand(a, range(3), max(1, bohm.height(a)))
                 if min_source(t) == a]
         if not pool:
             raise RuntimeError(f"no faithful element for {a}")  # unreachable
         pool.sort(key=lambda t: (resource.rsize(t), str(rkey(t))))
-        _POOLS[k] = tuple(pool)
-    return _POOLS[k]
+        _POOLS[a] = tuple(pool)
+    return _POOLS[a]
 
 
 def per_term(a: PartialTerm, m: int) -> ResourceTerm:

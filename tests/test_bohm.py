@@ -263,3 +263,25 @@ def test_deep_chains_print_and_embed_without_recursion(binder):
     assert show(bohm.to_lambda(b)) == str(b) == outer + inner + "y" + close
     with pytest.raises(ValueError, match="bottom has no lambda-term embedding"):
         bohm.to_lambda(a)
+
+
+@pytest.mark.parametrize("binder", [False, True])
+def test_deep_chains_key_and_grow_without_recursion(binder):
+    # x (x (... _|_)) or \a. a (\a. a (... _|_)), built twice, the chain
+    # ending in y, and the lambda chain ending in y, 10,000 levels deep:
+    # keys, hashes and equality recursed through pkey, and the four builders
+    # of partial trees recursed once per level
+    n = 10_000
+    binders, head = (("a",), "a") if binder else ((), "x")
+    a, a2, b, m = BOT, BOT, bohm.Node((), "y", ()), Var("y")
+    for _ in range(n):
+        a, a2 = bohm.Node(binders, head, (a,)), bohm.Node(binders, head, (a2,))
+        b = bohm.Node(binders, head, (b,))
+        m = Abs("a", App(Var("a"), m)) if binder else App(Var("x"), m)
+    assert hash(a) == hash(a2) and a == a2 and a != b and hash(a) != hash(b)
+    assert height(a) == n and a._height == n
+    assert truncate(b, n) == a and height(truncate(b, n // 2)) == n // 2
+    assert bohm.from_lambda(m) == b and direct_approximant(m) == b
+    tr = bohm_truncate(m, n, 10)
+    assert tr.tree == truncate(b, n) and tr.cut == ((0,) * n,) and tr.is_exact
+    assert len(str(tr.tree)) == len(str(a))

@@ -15,8 +15,10 @@ against the loop over the maximal element and against brute force, r, its
 order and H* against the loops that truncate at every level and measure
 each pair once per element below, the integer sums of the enumeration
 isometry against Fraction sums, print/parse round trips for resource and
-partial terms, and the one renaming walk and the printing of partial terms
-through their embedding against the walks they replaced."""
+partial terms, the one renaming walk and the printing of partial terms
+through their embedding against the walks they replaced, and the one
+builder of partial trees and partial equality against the recursions and
+the key comparison they replaced."""
 
 import itertools
 import math
@@ -2321,6 +2323,7 @@ SHADOWED = Abs("a", Abs("y", Abs("a", App(App(Var("a"), Var("y0")), Abs("y", Var
                  clashing_terms(Var, Abs, lambda draw, sub: App(sub(), sub()))))
 @example(SHADOWED)
 @example(App(Var("x"), Abs("x", Abs("y", Abs("x", Var("y"))))))
+@example(parse("(\\x. \\y. \\x. x) (\\y. \\y. \\x. \\x. x)"))  # a scope left, then a sibling's
 @settings(max_examples=300, deadline=None)
 def test_canonical_matches_reference_walk(t):
     c = canonical(t)
@@ -2353,3 +2356,182 @@ def test_partial_printing_and_embedding_match_recursive_walks(t):
     else:
         m = bohm.to_lambda(t)
         assert show(m) == show(expected) and key(m) == key(expected)
+
+
+# ---------------------------------------------------------------------------
+# Partial terms on the shared node base (docs/DECISIONS.md D22): the one
+# builder behind truncate, from_lambda, direct_approximant and bohm_truncate
+# against the recursions it replaced, and partial equality against the key
+
+def ref_truncate(t, n):
+    if not isinstance(t, Node) or n <= 0:
+        return BOT
+    return Node(t.binders, t.head, tuple(ref_truncate(a, n - 1) for a in t.args))
+
+
+def ref_from_lambda(t):
+    binders, h, args = decompose(t)
+    if isinstance(h, Var) and h.name == "_|_":
+        return BOT
+    if not isinstance(h, Var):
+        raise ValueError(f"not a beta-normal term: {t}")
+    return Node(binders, h.name, tuple(ref_from_lambda(a) for a in args))
+
+
+def ref_direct_approximant(t):
+    binders, h, args = decompose(t)
+    if isinstance(h, Abs):
+        return BOT
+    return Node(binders, h.name, tuple(ref_direct_approximant(a) for a in args))
+
+
+def ref_bohm_truncate(t, depth, fuel):
+    """The recursive truncation: its tree, and its tentative and cut
+    positions in the order the recursion met them."""
+    tentative, cut = [], []
+
+    def go(u, d, pos):
+        if d == 0:
+            cut.append(pos)
+            return BOT
+        st = solvability(u, fuel)
+        if st.is_divergent:
+            return BOT
+        if st.is_unknown:
+            tentative.append(pos)
+            return BOT
+        hf = st.head
+        return Node(hf.binders, hf.head,
+                    tuple(go(a, d - 1, pos + (i,)) for i, a in enumerate(hf.args)))
+
+    return go(t, depth, ()), tuple(tentative), tuple(cut)
+
+
+def spelled(t):
+    """t with its names, as nested tuples: equal exactly when the trees are
+    the same node for node, not only up to renaming."""
+    if isinstance(t, bohm.Bottom):
+        return "bot"
+    return (t.binders, t.head, tuple(spelled(a) for a in t.args))
+
+
+@given(partial_terms())
+@example(Node(("x",), "x", (BOT, Node((), "y", (Node((), "z", ()),)))))
+@settings(max_examples=200, deadline=None)
+def test_truncate_matches_recursive_reference_at_every_level(t):
+    for n in range(-1, ref_height(t) + 2):
+        cut = bohm.truncate(t, n)
+        assert spelled(cut) == spelled(ref_truncate(t, n))
+        assert pkey(cut) == ref_pkey(ref_truncate(t, n))
+
+
+@given(st.one_of(partial_terms().map(bohm._embed), lam_terms()))
+@example(lamcalc._Parser("\\x. x (\\y. _|_) ((\\z. z) x)", allow_bottom=True).parse())
+@example(lamcalc._Parser("x _|_ (\\y. _|_ y) (\\y. y)", allow_bottom=True).parse())
+@settings(max_examples=300, deadline=None)
+def test_from_lambda_and_direct_approximant_match_recursions(m):
+    try:
+        expected = ref_from_lambda(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bohm.from_lambda(m)
+        assert str(got.value) == str(exc)
+    else:
+        assert spelled(bohm.from_lambda(m)) == spelled(expected)
+    assert spelled(bohm.direct_approximant(m)) == spelled(ref_direct_approximant(m))
+
+
+# Y f, whose Boehm tree f (f (f ...)) meets every depth, and terms that run
+# out of fuel, so that the cut and the tentative positions are not empty
+BOHM_TERMS = [parse("(\\x. f (x x)) (\\x. f (x x))"), corpus.OMEGA, corpus.OMEGA3,
+              parse("\\y. y ((\\x. x x x) (\\x. x x x))"
+                    " ((\\x. y (x x)) (\\x. y (x x)) ((\\x. x x x) (\\x. x x x)))")]
+
+
+@given(st.one_of(st.sampled_from(BOHM_TERMS), lam_terms(),
+                 st.builds(lambda seed, size: corpus.random_term(random.Random(seed), size),
+                           st.integers(0, 2**32 - 1), st.integers(1, 24))),
+       st.integers(0, 5), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_bohm_truncate_matches_recursion_in_order(m, depth, fuel):
+    tr = bohm.bohm_truncate(m, depth, fuel)
+    tree, tentative, cut = ref_bohm_truncate(m, depth, fuel)
+    assert spelled(tr.tree) == spelled(tree) and pkey(tr.tree) == ref_pkey(tree)
+    assert tr.tentative == tentative and tr.cut == cut
+
+
+def test_drawn_truncations_have_tentative_and_cut_positions():
+    # random terms of the sizes and fuels drawn above reach both kinds of
+    # position, cuts in more than one place; the fixed term has a cut
+    # between two tentative positions in preorder
+    rng, seen = random.Random(5), Counter()
+    for _ in range(400):
+        tr = bohm.bohm_truncate(corpus.random_term(rng, rng.randint(1, 24)),
+                                rng.randint(0, 5), rng.randint(1, 4))
+        seen["tentative"] += len(tr.tentative) > 0
+        seen["cut"] += len(tr.cut) > 1
+    assert seen["tentative"] and seen["cut"]
+    y = bohm.bohm_truncate(BOHM_TERMS[3], 3, 5)
+    assert y.tentative == ((0,), (1, 1)) and y.cut == ((1, 0, 0),)
+    assert str(y.tree) == "\\y. y _|_ (y (y _|_) _|_)"
+
+
+def copy_partial(t):
+    """A node-by-node copy with empty caches, every bottom a fresh object."""
+    if not isinstance(t, Node):
+        return bohm.Bottom()
+    return Node(t.binders, t.head, tuple(copy_partial(a) for a in t.args))
+
+
+@st.composite
+def partial_pairs(draw):
+    """Two partial terms: unrelated, an alpha-variant, a copy, one under
+    binders that shadow one another or not, or an unrelated term given the
+    first one's hash, as a collision would."""
+    a = draw(partial_terms())
+    how = draw(st.sampled_from(["any", "variant", "copy", "shadow", "collide"]))
+    if how == "variant":
+        return a, alpha_partial(a)
+    if how == "copy":
+        return a, copy_partial(a)
+    b = draw(st.one_of(st.just(a), partial_terms()) if how == "shadow" else partial_terms())
+    if how == "shadow":
+        x, h = draw(names), draw(names)
+        return Node((x, x), h, (a,)), Node((x, draw(names)), h, (b,))
+    if how == "collide":
+        b._hash = hash(a)
+    return a, b
+
+
+def ref_phash(k):
+    """The hash a partial term caches: its key's, built from the hashes of
+    its arguments' keys instead of the keys themselves."""
+    if k[0] == "bot":
+        return hash(k)
+    return hash(k[:3] + (tuple(ref_phash(a) for a in k[3]),))
+
+
+def ref_partial_free(t, bound=frozenset()):
+    if not isinstance(t, Node):
+        return frozenset()
+    bound = bound | set(t.binders)
+    names = frozenset() if t.head in bound else frozenset([t.head])
+    return names.union(*(ref_partial_free(a, bound) for a in t.args))
+
+
+@given(partial_pairs())
+@example((Node(("x", "x"), "x", ()), Node(("x", "y"), "y", ())))
+@example((Node(("x", "x"), "x", ()), Node(("x", "y"), "x", ())))
+@example((Node(("x",), "y", (Node(("y",), "x", ()),)),
+          Node(("z",), "y", (Node(("x",), "z", ()),))))
+@settings(max_examples=300, deadline=None)
+def test_partial_equality_is_key_equality(pair):
+    a, b = pair
+    same = ref_pkey(a) == ref_pkey(b)
+    assert (a == b) == (b == a) == same
+    assert (a != b) != same
+    assert hash(a) == ref_phash(ref_pkey(a))
+    assert hash(b) in (ref_phash(ref_pkey(b)), hash(a))  # hash(a) when forced
+    assert free_vars(a) == ref_partial_free(a) and free_vars(b) == ref_partial_free(b)
+    assert same <= (hash(a) == hash(b))
+    assert a != bohm._embed(a) and a != resource.RVar(a.head)

@@ -242,9 +242,9 @@ def test_deep_terms_answer_without_recursion(shape):
 @pytest.mark.parametrize("shape", ["binders", "mixed"])
 def test_canonical_names_deep_shadowed_binders(shape):
     # every binder is named a and shadows the one above; the names skip the
-    # free x and the new names around them: x (or x0), y, y0, y1, ...  The
-    # depth stays small, as canonical is quadratic on such chains
-    n = 2_000
+    # free x and the new names around them: x (or x0), y, y0, y1, ...  Each
+    # scan of y0, y1, ... resumes where the binder above stopped
+    n = 10_000
     names = ["x0" if shape == "mixed" else "x", "y"] + [f"y{k}" for k in range(n - 2)]
     outer = "x (\\{}. " if shape == "mixed" else "\\{}. "
     text = "".join(outer.format(b) for b in names) + names[-1]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lambdapm import corpus, resource
+from lambdapm.bohm import BOT, Bottom, Node
 from lambdapm.distance import dyadic, exact
 from lambdapm.domains import CapExceeded as DomainsCapExceeded
 from lambdapm.lamcalc import Abs, ParseError, Var, _same_key
@@ -275,12 +276,16 @@ def test_long_spine_is_walked_in_loops():
 
 def test_lambda_and_resource_nodes_are_never_equal():
     """The two families share the key encoder, so a variable has the same
-    hash in both; equality still tells them apart."""
+    hash in both; equality still tells them apart, and partial terms,
+    which share the encoder too, from both."""
     assert hash(Var("x")) == hash(RVar("x"))
     assert Var("x") != RVar("x") and RVar("x") != Var("x")
     assert not Var("x") == RVar("x")
     assert len({Var("x"), RVar("x")}) == 2
     assert len({Abs("x", Var("x")), RAbs("y", RVar("y"))}) == 2
+    x = Node((), "x", ())
+    assert x != Var("x") and Var("x") != x and x != RVar("x") and RVar("x") != x
+    assert BOT == Bottom() and BOT != Var("_|_") and len({x, Var("x"), RVar("x")}) == 3
 
 
 def deep_rterm(shape, n):
