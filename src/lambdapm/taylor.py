@@ -9,47 +9,39 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, cycle, islice, product
+from itertools import chain, combinations_with_replacement, cycle, islice
 
 from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
 from .distance import bracket, dyadic, exact
 from .lamcalc import Abs, LambdaTerm, Var, db_index
 from .limits import within_cap
-from .resource import (RAbs, RApp, ResourceTerm, RVar, gen_height, normal_view,
-                       rkey)
+from .resource import RAbs, RApp, ResourceTerm, RVar, normal_view, rkey
 
 
 # ---------------------------------------------------------------------------
 # Membership: t is one of the linear approximations of the partial term a
 
 def box_relation(t: ResourceTerm, a: PartialTerm) -> bool:
-    """t belongs to the Taylor expansion of a (the expansion of bottom is empty)."""
-    try:
-        return _box_depth(t, a, (), ()) == math.inf
-    except ValueError:  # t is not normal
-        return False
-
-
-def _box_depth(t: ResourceTerm, a: PartialTerm, envt, enva):
-    """The largest n such that resource.truncate(t, n) belongs to the
-    expansion of bohm.truncate(a, n), or math.inf if t belongs to the
-    expansion of a (docs/DECISIONS.md D8).  Raises ValueError on a redex."""
-    if isinstance(a, Bottom):
-        return 0
-    binders, head, bags = normal_view(t)
-    if len(binders) != len(a.binders) or len(bags) != len(a.args):
-        return 0
-    et, ea = binders[::-1] + envt, a.binders[::-1] + enva
-    if db_index(head, et) != db_index(a.head, ea):
-        return 0
-    depth = math.inf
-    for items, arg in zip(bags, a.args):
-        for u in items:
-            depth = min(depth, _box_depth(u, arg, et, ea))
-            if depth == 0:
-                return 1
-    return 1 + depth
+    """t belongs to the Taylor expansion of a (the expansion of bottom is
+    empty): every item sits against a node of a with its binder count,
+    arity and de Bruijn head, on a stack of (item, node, environments)."""
+    todo = [(t, a, (), ())]
+    while todo:
+        u, x, eu, ex = todo.pop()
+        if x._kind == "bot":
+            return False
+        try:
+            binders, head, bags = normal_view(u)
+        except ValueError:  # u is not normal
+            return False
+        if len(binders) != len(x.binders) or len(bags) != len(x.args):
+            return False
+        eu, ex = binders[::-1] + eu, x.binders[::-1] + ex
+        if db_index(head, eu) != db_index(x.head, ex):
+            return False
+        todo.extend((v, arg, eu, ex) for items, arg in zip(bags, x.args) for v in items)
+    return True
 
 
 def min_source(t: ResourceTerm) -> PartialTerm | None:
@@ -57,50 +49,25 @@ def min_source(t: ResourceTerm) -> PartialTerm | None:
 
     t belongs to the expansion of a  iff  min_source(t) is defined and
     min_source(t) is below a in the approximant order.  Binders are
-    canonicalized first so that joining alpha-variant bag elements works.
+    canonicalized first, so that the items that sit at one position, which
+    the source must join, name a bound head alike; `bohm._grow` reads each
+    node off the group of such items, and an empty group is a bottom
+    (docs/DECISIONS.md D23).
     """
-    return _min_source(resource.canonical_binders(t))
-
-
-def _min_source(t: ResourceTerm) -> PartialTerm | None:
+    def label(items, depth, pos):
+        if not items:
+            return None
+        views = [normal_view(u) for u in items]  # raises ValueError on a redex
+        binders, head, bags = views[0]
+        for b, h, g in views[1:]:
+            if len(b) != len(binders) or h != head or len(g) != len(bags):
+                raise ValueError("the items have no common source")
+        return binders, head, tuple(tuple(u for v in views for u in v[2][i])
+                                    for i in range(len(bags)))
     try:
-        binders, head, bags = normal_view(t)
+        return bohm._grow((resource.canonical_binders(t),), label)
     except ValueError:
         return None
-    args = []
-    for items in bags:
-        if not items:
-            args.append(BOT)
-            continue
-        sources = [_min_source(u) for u in items]
-        if any(s is None for s in sources):
-            return None
-        joined = sources[0]
-        for s in sources[1:]:
-            joined = _join(joined, s)
-            if joined is None:
-                return None
-        args.append(joined)
-    return Node(binders, head, tuple(args))
-
-
-def _join(a: PartialTerm, b: PartialTerm) -> PartialTerm | None:
-    if isinstance(a, Bottom):
-        return b
-    if isinstance(b, Bottom):
-        return a
-    # binders are canonical (min_source): at equal depth, equal names
-    # are the same variable
-    if (len(a.binders), a.head, len(a.args)) != (len(b.binders), b.head, len(b.args)):
-        return None
-    args = []
-    for x, y in zip(a.args, b.args):
-        j = _join(x, y)
-        if j is None:
-            return None
-        args.append(j)
-    # reuse a's binder names for the joined node
-    return Node(a.binders, a.head, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -117,71 +84,64 @@ class TaylorFragment:
 def taylor_expand(a: PartialTerm, mult_bound: int, height_bound: int) -> TaylorFragment:
     """All t with t in the expansion of a, bags of size <= mult_bound and
     height <= height_bound, generated exhaustively."""
-    if mult_bound < 1 or height_bound < 1:
-        raise ValueError("bounds must be >= 1")
-    return TaylorFragment(a, mult_bound, height_bound,
-                          frozenset(_expand(a, range(mult_bound + 1), height_bound)))
-
-
-def _bags(elems, sizes) -> list:
-    """Every multiset of `elems` whose size is in `sizes`, in a fixed order."""
-    pool = []
-    for k in sizes:
-        pool.extend(combinations_with_replacement(elems, k))
-    return pool
-
-
-def _expand(a: PartialTerm, sizes, h) -> list:
-    """Expansion elements of `a` of height <= h (math.inf: any height) whose
-    bags over non-bottom arguments have sizes in `sizes`; a bottom argument
-    takes only the empty bag."""
-    if isinstance(a, Bottom) or h < 1:
-        return []
-    pools = []
-    for arg in a.args:
-        if isinstance(arg, Bottom):
-            pools.append([()])
-        else:
-            pools.append(_bags(_expand(arg, sizes, h - 1), sizes))
-    binders, head, spine = a.binders, RVar(a.head), resource.spine
-    return [spine(binders, head, bags) for bags in product(*pools)]
+    return TaylorFragment(a, mult_bound, height_bound, frozenset(
+        _elements(bohm._embed(a), mult_bound, height_bound)))
 
 
 def taylor_of_term(m: LambdaTerm, mult_bound: int, height_bound: int) -> TaylorFragment:
     """Bounded expansion of a raw (possibly non-normal) lambda term."""
-    return _term_fragment(m, mult_bound, height_bound, sized=False)
+    return TaylorFragment(m, mult_bound, height_bound, frozenset(
+        _elements(m, mult_bound, height_bound)))
 
 
-def _term_fragment(m: LambdaTerm, mult_bound: int, height_bound: int,
-                   sized: bool) -> TaylorFragment:
+def _elements(m: LambdaTerm, mult_bound: int, height_bound: int,
+              sized: bool = False) -> list:
     """The expansion elements of m of height <= height_bound.  A bag holds
     0..mult_bound items, except, when `sized`, the bag a redex applies to an
     abstraction: it holds exactly as many items as the binder has
-    occurrences, the one size with a reduct (docs/DECISIONS.md D13)."""
+    occurrences, the one size with a reduct (docs/DECISIONS.md D13).  The
+    variable `_|_`, a bottom of an embedded partial term, has no element.
+    An argument is expanded within one level less than its application, so
+    no element above the height is built (D23).  A node waits on the stack
+    under its parts, whose element lists land on `done` in order; every
+    list and bag pool goes through the cap."""
     if mult_bound < 1 or height_bound < 1:
         raise ValueError("bounds must be >= 1")
+    sizes = range(mult_bound + 1)
+    done, todo = [], [(m, height_bound)]
+    while todo:
+        u, k = todo.pop()
+        if k is None:  # u's parts are expanded
+            if u._kind == "abs":
+                done[-1] = [RAbs(u.binder, t) for t in done[-1]]
+                continue
+            args, funs = done.pop(), done[-1]
+            demands = [_demand(f) for f in funs] if sized else [None] * len(funs)
+            pools = {}  # bag size demanded (None: any up to the bound) -> bags
+            for n in demands:
+                if n not in pools:
+                    pools[n] = within_cap(
+                        _bags(args, sizes if n is None else (n,)),
+                        ("a" if n is None else "a sized") + " bag pool has more than "
+                        "{cap} bags, exceeds cap {cap} (LAMBDA_PM_CAP)")
+            done[-1] = within_cap(
+                (RApp(f, items) for f, n in zip(funs, demands) for items in pools[n]),
+                "an expansion has more than {cap} elements at one node, exceeds "
+                "cap {cap} (LAMBDA_PM_CAP)")
+        elif k < 1 or (u._kind == "var" and u.name == "_|_"):
+            done.append([])
+        elif u._kind == "var":
+            done.append([RVar(u.name)])
+        elif u._kind == "abs":
+            todo += (u, None), (u.body, k)
+        else:
+            todo += (u, None), (u.arg, k - 1), (u.fun, k)
+    return done[0]
 
-    def go(u: LambdaTerm) -> list:
-        if isinstance(u, Var):
-            return [RVar(u.name)]
-        if isinstance(u, Abs):
-            return [RAbs(u.binder, t) for t in go(u.body)]
-        funs, args = go(u.fun), go(u.arg)
-        pools = {}  # bag size demanded (None: any up to the bound) -> bags
-        out = []
-        for f in funs:
-            n = _demand(f) if sized else None
-            if n not in pools:
-                pools[n] = (_bags(args, range(mult_bound + 1)) if n is None else
-                            within_cap(combinations_with_replacement(args, n),
-                                       "a sized bag pool has more than {cap} "
-                                       "bags, exceeds cap {cap} (LAMBDA_PM_CAP)"))
-            for items in pools[n]:
-                out.append(RApp(f, tuple(items)))
-        return out
 
-    elems = [t for t in go(m) if gen_height(t) <= height_bound]
-    return TaylorFragment(m, mult_bound, height_bound, frozenset(elems))
+def _bags(elems, sizes):
+    """Every multiset of `elems` whose size is in `sizes`, in a fixed order."""
+    return chain.from_iterable(combinations_with_replacement(elems, k) for k in sizes)
 
 
 def _demand(f: ResourceTerm) -> int | None:
@@ -290,8 +250,8 @@ def commutation_check(m: LambdaTerm, mult_bound: int, height_bound: int,
         raise TentativeTreeError(
             f"solvability unknown at positions {tr.tentative} (fuel {fuel})")
     slack = height_bound + _syntactic_depth(m)
-    expansion = _term_fragment(m, mult_bound, slack, sized=True)
-    lhs = {nf for t in expansion.elements for nf in resource.resource_reduce(t)
+    lhs = {nf for t in _elements(m, mult_bound, slack, sized=True)
+           for nf in resource.resource_reduce(t)
            if resource.height(nf) <= height_bound and _bags_within(nf, mult_bound)}
     # the expansion of the tree is within both bounds already (D9)
     rhs = taylor_expand(tr.tree, mult_bound, height_bound).elements
@@ -411,7 +371,7 @@ def faithful_pool(a: PartialTerm) -> tuple:
     cycled when an enumeration needs more indices than it has elements.
     """
     if a not in _POOLS:
-        pool = [t for t in _expand(a, range(3), max(1, bohm.height(a)))
+        pool = [t for t in _elements(bohm._embed(a), 2, max(1, bohm.height(a)))
                 if min_source(t) == a]
         if not pool:
             raise RuntimeError(f"no faithful element for {a}")  # unreachable

@@ -1,11 +1,15 @@
-"""The public entry points of the partial-term family on chains 3,000
-levels deep, three times past CPython's default recursion limit: each
-answers, or raises a typed, named error.  The Taylor entry points reach the
-same chains as resource, partial or lambda terms.  Those that still recurse
-are named in KNOWN_FAILURES, which is checked both ways: a listed entry
-point that starts to answer fails until it leaves the list, and an unlisted
-one that raises RecursionError is a regression."""
+"""The public entry points of the partial-term family on chains 300
+levels deep, run under a recursion limit 100 frames above the caller's
+stack, so that a walk recursing once per level goes three times past it:
+each answers, or raises a typed, named error.  The Taylor entry points
+reach the same chains as resource, partial or lambda terms.  Each level
+of a chain's expansion is a new list of elements, so the expansion builds
+about N**2 / 2 nodes, which keeps N at 300.  Entry points that still recurse are named in
+KNOWN_FAILURES, which is checked both ways: a listed entry point that
+starts to answer fails until it leaves the list, and an unlisted one that
+raises RecursionError is a regression."""
 
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -16,12 +20,19 @@ from lambdapm.lamcalc import Abs, App, Var
 from lambdapm.limits import CapExceeded
 from lambdapm.resource import RAbs, RApp, RVar
 
-N = 3_000
+N = 300
+HEADROOM = 100  # frames above the caller's stack that a call may use
 
-# entry points that still recurse on these chains, each through its own
-# recursive walk: _min_source, _box_depth, _expand and _term_fragment
-KNOWN_FAILURES = {"min_source", "box_relation", "taylor_expand", "faithful_pool",
-                  "taylor_of_term"}
+# entry points that still recurse on these chains: none, since the Taylor
+# layer's walks keep explicit stacks (docs/DECISIONS.md D23)
+KNOWN_FAILURES = set()
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def chains(binder):
@@ -78,6 +89,8 @@ CALLS = {
 @pytest.mark.parametrize("name", list(CALLS))
 def test_entry_points_answer_on_deep_chains(name, binder):
     c = chains(binder)  # fresh, so that no cache filled by another call helps
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + HEADROOM)
     try:
         answer = CALLS[name](c)
     except RecursionError:
@@ -85,5 +98,7 @@ def test_entry_points_answer_on_deep_chains(name, binder):
         return
     except (ValueError, CapExceeded, taylor.TentativeTreeError):
         answer = True  # a typed, named refusal
+    finally:
+        sys.setrecursionlimit(limit)
     assert name not in KNOWN_FAILURES, f"{name} answers now: take it off KNOWN_FAILURES"
     assert answer

@@ -1519,6 +1519,101 @@ def ref_box(t, a, envt=(), enva=()):
                for items, arg in zip(bags, a.args) for u in items)
 
 
+def ref_box_depth(t, a, envt=(), enva=()):
+    """The largest n such that resource.truncate(t, n) belongs to the
+    expansion of bohm.truncate(a, n), or math.inf if t belongs to the
+    expansion of a, by recursion on t and a (docs/DECISIONS.md D8 point 6).
+    Raises ValueError on a redex."""
+    if a is BOT:
+        return 0
+    binders, head, bags = resource.normal_view(t)
+    if len(binders) != len(a.binders) or len(bags) != len(a.args):
+        return 0
+    et, ea = binders[::-1] + envt, a.binders[::-1] + enva
+    if lamcalc.db_index(head, et) != lamcalc.db_index(a.head, ea):
+        return 0
+    depth = math.inf
+    for items, arg in zip(bags, a.args):
+        for u in items:
+            depth = min(depth, ref_box_depth(u, arg, et, ea))
+            if depth == 0:
+                return 1
+    return 1 + depth
+
+
+def ref_min_source(t):
+    """min_source by recursion on the canonically named t: each bag's items'
+    sources joined pairwise, an empty bag a bottom."""
+    def source(t):
+        try:
+            binders, head, bags = resource.normal_view(t)
+        except ValueError:
+            return None
+        args = []
+        for items in bags:
+            joined = BOT
+            for u in items:
+                s = source(u)
+                joined = None if s is None else join(joined, s)
+                if joined is None:
+                    return None
+            args.append(joined)
+        return Node(binders, head, tuple(args))
+
+    def join(a, b):
+        if not isinstance(a, Node):
+            return b
+        if not isinstance(b, Node):
+            return a
+        if (len(a.binders), a.head, len(a.args)) != (len(b.binders), b.head, len(b.args)):
+            return None
+        args = []
+        for x, y in zip(a.args, b.args):
+            j = join(x, y)
+            if j is None:
+                return None
+            args.append(j)
+        return Node(a.binders, a.head, tuple(args))  # a's binder names
+
+    return source(canonical_binders(t))
+
+
+def ref_bags(elems, sizes):
+    return [b for k in sizes for b in itertools.combinations_with_replacement(elems, k)]
+
+
+def ref_expand(a, sizes, h):
+    """Expansion elements of the partial term a of height <= h (math.inf:
+    any height), by recursion on a: bags over non-bottom arguments have
+    sizes in `sizes`, and a bottom argument takes only the empty bag."""
+    if not isinstance(a, Node) or h < 1:
+        return []
+    pools = [[()] if not isinstance(arg, Node) else
+             ref_bags(ref_expand(arg, sizes, h - 1), sizes) for arg in a.args]
+    return [resource.spine(a.binders, RVar(a.head), bags) for bags in product(*pools)]
+
+
+def ref_term_fragment(m, mult, height, sized=False):
+    """The expansion elements of the lambda term m, by recursion on m, every
+    one built and those above `height` filtered out afterwards; when
+    `sized`, a redex's bag holds exactly its binder's occurrence count."""
+    def go(u):
+        if isinstance(u, Var):
+            return [RVar(u.name)]
+        if isinstance(u, Abs):
+            return [RAbs(u.binder, t) for t in go(u.body)]
+        funs, args = go(u.fun), go(u.arg)
+        out = []
+        for f in funs:
+            n = taylor._demand(f) if sized else None
+            bags = (ref_bags(args, range(mult + 1)) if n is None else
+                    list(itertools.combinations_with_replacement(args, n)))
+            out.extend(RApp(f, tuple(items)) for items in bags)
+        return out
+
+    return frozenset(t for t in go(m) if gen_height(t) <= height)
+
+
 def ref_side_fast(a, other, b):
     """The inner loop of the H* side: truncate each maximal element at every
     level and test membership, until the first level that fails."""
@@ -1527,7 +1622,7 @@ def ref_side_fast(a, other, b):
     if other is BOT:
         return Fraction(1)
     worst = Fraction(0)
-    for t in taylor._expand(a, (b,), math.inf):
+    for t in ref_expand(a, (b,), math.inf):
         best_n = 0
         for n in range(1, resource.height(t) + 1):
             if ref_box(resource.truncate(t, n), bohm.truncate(other, n)):
@@ -1575,7 +1670,7 @@ def draw_element(data, a):
     most two items."""
     bags = []
     for arg in a.args:
-        k = 0 if arg is BOT else data.draw(st.integers(0, 2))
+        k = 0 if not isinstance(arg, Node) else data.draw(st.integers(0, 2))
         bags.append(tuple(draw_element(data, arg) for _ in range(k)))
     return resource.spine(a.binders, RVar(a.head), bags)
 
@@ -1585,7 +1680,7 @@ def draw_element(data, a):
 def test_box_depth_is_the_last_level_in_the_expansion(a, data):
     t = draw_element(data, a)
     other = other_term(data, a)
-    depth = taylor._box_depth(t, other, (), ())
+    depth = ref_box_depth(t, other)
     assert box_relation(t, other) == ref_box(t, other) == (depth == math.inf)
     for n in range(1, resource.height(t) + 3):
         inside = ref_box(resource.truncate(t, n), bohm.truncate(other, n))
@@ -1596,6 +1691,86 @@ def test_box_depth_is_the_last_level_in_the_expansion(a, data):
 @settings(max_examples=200, deadline=None)
 def test_box_relation_matches_reference(t, a):
     assert box_relation(t, a) == ref_box(t, a)
+
+
+def bag_items(data, a):
+    """One to three items for one bag: elements of the expansions of a, of
+    an alpha-variant of a and of a perturbed a, which may not join with
+    the others, and random resource terms, redexes among them."""
+    items = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["same", "alpha", "perturbed", "random"]))
+        if kind == "random":
+            items.append(data.draw(resource_terms()))
+        else:
+            b = a if kind == "same" else \
+                alpha_partial(a) if kind == "alpha" else perturbed(data, a)
+            items.append(draw_element(data, b))
+    return tuple(items)
+
+
+def element_and_source(data, a):
+    """A resource term and a partial term to test it against: an element of
+    the expansion of a, a bag f<...> of drawn items under f (a or a
+    perturbed a), or a random resource term."""
+    kind = data.draw(st.sampled_from(["element", "bag", "random"]))
+    if kind == "element":
+        return draw_element(data, a), other_term(data, a)
+    if kind == "bag":
+        t = RApp(RVar("f"), bag_items(data, a))
+        if data.draw(st.booleans()):
+            t = RAbs(data.draw(names), t)
+            return t, Node((data.draw(names),), "f", (perturbed(data, a),))
+        return t, Node((), "f", (perturbed(data, a),))
+    return data.draw(resource_terms()), a
+
+
+def assert_min_source_matches_join(t):
+    s, ref = taylor.min_source(t), ref_min_source(t)
+    assert (s is None) == (ref is None), show_resource(t)
+    if s is not None:
+        assert s == ref and str(s) == str(ref), show_resource(t)
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_min_source_matches_recursive_join(a, data):
+    """One _grow over the groups of items at each position (D23) against
+    the pairwise joins of the sources of each bag's items."""
+    assert_min_source_matches_join(element_and_source(data, a)[0])
+
+
+@pytest.mark.parametrize("text", [
+    "x<\\y. y<y>, \\z. z<z>>", "x<y, z>", "x<y<><z>, y<w><>>",
+    "x<(\\y. y)<z>>", "x<y<z>, y<z, (\\w. w)<z>>>", "x<\\y. y<c0>, \\z. z<>>"])
+def test_min_source_matches_recursive_join_on_fixed_bags(text):
+    assert_min_source_matches_join(parse_resource(text))
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_box_relation_is_the_order_against_the_least_source(a, data):
+    """D8: t is in the expansion of a iff min_source(t) is defined and
+    below a in the approximant order."""
+    t, other = element_and_source(data, a)
+    if data.draw(st.booleans()):
+        other = alpha_partial(other)
+    s = taylor.min_source(t)
+    assert box_relation(t, other) == (s is not None and bohm.partial_leq(s, other))
+
+
+@given(partial_terms(), st.integers(1, 3), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_taylor_expand_matches_recursive_reference(a, mult, height):
+    """The builder over the embedding, pruning by height as it goes (D23),
+    against the recursion on the partial term."""
+    m = bohm._embed(a)
+    assume(expansion_size(m, mult) <= 2000)
+    elems = taylor._elements(m, mult, height)
+    ref = ref_expand(a, range(mult + 1), height)
+    assert len(elems) == len(set(elems))
+    assert sorted(map(str, elems)) == sorted(map(str, ref))
+    assert taylor.taylor_expand(a, mult, height).elements == frozenset(ref)
 
 
 @given(partial_terms(), st.data())
@@ -1680,7 +1855,7 @@ def ref_commutation_lhs(m, mult, height):
 
 
 def _sized_elements(m, mult, height):
-    return taylor._term_fragment(m, mult, _slack(m, height), sized=True).elements
+    return frozenset(taylor._elements(m, mult, _slack(m, height), sized=True))
 
 
 def assert_skipped_elements_reduce_to_nothing(m, mult, height):
@@ -1739,6 +1914,24 @@ def test_sized_commutation_contains_full_reduction_on_drawn_terms(m):
     ref = ref_commutation_lhs(m, mult, height)
     assert ref <= res["lhs"] <= res["rhs"]
     assert_skipped_elements_reduce_to_nothing(m, mult, height)
+
+
+@given(st.one_of(lam_terms(2), redex_terms()), st.integers(1, 3), st.integers(1, 6),
+       st.booleans())
+@example(parse("(\\x. f (g x)) (z w)"), 2, 3, True)
+@settings(max_examples=200, deadline=None)
+def test_term_expansion_matches_recursive_reference(m, mult, height, sized):
+    """The builder, with and without sized redex bags, against the recursion
+    that builds every element and filters by height afterwards (D23)."""
+    assume(not sized or mult <= 2)
+    assume(expansion_size(m, 2 if sized else mult) <= 300)
+    elems = taylor._elements(m, mult, height, sized)
+    ref = ref_term_fragment(m, mult, height, sized)
+    assert len(elems) == len(set(elems))
+    assert sorted(map(str, elems)) == sorted(map(str, ref))
+    if not sized:
+        assert taylor_of_term(m, mult, height).elements == ref
+
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from lambdapm.distance import dyadic, exact
 from lambdapm.lamcalc import Abs, App, Var, parse
 from lambdapm.limits import CapExceeded
 from lambdapm.pmetric import LiftedSet, hausdorff_star
-from lambdapm.resource import (RAbs, RApp, RVar, bag_leq, parse_resource,
-                               r_metric)
+from lambdapm.resource import (RAbs, RApp, RVar, bag_leq, gen_height,
+                               parse_resource, r_metric)
 from lambdapm.taylor import (TentativeTreeError, box_relation,
                              commutation_check, enumerate_partial,
-                             enumeration_isometry, faithful_pool, gen_height,
+                             enumeration_isometry, faithful_pool,
                              hstar_fragments, isometry_check, min_source,
                              pair_index, per_term, taylor_expand,
                              taylor_of_term, _bags_within, _syntactic_depth)
@@ -215,8 +215,10 @@ def test_commutation_is_two_sided_on_nested_copies():
 
 def test_sized_bag_pool_goes_through_the_cap(monkeypatch):
     """At mult 3 the redex of the D11 example takes bags of up to 9 items
-    over 4 argument elements; past LAMBDA_PM_CAP the pool is not built."""
-    monkeypatch.setenv("LAMBDA_PM_CAP", "10")
+    over 4 argument elements; past LAMBDA_PM_CAP the pool is not built.
+    The largest unsized pool and element list, of f (g x), hold 35, so at
+    a cap of 35 the sized pool is the first to exceed it."""
+    monkeypatch.setenv("LAMBDA_PM_CAP", "35")
     with pytest.raises(CapExceeded, match="sized bag pool .*LAMBDA_PM_CAP"):
         commutation_check(parse("(\\x. f (g x)) (z w)"), 3, 3, 100)
 
