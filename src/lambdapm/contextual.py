@@ -7,9 +7,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .distance import DistanceValue, bracket, dyadic
-from .lamcalc import Abs, App, LambdaTerm, Var, free_vars, show, solvability
+from .lamcalc import (DIVERGENT, SOLVABLE, UNKNOWN, Abs, App, LambdaTerm, Var, _run,
+                      free_vars, show, solvability)
 
 # The hole is a variable whose name the parser cannot produce, so no term
 # contains it; `show` prints a context with the hole as [-].
@@ -100,19 +102,26 @@ def enumerate_context(n: int) -> Context:
     """The n-th context (0-indexed); injective, total, stable across runs."""
     if n < 0:
         raise ValueError("index must be >= 0")
+    return Context(next(_context_terms(n, n + 1)))
+
+
+def _context_terms(start: int, stop: int):
+    """The terms of C_start, ..., C_{stop-1}, read in place off the size
+    batches, which are built once."""
+    base = 0
     for size in range(1, 13):
+        if base >= stop:
+            return
         batch = _contexts_of_size(size, 0)
-        if n < len(batch):
-            return Context(batch[n])
-        n -= len(batch)
+        if start < base + len(batch):
+            yield from islice(batch, max(start - base, 0), stop - base)
+        base += len(batch)
     raise RuntimeError("context index out of supported range")
 
 
 # ---------------------------------------------------------------------------
 # Outcome rows
 
-_SOLVABLE, _DIVERGENT, _UNKNOWN, _NOT_RUN = range(4)
-_CODE = {"solvable": _SOLVABLE, "divergent": _DIVERGENT, "unknown": _UNKNOWN}
 # Rows hold a byte per context index they reach; past this many, the least
 # recently used row is dropped.
 _MAX_ROWS = 1024
@@ -120,61 +129,48 @@ _ROWS: OrderedDict = OrderedDict()
 
 
 class _Row:
-    """The solvability kinds of C_0[m], C_1[m], ... at one fuel, each found
-    at most once.  A row serves every term alpha-equivalent to m, because
-    plugging captures only free names, which such terms share, and head
-    reduction commutes with alpha-equivalence (docs/DECISIONS.md D7).  At a
-    settled index the kind is read off the context alone (D10)."""
+    """The solvability kinds of C_0[m], C_1[m], ... at one fuel, as the
+    machine's kind codes, filled a prefix at a time.  A row serves every
+    term alpha-equivalent to m, because plugging captures only free names,
+    which such terms share, and head reduction commutes with
+    alpha-equivalence (docs/DECISIONS.md D7).  At a settled index the kind
+    is read off the context alone (D10); a kind does not depend on the
+    order the indices are filled in (D24)."""
 
     __slots__ = ("term", "fuel", "kinds")
 
     def __init__(self, term: LambdaTerm, fuel: int):
         self.term, self.fuel, self.kinds = term, fuel, bytearray()
 
-    def kind(self, idx: int) -> int:
+    def fill(self, idx: int) -> bytearray:
+        """The kinds, filled through index idx."""
         kinds = self.kinds
-        if idx >= len(kinds):
-            kinds.extend(bytes([_NOT_RUN]) * (idx + 1 - len(kinds)))
-        k = kinds[idx]
-        if k == _NOT_RUN:
-            if _is_settled(idx, self.fuel):
-                k = kinds[idx] = _SOLVABLE
-            else:
-                st = solvability(_context(idx).plug(self.term), self.fuel)
-                k = kinds[idx] = _CODE[st.kind]
-        return k
-
-
-_UNMARKED, _SETTLED, _OPEN = range(3)
+        start = len(kinds)
+        if start <= idx:
+            term, fuel = self.term, self.fuel
+            settled = _settle(idx, fuel)[start:idx + 1]
+            for mark, c in zip(settled, _context_terms(start, idx + 1)):
+                kinds.append(SOLVABLE if mark else _run(_plug(c, term), fuel)[0])
+        return kinds
 
 
 @lru_cache(maxsize=_MAX_ROWS)
 def _settled_marks(fuel: int) -> bytearray:
-    """A mark per context index at `fuel`, filled on demand by
-    `_is_settled`."""
+    """A mark per context index at `fuel`, filled a prefix at a time by
+    `_settle`."""
     return bytearray()
 
 
-def _is_settled(idx: int, fuel: int) -> bool:
-    """Whether C_idx[m] is solvable for every m at `fuel`: C_idx, with the
-    hole left free, reaches a head normal form within `fuel` steps whose
-    head is not the hole (docs/DECISIONS.md D10)."""
+def _settle(idx: int, fuel: int) -> bytearray:
+    """The marks at `fuel`, filled through idx: 1 where C_i is settled, so
+    that C_i[m] is solvable for every m at `fuel`: C_i, with the hole left
+    free, reaches a head normal form within `fuel` steps whose head is not
+    the hole (docs/DECISIONS.md D10)."""
     marks = _settled_marks(fuel)
-    if idx >= len(marks):
-        marks.extend(bytes([_UNMARKED]) * (idx + 1 - len(marks)))
-    mark = marks[idx]
-    if mark == _UNMARKED:
-        st = solvability(_context(idx).term, fuel)
-        settled = st.is_solvable and st.head.head != HOLE.name
-        mark = marks[idx] = _SETTLED if settled else _OPEN
-    return mark == _SETTLED
-
-
-@lru_cache(maxsize=1)
-def _context(idx: int) -> Context:
-    """C_idx.  The rows of one query step run the same index in turn, so
-    the last context built is kept and each is enumerated once."""
-    return enumerate_context(idx)
+    for c in _context_terms(len(marks), idx + 1):
+        st = solvability(c, fuel)
+        marks.append(st.is_solvable and st.head.head != HOLE.name)
+    return marks
 
 
 def _row(m: LambdaTerm, fuel: int) -> _Row:
@@ -201,14 +197,13 @@ def p_ctx_bracket(m: LambdaTerm, n: LambdaTerm, prefix: int, fuel: int) -> Dista
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
-    rm, rn = _row(m, fuel), _row(n, fuel)
+    km, kn = _row(m, fuel).fill(prefix), _row(n, fuel).fill(prefix)
     lower = Fraction(0)
     unknown = Fraction(0)
-    for idx in range(prefix + 1):
-        km, kn = rm.kind(idx), rn.kind(idx)
-        if km == _DIVERGENT or kn == _DIVERGENT:
+    for idx, a, b in zip(range(prefix + 1), km, kn):
+        if a == DIVERGENT or b == DIVERGENT:
             lower += dyadic(idx)
-        elif km == _UNKNOWN or kn == _UNKNOWN:
+        elif a == UNKNOWN or b == UNKNOWN:
             unknown += dyadic(idx)
     tail = dyadic(prefix)  # sum of 2**-i for i > prefix
     return bracket(lower, lower + unknown + tail)
@@ -224,21 +219,19 @@ def in_ctx_ball(m: LambdaTerm, candidate: LambdaTerm, epsilon, fuel: int) -> str
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    indices = []
-    i = 0
-    while dyadic(i + 1) >= epsilon:
-        indices.append(i)
-        i += 1
-    rm, rc = _row(m, fuel), _row(candidate, fuel)
+    k = 0
+    while dyadic(k + 1) >= epsilon:
+        k += 1
+    km = _row(m, fuel).fill(k - 1)
+    # the candidate's kinds are read only where the center does not diverge
+    last = max(km.rfind(SOLVABLE, 0, k), km.rfind(UNKNOWN, 0, k))
     pending = False
-    for idx in indices:
-        km = rm.kind(idx)
-        if km == _DIVERGENT:
+    for a, b in zip(km[:last + 1], _row(candidate, fuel).fill(last)):
+        if a == DIVERGENT:
             continue  # center fails here; no constraint on the candidate
-        kc = rc.kind(idx)
-        if km == _SOLVABLE and kc == _DIVERGENT:
+        if a == SOLVABLE and b == DIVERGENT:
             return "no"
-        if km == _UNKNOWN or kc == _UNKNOWN:
+        if a == UNKNOWN or b == UNKNOWN:
             pending = True
     return "unknown" if pending else "yes"
 
@@ -253,14 +246,16 @@ def genericity_violations(unsolvable: LambdaTerm, corpus, max_index: int,
     st = solvability(unsolvable, fuel)
     if not st.is_divergent:
         raise ValueError("term is not certified unsolvable at this fuel")
-    ru = _row(unsolvable, fuel)
-    rows = [(n, _row(n, fuel)) for n in corpus]
+    ku = _row(unsolvable, fuel).fill(max_index)
+    # the corpus's kinds are read only where the unsolvable term converges
+    last = ku.rfind(SOLVABLE, 0, max_index + 1)
+    rows = [(n, _row(n, fuel).fill(last)) for n in corpus]
     bad = []
-    for idx in range(max_index + 1):
-        if ru.kind(idx) != _SOLVABLE:
+    for idx in range(last + 1):
+        if ku[idx] != SOLVABLE:
             continue
-        ctx = _context(idx)
-        for n, row in rows:
-            if row.kind(idx) == _DIVERGENT:
-                bad.append({"index": idx, "context": str(ctx), "term": str(n)})
+        for n, kinds in rows:
+            if kinds[idx] == DIVERGENT:
+                bad.append({"index": idx, "context": str(enumerate_context(idx)),
+                            "term": str(n)})
     return bad

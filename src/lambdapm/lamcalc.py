@@ -627,17 +627,40 @@ def _rebuild(env, head, stack) -> LambdaTerm:
 _HASHED = 8
 
 
+SOLVABLE, DIVERGENT, UNKNOWN = range(3)  # the kind codes of a run's outcome
+
+
 def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
     """Head-reduce up to `fuel` steps; certify divergence on an alpha-repeat.
 
     Each state is looked up at its own step among the earlier states that
     could equal it, so the repeat found is the first one
-    (docs/DECISIONS.md D15)."""
+    (docs/DECISIONS.md D15).  The status, its head form and its
+    certificate are built from the run's outcome (D24)."""
+    kind, step, state, first = _run(t, fuel)
+    if kind == SOLVABLE:
+        if step:
+            env, head, stack = state
+            binders, args = env[::-1], _args(stack)
+        else:
+            binders, head, args = state
+        return SolvabilityStatus("solvable", steps=step, head=HeadForm(binders, head.name, args))
+    if kind == DIVERGENT:
+        return SolvabilityStatus("divergent", steps=step, certificate=(
+            first, step, show(canonical(_rebuild(*state)))))
+    return SolvabilityStatus("unknown", steps=step)
+
+
+def _run(t: LambdaTerm, fuel: int):
+    """The head-reduction machine on t for up to `fuel` steps; its outcome
+    is (kind code, step, final state, step of the state it repeats or
+    None).  A head normal form at step 0 builds no cells: its state is
+    `decompose`'s (binders, head, args)."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     binders, head, args = decompose(t)
-    if head._kind == "var":  # most runs: no cells are built
-        return SolvabilityStatus("solvable", head=HeadForm(binders, head.name, args))
+    if head._kind == "var":  # most runs
+        return SOLVABLE, 0, (binders, head, args), None
     env, stack = binders[::-1], None
     for a in reversed(args):
         stack = [a, stack, stack[2] + 1 if stack else 1, None]
@@ -655,15 +678,13 @@ def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
                         states.setdefault(_state_hash(*u), []).append((s, u))
             first = _enter(states, _state_hash(*state), step, state)
         if first != step:
-            return SolvabilityStatus("divergent", steps=step, certificate=(
-                first, step, show(canonical(_rebuild(*state)))))
+            return DIVERGENT, step, state, first
         if step == fuel:
-            return SolvabilityStatus("unknown", steps=fuel)
+            return UNKNOWN, fuel, state, None
         env, head, stack = _unwind(env, subst(head.body, head.binder, stack[0]), stack[1])
         step += 1
         if head._kind == "var":
-            return SolvabilityStatus("solvable", steps=step, head=HeadForm(
-                env[::-1], head.name, _args(stack)))
+            return SOLVABLE, step, (env, head, stack), None
 
 
 def normalize(t: LambdaTerm, fuel: int = 1000):

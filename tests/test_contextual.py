@@ -87,17 +87,32 @@ def test_genericity_semi_test():
 
 
 def test_cold_bracket_enumerates_each_context_once(monkeypatch):
-    calls = []
-    enumerate_once = contextual.enumerate_context
+    """A cold bracket at prefix 40 runs each context term once for the
+    settled marks, reading it in place off the size batches, and plugs each
+    open context once per row; a second call runs the machine zero times."""
+    contexts_run, plugged_run = [], []
+    status, run = contextual.solvability, contextual._run
 
-    def counted(idx):
-        calls.append(idx)
-        return enumerate_once(idx)
-    monkeypatch.setattr(contextual, "enumerate_context", counted)
-    contextual._context.cache_clear()
+    def counted_status(t, fuel):
+        contexts_run.append(t)
+        return status(t, fuel)
+
+    def counted_run(t, fuel):
+        plugged_run.append(t)
+        return run(t, fuel)
+    monkeypatch.setattr(contextual, "solvability", counted_status)
+    monkeypatch.setattr(contextual, "_run", counted_run)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
     contextual._ROWS.pop((m, 17), None)
     contextual._ROWS.pop((n, 17), None)
+    contextual._settled_marks.cache_clear()
     before = p_ctx_bracket(m, n, 40, 17)
-    assert calls == list(range(41))
-    assert p_ctx_bracket(m, n, 40, 17) == before and len(calls) == 41
+    contexts = [enumerate_context(idx).term for idx in range(41)]
+    assert len(contexts_run) == 41 and all(a is b for a, b in zip(contexts_run, contexts))
+    marks = contextual._settled_marks(17)
+    opened = [c for c, settled in zip(contexts, marks) if not settled]
+    assert len(marks) == 41 and 0 < len(opened) < 41
+    assert plugged_run == [contextual._plug(c, t) for t in (m, n) for c in opened]
+    contexts_run.clear()
+    plugged_run.clear()
+    assert p_ctx_bracket(m, n, 40, 17) == before and contexts_run == plugged_run == []

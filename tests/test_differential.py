@@ -2,9 +2,10 @@
 reference implementations that scan an outermost-first environment, the
 cached keys and hashes of terms built by substitution, plugging and head
 reduction against uncached references, the contextual queries served from
-outcome rows and settled contexts against memo-free loops, the
-head-reduction machine behind solvability and normalize against runs that
-rebuild and key every term and a recursive normalizer, poset
+outcome rows and settled contexts against memo-free loops and the per-index
+rows that the prefix fill replaced, the head-reduction machine behind
+solvability and normalize against runs that rebuild and key every term and
+a recursive normalizer, poset
 validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
@@ -804,9 +805,9 @@ def test_evicted_rows_give_the_same_answers(terms, queries):
 # unsolvable corpus terms.
 PLUGGED = [Var("x"), Var("y"), Var("z"), Var("v0"), parse("\\x. x x"),
            parse("x (\\y. y y)"), corpus.OMEGA, corpus.OMEGA3]
-ROW_CODES = {"solvable": contextual._SOLVABLE,
-             "divergent": contextual._DIVERGENT,
-             "unknown": contextual._UNKNOWN}
+ROW_CODES = {"solvable": lamcalc.SOLVABLE,
+             "divergent": lamcalc.DIVERGENT,
+             "unknown": lamcalc.UNKNOWN}
 
 
 def check_rows_over_every_index(terms):
@@ -815,15 +816,15 @@ def check_rows_over_every_index(terms):
     contextual._ROWS.clear()
     contextual._settled_marks.cache_clear()
     for fuel in (1, 2, 3, 30):
-        rows = [contextual._row(m, fuel) for m in terms]
+        rows = [contextual._row(m, fuel).fill(1024) for m in terms]
         seen = set()
         for idx in range(1025):
-            settled = contextual._is_settled(idx, fuel)
+            settled = bool(contextual._settle(idx, fuel)[idx])
             seen.add(settled)
             ctx = enumerate_context(idx).term
             for m, row in zip(terms, rows):
                 kind, _, _ = ref_solvability(ref_plug(ctx, m), fuel)
-                assert row.kind(idx) == ROW_CODES[kind], (idx, fuel, show(m))
+                assert row[idx] == ROW_CODES[kind], (idx, fuel, show(m))
                 if settled:
                     assert kind == "solvable"
         assert seen == {True, False}
@@ -835,21 +836,105 @@ def test_settled_contexts_match_reference_on_plugged_terms():
     ctx = enumerate_context(70)
     assert str(ctx) == "(\\x. y) [-]"
     assert solvability(ctx.term, 1).steps == 1
-    assert contextual._is_settled(70, 1)
+    assert contextual._settle(70, 1)[70]
     # the first context that runs out of fuel 1 and settles later, at step 2
     ctx = enumerate_context(3144)
     assert str(ctx) == "(\\x. x [-]) (\\x. y)"
     for fuel in (1, 2, 3):
-        assert contextual._is_settled(3144, fuel) == (fuel >= 2)
+        assert contextual._settle(3144, fuel)[3144] == (fuel >= 2)
         for m in PLUGGED:
             kind, _, _ = ref_solvability(ref_plug(ctx.term, m), fuel)
-            assert contextual._row(m, fuel).kind(3144) == ROW_CODES[kind]
+            assert contextual._row(m, fuel).fill(3144)[3144] == ROW_CODES[kind]
 
 
 @given(lam_terms())
 @settings(max_examples=10, deadline=None)
 def test_settled_contexts_match_reference_on_drawn_terms(m):
     check_rows_over_every_index([m])
+
+
+# ---------------------------------------------------------------------------
+# Outcome rows filled a prefix at a time against the per-index rows they
+# replaced (docs/DECISIONS.md D24)
+
+class RefRow:
+    """The per-index row that the prefix fill replaced: each kind is found
+    when first asked for, at a settled index off the context alone (D10),
+    elsewhere by plugging the context and running `solvability`."""
+
+    def __init__(self, term, fuel):
+        self.term, self.fuel, self.kinds = term, fuel, {}
+
+    def kind(self, idx):
+        if idx not in self.kinds:
+            ctx = enumerate_context(idx)
+            st_ = solvability(ctx.term, self.fuel)
+            if not st_.is_solvable or st_.head.head == contextual.HOLE.name:
+                st_ = solvability(ctx.plug(self.term), self.fuel)
+            self.kinds[idx] = ROW_CODES[st_.kind]
+        return self.kinds[idx]
+
+
+def ref_row_bracket(m, n, prefix, fuel):
+    """p_ctx_bracket's loop over two per-index rows."""
+    rm, rn = RefRow(m, fuel), RefRow(n, fuel)
+    lower = unknown = Fraction(0)
+    for idx in range(prefix + 1):
+        km, kn = rm.kind(idx), rn.kind(idx)
+        if lamcalc.DIVERGENT in (km, kn):
+            lower += dyadic(idx)
+        elif lamcalc.UNKNOWN in (km, kn):
+            unknown += dyadic(idx)
+    return bracket(lower, lower + unknown + dyadic(prefix))
+
+
+def ref_row_ball(m, cand, epsilon, fuel):
+    """in_ctx_ball's loop over two per-index rows, which runs the candidate
+    only where the center does not diverge and stops at the first "no"."""
+    rm, rc = RefRow(m, fuel), RefRow(cand, fuel)
+    pending, idx = False, 0
+    while dyadic(idx + 1) >= epsilon:
+        km = rm.kind(idx)
+        if km != lamcalc.DIVERGENT:
+            kc = rc.kind(idx)
+            if km == lamcalc.SOLVABLE and kc == lamcalc.DIVERGENT:
+                return "no"
+            pending = pending or lamcalc.UNKNOWN in (km, kc)
+        idx += 1
+    return "unknown" if pending else "yes"
+
+
+def cold_rows(cold):
+    if cold:
+        contextual._ROWS.clear()
+        contextual._settled_marks.cache_clear()
+
+
+@given(some_terms, some_terms, st.integers(1, 300), st.integers(1, 40), st.booleans())
+@example(corpus.OMEGA3, corpus.OMEGA, 300, 40, True)
+@settings(max_examples=100, deadline=None)
+def test_prefix_filled_bracket_matches_per_index_rows(m, n, prefix, fuel, cold):
+    cold_rows(cold)
+    assert p_ctx_bracket(m, n, prefix, fuel) == ref_row_bracket(m, n, prefix, fuel)
+
+
+@given(some_terms, some_terms, st.integers(1, 300), st.integers(1, 40), st.booleans())
+@example(corpus.OMEGA3, parse("\\x. x"), 300, 40, True)
+@settings(max_examples=100, deadline=None)
+def test_prefix_filled_ball_matches_per_index_rows(m, cand, k, fuel, cold):
+    cold_rows(cold)
+    epsilon = Fraction(1, 2 ** k)  # the indices below k are tested
+    assert in_ctx_ball(m, cand, epsilon, fuel) == ref_row_ball(m, cand, epsilon, fuel)
+
+
+@given(some_terms, some_terms, st.integers(0, 300), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_kind_only_run_matches_solvability(a, b, idx, fuel):
+    ctx = enumerate_context(idx)
+    for t in (App(a, b), App(a, a), ctx.plug(a), ctx.term):
+        st_ = solvability(t, fuel)
+        kind, steps, _, _ = lamcalc._run(t, fuel)
+        assert (kind, steps) == (ROW_CODES[st_.kind], st_.steps)
 
 
 def self_loop(k):
