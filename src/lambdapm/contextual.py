@@ -198,15 +198,16 @@ def p_ctx_bracket(m: LambdaTerm, n: LambdaTerm, prefix: int, fuel: int) -> Dista
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     km, kn = _row(m, fuel).fill(prefix), _row(n, fuel).fill(prefix)
-    lower = Fraction(0)
-    unknown = Fraction(0)
-    for idx, a, b in zip(range(prefix + 1), km, kn):
+    # both sums are kept as integer numerators over 2**prefix, where index
+    # i weighs 2**(prefix - i) and the tail past the prefix weighs 1
+    lower = unknown = 0
+    for shift, a, b in zip(range(prefix, -1, -1), km, kn):
         if a == DIVERGENT or b == DIVERGENT:
-            lower += dyadic(idx)
+            lower += 1 << shift
         elif a == UNKNOWN or b == UNKNOWN:
-            unknown += dyadic(idx)
-    tail = dyadic(prefix)  # sum of 2**-i for i > prefix
-    return bracket(lower, lower + unknown + tail)
+            unknown += 1 << shift
+    den = 1 << prefix
+    return bracket(Fraction(lower, den), Fraction(lower + unknown + 1, den))
 
 
 def in_ctx_ball(m: LambdaTerm, candidate: LambdaTerm, epsilon, fuel: int) -> str:

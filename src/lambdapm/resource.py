@@ -22,7 +22,7 @@ class ResourceTerm(Term):
 
     _neutral: bool = _cache()
     _height: int = _cache()
-    _levels: list = _cache()  # key(truncate(t, k)) at index k - 1 (_levels)
+    _levels: dict = _cache()  # k -> key(truncate(t, k)), as asked (_level)
 
     def _show(self):
         return show_resource(self)
@@ -551,68 +551,27 @@ def truncate(t: ResourceTerm, n: int):
     return done[0]
 
 
-def _levels(t: ResourceTerm, n: int) -> list:
-    """The keys of t's truncations, key(truncate(t, k)) at index k - 1,
-    filled at least up to k = n, for a normal t and n <= height(t).  They
-    are kept in t's `_levels`, grown only when a query needs a deeper
-    level (docs/DECISIONS.md D20).  One walk on an explicit stack builds
-    level k of a spine from its bag items' levels k - 1.  A part with no
-    name of its environment free keeps its levels in its own slot; any
-    other part keeps them for the walk, by node and environment, as
-    `_encode` does (D18)."""
-    if t._levels is None:
-        t._levels = []
-    elif len(t._levels) >= n:
-        return t._levels
-    memo = {}
-    todo = [(t, t._levels, (), n)]
-    while todo:
-        u, levels, env, m = todo.pop()
-        if u is _END:  # env is (head key, binders, each bag's item level lists)
-            head, binders, lists = env
-            for k in range(len(levels) + 1, m + 1):
-                v = head
-                for items in lists:  # an item below height k - 1 is whole at its height
-                    v = ("a", v, tuple(sorted([lv[min(k - 1, len(lv)) - 1] for lv in items]))
-                         if k > 1 else ())
-                for _ in range(binders):
-                    v = ("l", v)
-                levels.append(v)
-            continue
-        binders = 0
-        while u._kind == "abs":
-            env, binders, u = (u.binder,) + env, binders + 1, u.body
-        bags = []
-        while u._kind == "app":
-            bags.append(u.bag)
-            u = u.fun
-        lists = []
-        todo.append((_END, levels, (db_index(u.name, env), binders, lists), m))
-        for bag in reversed(bags):
-            items = []
-            for v in bag:
-                if env and not free_rvars(v).isdisjoint(env):
-                    lv, venv = memo.setdefault((id(v), env), []), env
-                else:
-                    if v._levels is None:
-                        v._levels = []
-                    lv, venv = v._levels, ()
-                items.append(lv)
-                need = min(m - 1, gen_height(v))
-                if len(lv) < need:
-                    todo.append((v, lv, venv, need))
-            lists.append(items)
-    return t._levels
+def _level(t: ResourceTerm, k: int):
+    """key(truncate(t, k)) for a normal t, built on first ask and kept in
+    t's `_levels` by k (docs/DECISIONS.md D20)."""
+    levels = t._levels
+    if levels is None:
+        levels = t._levels = {}
+    v = levels.get(k)
+    if v is None:
+        v = levels[k] = key(truncate(t, k))
+    return v
 
 
 def r_metric(t: ResourceTerm, u: ResourceTerm) -> DistanceValue:
     """2**-n for the deepest n with both heights >= n and equal truncations.
 
     Truncations nest, so the levels that agree are a prefix, and the first
-    level that differs is found by bisection over the cached keys (D20)."""
+    level that differs is found by bisection, which asks for O(log h)
+    levels (D20)."""
     h = min(height(t), height(u))
-    a, b = _levels(t, h), _levels(u, h)
-    level = bisect_left(range(h), True, key=lambda k: not _same_key(a[k], b[k]))
+    level = bisect_left(range(1, h + 1), True,
+                        key=lambda k: not _same_key(_level(t, k), _level(u, k)))
     return exact(dyadic(level))
 
 
@@ -620,7 +579,7 @@ def r_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
     """The order induced by r: t is a full truncation of u.  A normal t is
     its own truncation at its height h, so this compares level h (D20)."""
     h = height(t)
-    return height(u) >= h and _same_key(_levels(u, h)[h - 1], _levels(t, h)[h - 1])
+    return height(u) >= h and _same_key(_level(u, h), _level(t, h))
 
 
 def bag_leq(t: ResourceTerm, u: ResourceTerm) -> bool:

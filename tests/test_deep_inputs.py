@@ -1,5 +1,5 @@
-"""The public entry points of the lambda, contextual and partial-term
-families on chains 300 levels deep, run under a recursion limit 100 frames
+"""The public entry points of the lambda, contextual, partial-term and
+resource families on chains 300 levels deep, run under a recursion limit 100 frames
 above the caller's stack, so that a walk recursing once per level goes
 three times past it: each answers, or raises a typed, named error.  The
 Taylor entry points reach the same chains as resource, partial or lambda
@@ -17,8 +17,9 @@ import pytest
 
 from fractions import Fraction
 
-from lambdapm import bohm, contextual, lamcalc, taylor
+from lambdapm import bohm, contextual, lamcalc, resource, taylor
 from lambdapm.bohm import BOT, Node
+from lambdapm.distance import dyadic, exact
 from lambdapm.lamcalc import Abs, App, Var, free_vars
 from lambdapm.limits import CapExceeded
 from lambdapm.resource import RAbs, RApp, RVar
@@ -28,8 +29,10 @@ HEADROOM = 100  # frames above the caller's stack that a call may use
 
 # (entry point, chain shape) pairs that still recurse: the rebuilding
 # `subst` recurses once per level, and p_ctx_bracket reaches it on the
-# plain chain, where (\x. [-]) x substitutes for the chain's free x
-KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain")}
+# plain chain, where (\x. [-]) x substitutes for the chain's free x;
+# bag_leq recurses once per level through `_bag_leq`
+KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain"),
+                  ("bag_leq", "plain"), ("bag_leq", "binders")}
 
 
 def stack_depth() -> int:
@@ -43,7 +46,8 @@ def chains(binder):
     """x (x (… end)) or \\a. a (\\a. a (… end)) with N levels, as partial
     terms ending in a bottom (a, and its copy a2) and in y (b), as lambda
     terms ending in y (m, and its copy m2), and as the resource term
-    x<x<… y>> or \\a. a<\\a. a<… y>> (r), all built by constructors."""
+    x<x<… y>> or \\a. a<\\a. a<… y>> (r, and its copy r2), ending in z
+    (rz) and in the redex (\\z. z)<y> (rr), all built by constructors."""
     def build(leaf, level):
         t = leaf()
         for _ in range(N):
@@ -62,7 +66,9 @@ def chains(binder):
     return SimpleNamespace(
         a=build(lambda: BOT, partial), a2=build(lambda: BOT, partial), b=build(y, partial),
         m=build(lambda: Var("y"), lam), m2=build(lambda: Var("y"), lam),
-        r=build(lambda: RVar("y"), res))
+        r=build(lambda: RVar("y"), res), r2=build(lambda: RVar("y"), res),
+        rz=build(lambda: RVar("z"), res),
+        rr=build(lambda: RApp(RAbs("z", RVar("z")), (RVar("y"),)), res))
 
 
 # name -> a call on the chains that is True when its answer is right
@@ -94,6 +100,19 @@ CALLS = {
     "p_ctx_bracket": lambda c: (contextual.p_ctx_bracket(c.m, c.m2, 64, 30)
                                 == contextual.p_ctx_bracket(c.m2, c.m, 64, 30)),
     "in_ctx_ball": lambda c: contextual.in_ctx_ball(c.m, c.m2, Fraction(1, 2 ** 6), 30) == "yes",
+    "r_metric": lambda c: (resource.r_metric(c.r, c.r2) == exact(dyadic(N + 1))
+                           and resource.r_metric(c.r, c.rz) == exact(dyadic(N))),
+    "r_leq": lambda c: resource.r_leq(c.r, c.r2) and not resource.r_leq(c.r, c.rz),
+    "bag_leq": lambda c: resource.bag_leq(c.r, c.r2) and not resource.bag_leq(c.r, c.rz),
+    "is_normal": lambda c: resource.is_normal(c.r) and not resource.is_normal(c.rr),
+    "resource_reduce": lambda c: resource.resource_reduce(c.rr) == {c.r2},
+    "canonical_binders": lambda c: resource.canonical_binders(c.r) == c.r2,
+    "rheight": lambda c: resource.height(c.r) == N + 1,
+    "rtruncate": lambda c: resource.height(resource.truncate(c.r, N // 2)) == N // 2,
+    "rsize": lambda c: resource.rsize(c.r) == (3 if c.r._kind == "abs" else 2) * N + 1,
+    "rstr": lambda c: str(c.r).endswith("y" + ">" * N),
+    "r==": lambda c: c.r == c.r2 and c.r != c.rz,
+    "rhash": lambda c: hash(c.r) == hash(c.r2) != hash(c.rz),
 }
 
 

@@ -45,7 +45,7 @@ from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
                               solvability, spine, subst)
 from lambdapm.pmetric import LiftedSet, hausdorff_star
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
-                               _levels, _places_of, canonical_binders,
+                               _level, _places_of, canonical_binders,
                                free_rvars, gen_height, is_normal,
                                parse_resource, resource_reduce, rkey,
                                show_resource)
@@ -2352,23 +2352,27 @@ normal_shared = resource_shared.filter(is_normal)
 @example(parse_resource("\\x. x<\\y. x<y<x>>, y<x<z>>><x<x<x>>>"), None)
 @settings(max_examples=200, deadline=None)
 def test_levels_are_the_keys_of_the_truncations(t, data):
-    """Filled at once or grown from a smaller fill, with some parts' slots
-    filled first at the top, where their open names are free."""
+    """Levels asked in any order and with repeats, some of them first on
+    subterms, are the keys of the truncations, and only asked levels are
+    held."""
     h = resource.height(t)
-    if data is not None:
-        for u, _ in rsubterms(t):
-            if is_normal(u) and data.draw(st.booleans()):
-                _levels(u, data.draw(st.integers(1, resource.height(u))))
-        small = data.draw(st.integers(1, h))
-        assert len(_levels(t, small)) >= small
-    n = h if data is None else data.draw(st.integers(1, h))
-    levels = _levels(t, n)
-    for k in range(1, n + 1):
-        assert levels[k - 1] == key(resource.truncate(t, k))
+    asked = {}
     for u, _ in rsubterms(t):
-        if u._levels is not None:
-            assert u._levels == [key(resource.truncate(u, k))
-                                 for k in range(1, len(u._levels) + 1)]
+        if is_normal(u) and (data is None or data.draw(st.booleans())):
+            hu = resource.height(u)
+            ks = (list(range(hu, 0, -1)) if data is None
+                  else data.draw(st.lists(st.integers(1, hu), max_size=6)))
+            for k in ks:
+                assert _level(u, k) == key(resource.truncate(u, k))
+            asked.setdefault(id(u), set()).update(ks)
+    for k in ([h, 1, h] if data is None else data.draw(st.lists(st.integers(1, h), max_size=6))):
+        assert _level(t, k) == key(resource.truncate(t, k))
+        asked.setdefault(id(t), set()).add(k)
+    for u, _ in rsubterms(t):
+        held = u._levels or {}
+        assert set(held) == asked.get(id(u), set())
+        for k, v in held.items():
+            assert v == key(resource.truncate(u, k))
 
 
 def r_partner(data, t):

@@ -367,6 +367,21 @@ def test_r_finds_a_deep_first_difference():
     assert not r_leq(a, b) and not r_leq(b, a)
 
 
+def test_r_builds_only_the_levels_it_asks_for():
+    # a level is key(truncate(t, k)), built on first ask; bisection asks
+    # for O(log h) of them, and the order for the one at t's height
+    a, b = deep_rterm("bags", 600), RVar("y")
+    for i in range(600):  # the head at depth 451 is w
+        b = RApp(RVar("w" if i == 149 else "x"), (b,))
+    h = height(a)
+    assert r_metric(a, b) == exact(dyadic(450))
+    assert 0 < len(a._levels) <= h.bit_length() + 1
+    assert 0 < len(b._levels) <= h.bit_length() + 1
+    c, d = deep_rterm("bags", 600), deep_rterm("bags", 600)
+    assert r_leq(c, d)
+    assert list(c._levels) == list(d._levels) == [h]
+
+
 @pytest.mark.parametrize("shape, n", [("bags", 10_000), ("binders", 3_000), ("mixed", 3_000)])
 def test_canonical_binders_answers_on_deep_terms(shape, n):
     # the recursive renamer raised RecursionError from about 500 levels
