@@ -5,13 +5,12 @@ tree partial metric and the Boehm distance."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lamcalc
 from .distance import DistanceValue, bracket, dyadic, exact, truncation_below
-from .lamcalc import LambdaTerm, Term, Var, _cache, db_index, key, solvability
+from .lamcalc import LambdaTerm, Term, Var, _cache, _same_heads, key, solvability
 
 
 @dataclass(eq=False, slots=True)
@@ -140,27 +139,25 @@ def _grow(t, label) -> PartialTerm:
 # Aligned pairs, the approximant order and the direct approximant
 
 def aligned(a: PartialTerm, b: PartialTerm):
-    """The pairs of subtrees of a and b at equal positions, shallowest first.
+    """The pairs of subtrees of a and b at equal positions, depth first.
 
     Yields (depth, pos, x, y, same): the root sits at depth 1 and position
     (), and the i-th argument below position p at (p, i), so that a step
     costs the same at every depth; `_path` reads a position as an index
     path.  `same` says that x and y are nodes with the same label -- binder
     count, de Bruijn head and arity.  The walk goes below such pairs only,
-    so every yielded pair has equally labelled ancestors."""
-    queue = deque([(1, (), a, b, (), ())])
-    while queue:
-        depth, pos, x, y, ex, ey = queue.popleft()
+    so every yielded pair has equally labelled ancestors (D25)."""
+    scopes, todo = [], [(1, (), a, b, None)]  # with the scope depth
+    while todo:
+        depth, pos, x, y, k = todo.pop()
         same = (isinstance(x, Node) and isinstance(y, Node)
-                and len(x.binders) == len(y.binders)
-                and len(x.args) == len(y.args))
+                and len(x.binders) == len(y.binders) and len(x.args) == len(y.args))
         if same:
-            ex, ey = x.binders[::-1] + ex, y.binders[::-1] + ey
-            same = db_index(x.head, ex) == db_index(y.head, ey)
+            same, k = _same_heads(scopes, k, x.binders, y.binders, x.head, y.head)
         yield depth, pos, x, y, same
         if same:
-            queue.extend((depth + 1, (pos, i), u, v, ex, ey)
-                         for i, (u, v) in enumerate(zip(x.args, y.args)))
+            for i in range(len(x.args) - 1, -1, -1):
+                todo.append((depth + 1, (pos, i), x.args[i], y.args[i], k))
 
 
 def _path(pos) -> tuple:
@@ -173,12 +170,12 @@ def _path(pos) -> tuple:
 
 
 def first_difference(a: PartialTerm, b: PartialTerm, unknown):
-    """First level holding a position, outside `unknown`, where a and b
-    differ: a node against a bottom, or nodes with different labels; inf if
-    there is none (docs/DECISIONS.md D14)."""
-    for depth, pos, x, y, same in aligned(a, b):
-        if not (same or (isinstance(x, Bottom) and isinstance(y, Bottom))
-                or (unknown and _path(pos) in unknown)):
+    """The least depth of a position outside `unknown` where a and b differ: a
+    node against a bottom, or other labels; inf if none (D14, D25)."""
+    differ = [(depth, pos) for depth, pos, x, y, same in aligned(a, b)
+              if not (same or x._kind == "bot" and y._kind == "bot")]
+    for depth, pos in sorted(differ, key=lambda d: d[0]):
+        if not unknown or _path(pos) not in unknown:
             return depth
     return math.inf
 

@@ -49,7 +49,7 @@ class LambdaTerm(Term):
 
     def __eq__(self, other):
         return self is other or (isinstance(other, LambdaTerm) and hash(self) == hash(other)
-                                 and _alpha_same(self, other, (), ()))
+                                 and _alpha_same(self, other, [], None))
 
     __hash__ = Term.__hash__
 
@@ -77,11 +77,42 @@ class App(LambdaTerm):
     _kind = "app"
 
 
-def db_index(name: str, env: tuple):
-    """De Bruijn identity of a variable: ("b", i) for the i-th enclosing
-    binder, counting from the innermost, which `env` lists first; else
-    ("f", name).  The closest binder wins."""
+def _db_index(name: str, env: tuple):
+    """The encoder's de Bruijn identity of a name under `env`, innermost first."""
     return ("b", env.index(name)) if name in env else ("f", name)
+
+
+class _Scope:
+    """One side's binders on the path to the node a depth-first walk is at, kept in
+    place: `names` lists them outermost first, with what each name meant before, and
+    `levels` maps a name to its innermost binder's index, or to itself once unbound."""
+
+    def __init__(self):
+        self.names, self.levels = [], {}
+
+    def at(self, k, binders, name):
+        """Keep the first k binders, a node's parent's path, enter its `binders`
+        and return the identity of its head `name`: a level, or a free name."""
+        names, levels = self.names, self.levels
+        while len(names) > k:
+            b, levels[b] = names.pop()
+        for b in binders:
+            names.append((b, levels.get(b, b)))
+            levels[b] = len(names) - 1
+        return levels.get(name, name)
+
+
+def _same_heads(scopes, k, xs, ys, x, y):
+    """Whether heads x, y below binders xs, ys of one count are one de Bruijn index, and
+    the depth below.  While both paths bind the same names, k is None and a name is its
+    identity; from the first binders that differ on, `scopes` holds one per side (D25)."""
+    if k is None:
+        if xs == ys:
+            return x == y, None
+        k = 0
+    if not scopes:
+        scopes += _Scope(), _Scope()
+    return scopes[0].at(k, xs, x) == scopes[1].at(k, ys, y), k + len(xs)
 
 
 def key(t: Term, env=()):
@@ -103,7 +134,7 @@ def _encode(t: Term, env: tuple, seal):
     top = apps = mkey = left = vals = None  # the open frame, with env
     while True:
         if u._kind == "var":
-            v = seal(db_index(u.name, env))
+            v = seal(_db_index(u.name, env))
         else:
             closed = not env or (u._fv or free_vars(u)).isdisjoint(env)
             at = (None if hashing else id(u)) if closed else (id(u), env)
@@ -143,7 +174,7 @@ def _encode(t: Term, env: tuple, seal):
                         part, k = tuple(sorted(vals[k:n])), n
                     v = _hash_app(v, part) if hashing else ("a", v, part)
             else:  # a partial node or a bottom
-                v = seal(("n", len(top.binders), db_index(top.head, env), tuple(vals))
+                v = seal(("n", len(top.binders), _db_index(top.head, env), tuple(vals))
                          if kind == "node" else ("bot",))
             if mkey is None:
                 top._hash = v
@@ -568,25 +599,27 @@ def _state_hash(env, head, stack) -> int:
     return hash((len(env), _encode(head, env, hash), _stack_hash(stack, env)))
 
 
-def _alpha_same(s, t, es, et) -> bool:
-    """Whether s under `es` and t under `et` are alpha-equivalent, compared
-    node by node in a loop that stops at the first difference."""
-    pairs = [(s, t, es, et)]
+def _alpha_same(s, t, scopes, k) -> bool:
+    """Whether s and t at depth k of `scopes` (`_same_heads`) are alpha-equivalent, node by
+    node; differing binders wait in `above` until read, as most pairs differ in kind first."""
+    pairs = [(s, t, k, None)]
     while pairs:
-        s, t, es, et = pairs.pop()
-        if s is t and es == et:
+        s, t, k, above = pairs.pop()
+        if s is t and k is None and not above:
             continue
         kind = s._kind
         if kind != t._kind:
             return False
+        if above and kind != "app":
+            k = _same_heads(scopes, k, *above, None, None)[1]
         if kind == "var":
-            if db_index(s.name, es) != db_index(t.name, et):
+            if not _same_heads(scopes, k, (), (), s.name, t.name)[0]:
                 return False
         elif kind == "abs":
-            pairs.append((s.body, t.body, (s.binder,) + es, (t.binder,) + et))
+            above = None if k is None and s.binder == t.binder else ((s.binder,), (t.binder,))
+            pairs.append((s.body, t.body, k, above))
         else:
-            pairs.append((s.arg, t.arg, es, et))
-            pairs.append((s.fun, t.fun, es, et))
+            pairs += (s.arg, t.arg, k, above), (s.fun, t.fun, k, above)
     return True
 
 
@@ -597,9 +630,11 @@ def _same_state(a, b) -> bool:
     (env_a, s, stack_a), (env_b, t, stack_b) = a, b
     if len(env_a) != len(env_b):
         return False
-    same_env = env_a == env_b
-    while _alpha_same(s, t, env_a, env_b):
-        if stack_a is stack_b and same_env or not (stack_a and stack_b):
+    scopes, k = [], None
+    if env_a != env_b:
+        k = _same_heads(scopes, 0, env_a[::-1], env_b[::-1], None, None)[1]
+    while _alpha_same(s, t, scopes, k):
+        if stack_a is stack_b and k is None or not (stack_a and stack_b):
             return stack_a is stack_b  # a shared tail, or both stacks done
         s, stack_a, t, stack_b = stack_a[0], stack_a[1], stack_b[0], stack_b[1]
     return False

@@ -9,8 +9,8 @@ from itertools import islice, permutations
 from typing import NamedTuple
 
 from .distance import DistanceValue, dyadic, exact
-from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser,
-                      _rename, _same_key, db_index, free_vars, key)
+from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser, _rename,
+                      _same_heads, _same_key, free_vars, key)
 from .limits import within_cap
 
 
@@ -584,22 +584,23 @@ def r_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
 
 def bag_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
     """Bag-extension order: context closure of  <>  <=  <t1,...,tn>."""
-    return _bag_leq(t, u, (), ())
+    return _bag_leq(t, u, [], None)
 
 
-def _bag_leq(t, u, envt, envu):
+def _bag_leq(t, u, scopes, k):
     if isinstance(t, RVar) and isinstance(u, RVar):
-        return db_index(t.name, envt) == db_index(u.name, envu)
+        return _same_heads(scopes, k, (), (), t.name, u.name)[0]
     if isinstance(t, RAbs) and isinstance(u, RAbs):
-        return _bag_leq(t.body, u.body, (t.binder,) + envt, (u.binder,) + envu)
+        k = _same_heads(scopes, k, (t.binder,), (u.binder,), None, None)[1]
+        return _bag_leq(t.body, u.body, scopes, k)
     if isinstance(t, RApp) and isinstance(u, RApp):
-        if not _bag_leq(t.fun, u.fun, envt, envu):
+        if not _bag_leq(t.fun, u.fun, scopes, k):
             return False
-        return _bag_embeds(t.bag, u.bag, envt, envu)
+        return _bag_embeds(t.bag, u.bag, scopes, k)
     return False
 
 
-def _bag_embeds(small, big, envt, envu):
+def _bag_embeds(small, big, scopes, k):
     """Multiset embedding: each element of `small` matches a distinct element."""
     if len(small) > len(big):
         return False
@@ -607,7 +608,7 @@ def _bag_embeds(small, big, envt, envu):
         return True
     first, rest = small[0], small[1:]
     for i, cand in enumerate(big):
-        if _bag_leq(first, cand, envt, envu):
-            if _bag_embeds(rest, big[:i] + big[i + 1:], envt, envu):
+        if _bag_leq(first, cand, scopes, k):
+            if _bag_embeds(rest, big[:i] + big[i + 1:], scopes, k):
                 return True
     return False

@@ -5,7 +5,6 @@ commutation check."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +13,7 @@ from itertools import chain, combinations_with_replacement, cycle, islice
 from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
 from .distance import bracket, dyadic, exact
-from .lamcalc import Abs, LambdaTerm, Var, db_index
+from .lamcalc import Abs, LambdaTerm, Var, _same_heads, _Scope
 from .limits import within_cap
 from .resource import RAbs, RApp, ResourceTerm, RVar, normal_view, rkey
 
@@ -25,10 +24,10 @@ from .resource import RAbs, RApp, ResourceTerm, RVar, normal_view, rkey
 def box_relation(t: ResourceTerm, a: PartialTerm) -> bool:
     """t belongs to the Taylor expansion of a (the expansion of bottom is
     empty): every item sits against a node of a with its binder count,
-    arity and de Bruijn head, on a stack of (item, node, environments)."""
-    todo = [(t, a, (), ())]
+    arity and de Bruijn head, on a stack of (item, node, scope depth)."""
+    scopes, todo = [], [(t, a, None)]
     while todo:
-        u, x, eu, ex = todo.pop()
+        u, x, k = todo.pop()
         if x._kind == "bot":
             return False
         try:
@@ -37,10 +36,10 @@ def box_relation(t: ResourceTerm, a: PartialTerm) -> bool:
             return False
         if len(binders) != len(x.binders) or len(bags) != len(x.args):
             return False
-        eu, ex = binders[::-1] + eu, x.binders[::-1] + ex
-        if db_index(head, eu) != db_index(x.head, ex):
+        same, k = _same_heads(scopes, k, binders, x.binders, head, x.head)
+        if not same:
             return False
-        todo.extend((v, arg, eu, ex) for items, arg in zip(bags, x.args) for v in items)
+        todo.extend((v, arg, k) for items, arg in zip(bags, x.args) for v in items)
     return True
 
 
@@ -191,20 +190,23 @@ def _bags_within(t: ResourceTerm, b: int) -> bool:
 
 def _tree_depth(a: Node, other: PartialTerm):
     """D8 point 6's depth of the maximal element of a's expansion against
-    `other`: the depth (root 0) of the shallowest node of a that `other` does
-    not match below matching ancestors, or math.inf if there is none."""
-    queue = deque([(a, other, (), (), 0)])
-    while queue:
-        x, y, ex, ey, depth = queue.popleft()
-        if (isinstance(y, Bottom) or len(x.binders) != len(y.binders)
-                or len(x.args) != len(y.args)):
-            return depth
-        ex, ey = x.binders[::-1] + ex, y.binders[::-1] + ey
-        if db_index(x.head, ex) != db_index(y.head, ey):
-            return depth
-        queue.extend((u, v, ex, ey, depth + 1)
-                     for u, v in zip(x.args, y.args) if isinstance(u, Node))
-    return math.inf
+    `other`: the least depth (root 0) of a node of a that `other` does not
+    match below matching ancestors, or math.inf; the walk stops there (D25)."""
+    scopes, best, todo = [], math.inf, [(a, other, 0, None)]
+    while todo:
+        x, y, depth, k = todo.pop()
+        if depth >= best:
+            continue
+        same = (isinstance(y, Node) and len(x.binders) == len(y.binders)
+                and len(x.args) == len(y.args))
+        if same:
+            same, k = _same_heads(scopes, k, x.binders, y.binders, x.head, y.head)
+        if not same:
+            best = depth
+        elif depth + 1 < best:
+            todo.extend((u, v, depth + 1, k)
+                        for u, v in zip(x.args, y.args) if isinstance(u, Node))
+    return best
 
 
 def _side_fast(a: PartialTerm, other: PartialTerm, b: int) -> Fraction:
@@ -332,21 +334,16 @@ def enumerate_partial(n: int) -> PartialTerm:
 @lru_cache(maxsize=None)
 def _sorted_of_weight(w: int) -> tuple:
     """The partial terms of weight w in enumeration order, sorted once."""
-    return tuple(sorted(_partial_terms_of_weight(w, 0), key=_pt_sort_key))
+    return tuple(sorted(_partial_terms_of_weight(w, 0), key=lambda t: _pt_code(t, _Scope(), 0)))
 
 
-def _pt_sort_key(t: PartialTerm):
-    return _pt_code(t, ())
-
-
-def _pt_code(t, env):
+def _pt_code(t, scope, k):
+    """t's rank below k binders: a bound head first, by index k - 1 - level (D25)."""
     if isinstance(t, Bottom):
         return (0,)
-    env2 = t.binders[::-1] + env
-    hk = db_index(t.head, env2)
-    hcode = (1, hk[1]) if hk[0] == "b" else (2, hk[1])
-    return (1, len(t.binders), hcode, len(t.args),
-            tuple(_pt_code(a, env2) for a in t.args))
+    h, k = scope.at(k, t.binders, t.head), k + len(t.binders)
+    return (1, len(t.binders), (2, h) if type(h) is str else (1, k - 1 - h),
+            len(t.args), tuple(_pt_code(a, scope, k) for a in t.args))
 
 
 def pair_index(m: int) -> tuple:

@@ -100,14 +100,17 @@ def test_induced_order_is_truncation_order():
 
 
 def test_deep_chains_compare_without_recursion():
-    # x (x (... _|_)) against the same chain ending in y, 10,000 nodes deep
-    a, b = BOT, bohm.Node((), "y", ())
-    for _ in range(10_000):
-        a, b = bohm.Node((), "x", (a,)), bohm.Node((), "x", (b,))
-    assert partial_leq(a, b) and not partial_leq(b, a)
-    assert height(a) == 10_000 and height(b) == 10_001
-    assert divergence_level(a, b) == 10_000
-    assert p_tree(a, b) == exact(dyadic(10_000))
+    # x (x (... _|_)) and \a. a (\a. a (... _|_)) against the same chain
+    # ending in y, 10,000 nodes deep; with a binder at every level, each
+    # step once copied the binder environment
+    for binders, head in (((), "x"), (("a",), "a")):
+        a, b = BOT, bohm.Node((), "y", ())
+        for _ in range(10_000):
+            a, b = bohm.Node(binders, head, (a,)), bohm.Node(binders, head, (b,))
+        assert partial_leq(a, b) and not partial_leq(b, a)
+        assert height(a) == 10_000 and height(b) == 10_001
+        assert divergence_level(a, b) == 10_000
+        assert p_tree(a, b) == exact(dyadic(10_000))
 
 
 def test_bohm_truncate_examples():

@@ -1,15 +1,16 @@
 """The public entry points of the lambda, contextual, partial-term and
 resource families on chains 300 levels deep, run under a recursion limit 100 frames
 above the caller's stack, so that a walk recursing once per level goes
-three times past it: each answers, or raises a typed, named error.  The
-Taylor entry points reach the same chains as resource, partial or lambda
-terms.  Each level of a chain's expansion is a new list of elements, so the
-expansion builds about N**2 / 2 nodes, which keeps N at 300.  Entry points
-that still recurse are named in KNOWN_FAILURES with the chain shape they
-recurse on, which is checked both ways: a listed pair that starts to answer
-fails until it leaves the list, and an unlisted one that raises
-RecursionError is a regression."""
+three times past it: each answers within ROW_SECONDS, or raises a typed,
+named error.  The Taylor entry points reach the same chains as resource,
+partial or lambda terms.  Each level of a chain's expansion is a new list
+of elements, so the expansion builds about N**2 / 2 nodes, which keeps N
+at 300.  Entry points that still recurse are named in KNOWN_FAILURES with
+the chain shape they recurse on, which is checked both ways: a listed pair
+that starts to answer fails until it leaves the list, and an unlisted one
+that raises RecursionError is a regression."""
 
+import signal
 import sys
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from lambdapm.resource import RAbs, RApp, RVar
 
 N = 300
 HEADROOM = 100  # frames above the caller's stack that a call may use
+ROW_SECONDS = 10  # as the CI steps' `timeout 10`: a row that takes longer fails
 
 # (entry point, chain shape) pairs that still recurse: the rebuilding
 # `subst` recurses once per level, and p_ctx_bracket reaches it on the
@@ -33,6 +35,14 @@ HEADROOM = 100  # frames above the caller's stack that a call may use
 # bag_leq recurses once per level through `_bag_leq`
 KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain"),
                   ("bag_leq", "plain"), ("bag_leq", "binders")}
+
+
+class TooSlow(Exception):
+    pass
+
+
+def too_slow(signum, frame):
+    raise TooSlow
 
 
 def stack_depth() -> int:
@@ -123,7 +133,9 @@ def test_entry_points_answer_on_deep_chains(name, binder):
     contextual._ROWS.clear()  # nor a row filled for an alpha-equivalent chain
     shape = "binders" if binder else "plain"
     limit = sys.getrecursionlimit()
+    alarm = signal.signal(signal.SIGALRM, too_slow)
     sys.setrecursionlimit(stack_depth() + HEADROOM)
+    signal.setitimer(signal.ITIMER_REAL, ROW_SECONDS)
     try:
         answer = CALLS[name](c)
     except RecursionError:
@@ -131,8 +143,12 @@ def test_entry_points_answer_on_deep_chains(name, binder):
         return
     except (ValueError, CapExceeded, taylor.TentativeTreeError):
         answer = True  # a typed, named refusal
+    except TooSlow:
+        pytest.fail(f"{name} took over {ROW_SECONDS} s on a {N}-level {shape} chain")
     finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
         sys.setrecursionlimit(limit)
+        signal.signal(signal.SIGALRM, alarm)
     assert (name, shape) not in KNOWN_FAILURES, \
         f"{name} answers now on the {shape} chain: take it off KNOWN_FAILURES"
     assert answer

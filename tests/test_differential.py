@@ -17,9 +17,10 @@ order and H* against the loops that truncate at every level and measure
 each pair once per element below, the integer sums of the enumeration
 isometry against Fraction sums, print/parse round trips for resource and
 partial terms, the one renaming walk and the printing of partial terms
-through their embedding against the walks they replaced, and the one
+through their embedding against the walks they replaced, the one
 builder of partial trees and partial equality against the recursions and
-the key comparison they replaced."""
+the key comparison they replaced, and the walks that read heads off the
+in-place binder scope against the environment-tuple walks they replaced."""
 
 import itertools
 import math
@@ -1589,7 +1590,7 @@ def test_assignments_match_distinct_permutations(items, data):
 
 def ref_box(t, a, envt=(), enva=()):
     """Membership in the expansion of a, by the recursion on t and a."""
-    if a is BOT:
+    if isinstance(a, bohm.Bottom):
         return False
     try:
         binders, head, bags = resource.normal_view(t)
@@ -1615,7 +1616,7 @@ def ref_box_depth(t, a, envt=(), enva=()):
     if len(binders) != len(a.binders) or len(bags) != len(a.args):
         return 0
     et, ea = binders[::-1] + envt, a.binders[::-1] + enva
-    if lamcalc.db_index(head, et) != lamcalc.db_index(a.head, ea):
+    if _ref_index(head, et[::-1]) != _ref_index(a.head, ea[::-1]):
         return 0
     depth = math.inf
     for items, arg in zip(bags, a.args):
@@ -2157,6 +2158,10 @@ def test_unknown_positions_and_shallow_bottoms_by_depth():
     a, b = parse_partial("x (y z _|_) (y z z)"), parse_partial("x (y z w) (y z z)")
     assert bohm.first_difference(a, b, {(0, 1)}) == math.inf
     assert bohm.first_difference(a, b, {(1, 0)}) == 3
+    # a deeper difference sits in the first argument, a shallower one in the last
+    a, b = parse_partial("x (y (z w)) q"), parse_partial("x (y (z v)) r")
+    assert bohm.first_difference(a, b, ()) == 2 and bohm.divergence_level(a, b) == 1
+    assert bohm.first_difference(a, b, {(1,)}) == 4
     # a bottom at depth height(a) counts, one below it does not
     assert verify._fills_shallow_bottom(parse_partial("x _|_ y"),
                                         parse_partial("x z y"))
@@ -2170,6 +2175,200 @@ def test_shared_subtree_under_different_binders_differs():
     assert not bohm.partial_leq(a, b) and not bohm.partial_leq(b, a)
     assert bohm.first_difference(a, b, ()) == 2
     assert bohm.divergence_level(a, b) == 1
+
+
+# ---------------------------------------------------------------------------
+# The in-place binder scope against the environment tuples it replaced: each
+# walk that compares heads under binders, kept here as it was, with tuples
+# that list the binders outermost first (docs/DECISIONS.md D25)
+
+def ref_alpha_same(s, t, es=(), et=()):
+    """Alpha-equivalence of s under `es` and t under `et`, by the loop that
+    copied both environments at each binder."""
+    pairs = [(s, t, es, et)]
+    while pairs:
+        s, t, es, et = pairs.pop()
+        if s is t and es == et:
+            continue
+        if s._kind != t._kind:
+            return False
+        if s._kind == "var":
+            if _ref_index(s.name, es) != _ref_index(t.name, et):
+                return False
+        elif s._kind == "abs":
+            pairs.append((s.body, t.body, es + (s.binder,), et + (t.binder,)))
+        else:
+            pairs += (s.arg, t.arg, es, et), (s.fun, t.fun, es, et)
+    return True
+
+
+def ref_same_state(a, b):
+    """Two machine states compared part by part under their environments."""
+    (ea, s, sa), (eb, t, sb) = a, b
+    xs, ys = (s,) + lamcalc._args(sa), (t,) + lamcalc._args(sb)
+    return len(ea) == len(eb) and len(xs) == len(ys) and all(
+        ref_alpha_same(u, v, ea[::-1], eb[::-1]) for u, v in zip(xs, ys))
+
+
+def ref_bag_leq(t, u, envt=(), envu=()):
+    """The bag-extension order by recursion, a bag's items matched to
+    distinct items of the other bag by trying every choice of them."""
+    if isinstance(t, RVar) and isinstance(u, RVar):
+        return _ref_index(t.name, envt) == _ref_index(u.name, envu)
+    if isinstance(t, RAbs) and isinstance(u, RAbs):
+        return ref_bag_leq(t.body, u.body, envt + (t.binder,), envu + (u.binder,))
+    if isinstance(t, RApp) and isinstance(u, RApp):
+        return ref_bag_leq(t.fun, u.fun, envt, envu) and any(
+            all(ref_bag_leq(x, y, envt, envu) for x, y in zip(t.bag, chosen))
+            for chosen in permutations(u.bag, len(t.bag)))
+    return False
+
+
+def ref_pt_code(t, env=()):
+    """The enumeration rank of t: a bound head by its de Bruijn index, read
+    off the environment tuple, before a free one."""
+    if not isinstance(t, Node):
+        return (0,)
+    inner = env + t.binders
+    kind, v = _ref_index(t.head, inner)
+    return (1, len(t.binders), (1, v) if kind == "b" else (2, v), len(t.args),
+            tuple(ref_pt_code(a, inner) for a in t.args))
+
+
+def ref_aligned(a, b):
+    """The aligned pairs breadth first, as (depth, index path, x, y, same),
+    each head read off its side's environment tuple."""
+    queue = [(1, (), a, b, (), ())]
+    for depth, path, x, y, ex, ey in queue:  # the list grows as it is read
+        same = (isinstance(x, Node) and isinstance(y, Node)
+                and len(x.binders) == len(y.binders) and len(x.args) == len(y.args)
+                and _ref_index(x.head, ex + x.binders) == _ref_index(y.head, ey + y.binders))
+        yield depth, path, x, y, same
+        if same:
+            queue += ((depth + 1, path + (i,), u, v, ex + x.binders, ey + y.binders)
+                      for i, (u, v) in enumerate(zip(x.args, y.args)))
+
+
+def under_binders(data, t, abs_):
+    """t below two drawn binder lists of one length, which may name other
+    binders: the same object on both sides, bound alike or not."""
+    n = data.draw(st.integers(0, 3))
+    out = []
+    for _ in range(2):
+        u = t
+        for b in data.draw(st.lists(names, min_size=n, max_size=n)):
+            u = abs_(b, u)
+        out.append(u)
+    return out
+
+
+def lambda_pair(data):
+    """Two lambda terms to compare: a term and an alpha-variant of it, its
+    canonical renaming (which reuses names), a drawn term, or one subterm
+    object under two binder lists, alone or as both parts of an
+    application."""
+    t = data.draw(lam_terms())
+    kind = data.draw(st.sampled_from(["alpha", "canonical", "other", "shared", "shared app"]))
+    if kind == "alpha":
+        return t, alpha_variant(t)
+    if kind == "canonical":
+        return t, canonical(t)
+    if kind == "other":
+        return t, data.draw(lam_terms())
+    s, u = under_binders(data, t, Abs)
+    if kind == "shared":
+        return s, u
+    v, w = under_binders(data, t, Abs)
+    return App(s, v), App(u, w)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_alpha_walk_matches_tuple_reference(data):
+    s, t = lambda_pair(data)
+    if data.draw(st.booleans()):
+        s, t = t, s
+    same = ref_key(s) == ref_key(t)
+    assert ref_alpha_same(s, t) == same
+    assert lamcalc._alpha_same(s, t, [], None) == same
+    assert (s == t) == same
+
+
+@given(machine_state(), st.lists(names, max_size=2))
+@settings(max_examples=300, deadline=None)
+@example((("x",), SPECIAL[4], SHARED_ARG), ["y"])
+def test_states_under_other_binder_names_match_tuple_reference(a, drawn):
+    env, head, stack = a
+    # the same head and cells, under as many binders, of other names or not
+    b = (tuple((drawn + ["z", "z"])[:len(env)]), head, stack)
+    same = ref_key(lamcalc._rebuild(*a)) == ref_key(lamcalc._rebuild(*b))
+    assert ref_same_state(a, b) == ref_same_state(b, a) == same
+    assert lamcalc._same_state(a, b) == lamcalc._same_state(b, a) == same
+
+
+def bag_extension(data, t):
+    """t with, now and then, a drawn item added to a bag, at any depth."""
+    if isinstance(t, RVar):
+        return t
+    if isinstance(t, RAbs):
+        return RAbs(t.binder, bag_extension(data, t.body))
+    bag = tuple(bag_extension(data, u) for u in t.bag)
+    if data.draw(st.booleans()):
+        bag += (data.draw(resource_terms(3)),)
+    return RApp(bag_extension(data, t.fun), bag)
+
+
+@given(resource_terms(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bag_leq_matches_tuple_reference(t, data):
+    kind = data.draw(st.sampled_from(["extension", "renamed extension", "other", "shared"]))
+    if kind == "other":
+        u = data.draw(resource_terms())
+    elif kind == "shared":
+        t, u = under_binders(data, t, RAbs)
+    else:
+        u = bag_extension(data, t)
+        if kind == "renamed extension":  # binders renamed c<depth>: reused names
+            u = canonical_binders(u)
+    for x, y in ((t, u), (u, t)):
+        assert resource.bag_leq(x, y) == ref_bag_leq(x, y)
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_walks_over_partial_pairs_match_tuple_references(a, data):
+    a, b = aligned_pair(data, a)
+    for x, y in ((a, b), (b, a)):
+        got = Counter((d, bohm._path(p), id(u), id(v), same)
+                      for d, p, u, v, same in bohm.aligned(x, y))
+        assert got == Counter((d, p, id(u), id(v), same)
+                              for d, p, u, v, same in ref_aligned(x, y))
+        assert taylor._pt_code(x, lamcalc._Scope(), 0) == ref_pt_code(x)
+        if isinstance(x, Node):
+            t = draw_element(data, x)
+            assert box_relation(t, y) == ref_box(t, y)
+            b_ = data.draw(st.sampled_from([0, 1, 2]))
+            assert taylor._side_fast(x, y, b_) == ref_side_fast(x, y, b_)
+
+
+def test_tree_depth_is_the_least_failing_depth_in_any_argument():
+    # the depth-first walk meets the deep failure in the last argument
+    # first, and the shallow one in the first argument later; with a
+    # binder of another name at every node as well, so that the scope is read
+    for a, b in (("x (y z) (u (v (w z)))", "x (q z) (u (v (w q)))"),
+                 ("x (v (w z)) (y z)", "x (v (w q)) (q z)"),
+                 ("\\a. a (\\b. b z) (\\c. c (\\d. d a))",
+                  "\\e. e (\\f. e z) (\\g. g (\\h. h h))")):
+        a, b = parse_partial(a), parse_partial(b)
+        assert taylor._tree_depth(a, b) == taylor._tree_depth(b, a) == 1
+        for mult in (1, 2):
+            assert taylor._side_fast(a, b, mult) == ref_side_fast(a, b, mult) == dyadic(1)
+
+
+def test_enumeration_order_is_the_tuple_reference_order():
+    for w in range(1, 7):
+        terms = taylor._partial_terms_of_weight(w, 0)
+        assert taylor._sorted_of_weight(w) == tuple(sorted(terms, key=ref_pt_code))
 
 
 # ---------------------------------------------------------------------------

@@ -140,15 +140,20 @@ def test_tree_expansion_is_within_both_bounds():
 
 
 def test_isometry_on_deep_chains_without_recursion():
-    # x (x (... _|_)) against the same chain ending in y, 10,000 nodes deep:
-    # the maximal element of a fragment has about b**height nodes, and
-    # building it recursed once per level
-    a, b = BOT, bohm.Node((), "y", ())
-    for _ in range(10_000):
-        a, b = bohm.Node((), "x", (a,)), bohm.Node((), "x", (b,))
-    res = isometry_check(a, b, 2)
-    assert res["equal"] and res["stable"]
-    assert res["lhs"] == exact(dyadic(10_000))
+    # x (x (... _|_)) and \a. a (\a. a (... _|_)) against the same chain
+    # ending in y, 10,000 nodes deep: the maximal element of a fragment has
+    # about b**height nodes, and building it recursed once per level; the
+    # chain's element x<x<... y>> or \a. a<\a. a<... y>> is in the
+    # expansion of the second chain only
+    for binders, head in (((), "x"), (("a",), "a")):
+        a, b, t = BOT, bohm.Node((), "y", ()), RVar("y")
+        for _ in range(10_000):
+            a, b = bohm.Node(binders, head, (a,)), bohm.Node(binders, head, (b,))
+            t = resource.spine(binders, RVar(head), [(t,)])
+        res = isometry_check(a, b, 2)
+        assert res["equal"] and res["stable"]
+        assert res["lhs"] == exact(dyadic(10_000))
+        assert box_relation(t, b) and not box_relation(t, a)
 
 
 def deep_lambda(shape, n):
