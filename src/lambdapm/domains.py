@@ -201,34 +201,38 @@ def quantification_decision(p: FinitePoset, space: PartialMetricSpace) -> dict:
     ball around each of its points.  Returns a verdict with witnesses.
     """
     pts = list(space.carrier)
-    if len(pts) != p.size:
-        raise ValueError("carrier and poset must align")
     idx = {pt: i for i, pt in enumerate(pts)}
+    if len(pts) != p.size or len(idx) != p.size:
+        raise ValueError("carrier and poset must align: one distinct point per element")
     failures_a, failures_b = [], []
+    # to[c][i] = d(pts[i], pts[c]), each read once, in the order that
+    # keeps the memo of a distance that is not symmetric (D26 point 4)
+    to = []
 
-    for center in pts:
-        cself = space.d(center, center)
-        radii = sorted({space.d(z, center) - cself for z in pts
-                        if space.d(z, center) > cself})
-        radii = [r for r in radii if r > 0] + [Fraction(1)]
-        for eps in [q for r in radii for q in (r, r + Fraction(1, 2))]:
-            ball = {z for z in pts if space.d(z, center) < cself + eps}
-            for z in ball:
-                for w in pts:
-                    if p.le(idx[z], idx[w]) and w not in ball:
-                        failures_a.append({"center": str(center), "eps": str(eps),
-                                           "in": str(z), "above": str(w)})
+    for c, center in enumerate(pts):
+        row = [space.d(z, center) for z in pts]
+        to.append(row)
+        cself = row[c]
+        radii = sorted({v - cself for v in row if v > cself})
+        for eps in [q for r in radii + [Fraction(1)] for q in (r, r + Fraction(1, 2))]:
+            bound = cself + eps
+            ball = {z for z, v in zip(pts, row) if v < bound}
+            outside = ~sum(1 << idx[z] for z in ball)
+            for z in ball:  # only a ball that is not an up-set has witnesses
+                if p.up[idx[z]] & outside:
+                    for w in pts:
+                        if p.le(idx[z], idx[w]) and w not in ball:
+                            failures_a.append({"center": str(center), "eps": str(eps),
+                                               "in": str(z), "above": str(w)})
 
-    for x in pts:
-        for y in pts:
-            if not p.le(idx[x], idx[y]):
+    for x, above in zip(pts, p.leq):
+        for c, (y, row) in enumerate(zip(pts, to)):
+            if not above[c]:
                 continue
-            # find eps with B_eps(y) inside the up-set of x
-            defect = [space.d(z, y) - space.d(y, y) for z in pts
-                      if not p.le(idx[x], idx[z])]
-            if not defect:
-                continue  # the whole space is above x
-            if min(defect) <= 0:
+            # B_eps(y) lies inside the up-set of x for some eps iff every z
+            # outside it has d(z, y) > d(y, y)
+            outside = [v for v, up in zip(row, above) if not up]
+            if outside and min(outside) <= row[c]:
                 failures_b.append({"upset_of": str(x), "point": str(y)})
 
     return {"pass": not failures_a and not failures_b,
@@ -436,7 +440,7 @@ class LazyTop:
         self.n = tower.depth  # tables act on D_n
         self.poset = tower.level(self.n).poset
         self._injected = {}  # f -> i_n(f); at most |D_n| tables
-        self._rows = {}      # i_n(f) -> its leq rows, one per position
+        self._rows = {}      # i_n(f) -> (position, leq row) where it is not bottom
         # j_n reads a table only at these positions, so their values key
         # its result (docs/DECISIONS.md D16)
         self._reads = ((self.poset.bottom,) if self.n == 0
@@ -445,17 +449,24 @@ class LazyTop:
         self._projected = {}  # read values -> j_n; never an error
 
     def le(self, t1: tuple, t2: tuple) -> bool:
+        """The pointwise order.  On a table that `inject_from_below` made,
+        t2 is read only where t1 is not bottom (docs/DECISIONS.md D26)."""
         rows = self._rows.get(t1)
         if rows is None:
-            rows = map(self.poset.leq.__getitem__, t1)
-        return all(map(getitem, rows, t2))
+            return all(map(getitem, map(self.poset.leq.__getitem__, t1), t2))
+        for x, row in rows:
+            if not row[t2[x]]:
+                return False
+        return True
 
     def inject_from_below(self, f: int) -> tuple:
         """i_n(f) for f an index of D_n, as a table over D_n."""
         table = self._injected.get(f)
         if table is None:
             table = self._injected[f] = _inject_table(self.tower.levels, self.n, f)
-            self._rows[table] = tuple(map(self.poset.leq.__getitem__, table))
+            leq, bottom = self.poset.leq, self.poset.bottom
+            self._rows[table] = tuple((x, leq[v]) for x, v in enumerate(table)
+                                      if v != bottom)
         return table
 
     def project(self, table: tuple) -> int:

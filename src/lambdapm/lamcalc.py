@@ -611,6 +611,15 @@ def _alpha_same(s, t, scopes, k) -> bool:
         if kind != t._kind:
             return False
         if above and kind != "app":
+            if kind == "var" and k is None:
+                # heads right below the first binders that differ, x and y,
+                # match iff both are bound there or neither is and their
+                # names agree, so no scope is made (D26 point 7)
+                (x,), (y,) = above
+                a, b = s.name, t.name
+                if (a == x) != (b == y) or a != x and a != b:
+                    return False
+                continue
             k = _same_heads(scopes, k, *above, None, None)[1]
         if kind == "var":
             if not _same_heads(scopes, k, (), (), s.name, t.name)[0]:

@@ -202,6 +202,25 @@ def _places_of(fun: RAbs) -> _Plan:
     return plan
 
 
+def _occurrences(body: ResourceTerm, name: str) -> int:
+    """The free occurrences of `name` in `body`, the places of its plan,
+    counted without compiling one: a walk that enters only the subterms in
+    which `name` is free."""
+    free_rvars(body)  # fills the free names of every node below, read as _fv
+    count, todo = 0, [body]
+    while todo:
+        t = todo.pop()
+        if name in t._fv:
+            if t._kind == "var":
+                count += 1
+            elif t._kind == "abs":
+                todo.append(t.body)
+            else:
+                todo.append(t.fun)
+                todo += t.bag
+    return count
+
+
 def _compile(body: ResourceTerm, name: str) -> _Plan:
     """The plan of `body` for `name`, in one walk on an explicit stack that
     enters only the subterms in which `name` is free."""

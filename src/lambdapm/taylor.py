@@ -157,7 +157,7 @@ def _demand(f: ResourceTerm) -> int | None:
         f = f.body
     if applied or not isinstance(f, RAbs):
         return None
-    return len(resource._places_of(f).groups)
+    return resource._occurrences(f.body, f.binder)
 
 
 # ---------------------------------------------------------------------------

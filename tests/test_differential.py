@@ -9,10 +9,12 @@ a recursive normalizer, poset
 validation and the monotone-table DFS against pairwise reference loops and a
 brute-force filter, the lazy tower level and the function-space order against
 their pointwise forms, the completion check of i.j <= id against the check on
-every table, the aligned walk over two partial terms against the recursions
-and the truncation loop it replaced, prefix-shared contraction against
-filling each queue on its own, the H* side read off two partial trees
-against the loop over the maximal element and against brute force, r, its
+every table, the quantification decision against the loops that read every
+distance again per ball and per up-set, the aligned walk over two partial
+terms against the recursions and the truncation loop it replaced,
+prefix-shared contraction against filling each queue on its own, the place
+count of a sized bag against the compiled plan, the H* side read off two
+partial trees against the loop over the maximal element and against brute force, r, its
 order and H* against the loops that truncate at every level and measure
 each pair once per element below, the integer sums of the enumeration
 isometry against Fraction sums, print/parse round trips for resource and
@@ -38,13 +40,15 @@ from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
 from lambdapm.distance import (INF, bracket, dyadic, exact, is_inf,
                                truncation_below)
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower, flat,
-                              function_space, iter_monotone_tables)
+                              function_space, iter_monotone_tables,
+                              quantification_decision)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
 from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
                               free_vars, key, normalize, parse, show,
                               solvability, spine, subst)
-from lambdapm.pmetric import LiftedSet, hausdorff_star
+from lambdapm.pmetric import (LiftedSet, PartialMetricSpace, hausdorff_star,
+                              weighted_basis_metric)
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
                                _level, _places_of, canonical_binders,
                                free_rvars, gen_height, is_normal,
@@ -468,6 +472,51 @@ def test_le_from_cached_rows_matches_fresh_tuples(seed):
     assert len(top._rows) == p.size
 
 
+@given(st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_le_on_lifted_tables_reads_their_non_bottom_positions(seed, data):
+    """On every lifted table i_n(f) of a small level, the cached rows are
+    the leq rows at exactly its non-bottom positions, and le answers as the
+    pointwise order on drawn in-range tuples, in both argument places
+    (docs/DECISIONS.md D26)."""
+    top = random_lazy_top(random.Random(seed), 4)
+    p = top.poset
+    drawn = st.lists(st.tuples(*[st.integers(0, p.size - 1)] * p.size),
+                     min_size=1, max_size=4)
+    for f in p.elements():
+        t = top.inject_from_below(f)
+        assert top._rows[t] == tuple((x, p.leq[v]) for x, v in enumerate(t)
+                                     if v != p.bottom)
+        for u in data.draw(drawn) + [top.inject_from_below(g) for g in p.elements()]:
+            assert top.le(t, u) == all(p.le(a, b) for a, b in zip(t, u))
+            assert top.le(u, t) == all(p.le(a, b) for a, b in zip(u, t))
+
+
+def test_le_on_invalid_tuples():
+    """le(i_n(f), u) reads u only where i_n(f) is not bottom: a value out of
+    the carrier elsewhere is not read, and a read position that is missing
+    or out of the carrier raises IndexError.  A first argument that is not
+    a lifted table is read at every position, as before (D26)."""
+    top = LazyTop(build_tower(flat(2), unit_metric, 1))
+    p = top.poset
+    t = next(t for t in map(top.inject_from_below, p.elements())
+             if 1 < sum(v != p.bottom for v in t) < p.size)
+    reads = [x for x, v in enumerate(t) if v != p.bottom]
+    outside = tuple(p.size if v == p.bottom else v for v in t)
+    assert top.le(t, outside)
+    assert top.le(tuple(list(t)), outside)  # an equal tuple finds the rows
+    assert top.le(t, t[:reads[-1] + 1])  # short, but past every read position
+    with pytest.raises(IndexError):
+        top.le(t, t[:reads[-1]])
+    with pytest.raises(IndexError):
+        top.le(t, tuple(p.size if x == reads[0] else v for x, v in enumerate(t)))
+    lifted = set(map(top.inject_from_below, p.elements()))
+    other = next(u for u in top.tables() if u not in lifted)
+    with pytest.raises(IndexError):
+        top.le(other, (p.size,) * p.size)
+    assert top.le(other, other[:2]) == all(p.le(a, b) for a, b in zip(other, other[:2]))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_lazy_memos_stay_bounded_over_the_whole_stream(seed):
@@ -522,6 +571,116 @@ def test_completion_verdict_matches_exhaustive(seed):
     for project in (top.project, lambda t: shift[top.project(t)]):
         assert law_holds(top, tables, project) == \
             law_holds(top, completions, project)
+
+
+# ---------------------------------------------------------------------------
+# The quantification decision against the loops that read every distance
+# again per ball and per up-set (docs/DECISIONS.md D26)
+
+def ref_quantification_decision(p, space):
+    """Does the metric topology equal the Scott topology (= up-sets)?"""
+    pts = list(space.carrier)
+    if len(pts) != p.size:
+        raise ValueError("carrier and poset must align")
+    idx = {pt: i for i, pt in enumerate(pts)}
+    failures_a, failures_b = [], []
+
+    for center in pts:
+        cself = space.d(center, center)
+        radii = sorted({space.d(z, center) - cself for z in pts
+                        if space.d(z, center) > cself})
+        radii = [r for r in radii if r > 0] + [Fraction(1)]
+        for eps in [q for r in radii for q in (r, r + Fraction(1, 2))]:
+            ball = {z for z in pts if space.d(z, center) < cself + eps}
+            for z in ball:
+                for w in pts:
+                    if p.le(idx[z], idx[w]) and w not in ball:
+                        failures_a.append({"center": str(center), "eps": str(eps),
+                                           "in": str(z), "above": str(w)})
+
+    for x in pts:
+        for y in pts:
+            if not p.le(idx[x], idx[y]):
+                continue
+            defect = [space.d(z, y) - space.d(y, y) for z in pts
+                      if not p.le(idx[x], idx[z])]
+            if not defect:
+                continue
+            if min(defect) <= 0:
+                failures_b.append({"upset_of": str(x), "point": str(y)})
+
+    return {"pass": not failures_a and not failures_b,
+            "balls_not_upper": failures_a,
+            "upsets_not_open": failures_b}
+
+
+def counted_spaces(carrier, dist):
+    """Two spaces over one distance, each with its own memo, and the count
+    of the distance evaluations of each."""
+    counts = [0, 0]
+
+    def counted(k):
+        def d(a, b):
+            counts[k] += 1
+            return dist(a, b)
+        return PartialMetricSpace(list(carrier), d)
+    return counted(0), counted(1), counts
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["basis", "drawn", "asymmetric"]),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_quantification_matches_per_read_reference(seed, metric, named):
+    """The full verdict, witnesses in order, on random bounded-complete
+    posets: with the weighted-basis metric, which quantifies each of them,
+    and with drawn metrics, which mostly fail, symmetric or not, now and
+    then infinite off the diagonal.  Both sides evaluate the same pairs,
+    first in the same order, so an asymmetric distance leaves both memos
+    alike."""
+    rng = random.Random(seed)
+    p = shuffled_poset(rng, 6)
+    # named points are strings, whose set order follows their hashes
+    carrier = [f"p{i}" for i in range(p.size)] if named else list(range(p.size))
+    at = {pt: i for i, pt in enumerate(carrier)}
+    if metric == "basis":
+        wbm = verify.wb_metric_for(p)
+
+        def dist(a, b):
+            return weighted_basis_metric(wbm, at[a], at[b]).value
+    else:
+        steps = [Fraction(k, 4) for k in range(5)]
+        table = [[rng.choice(steps) for _ in carrier] for _ in carrier]
+        for i in range(p.size):
+            for j in range(p.size):
+                if metric == "drawn":
+                    table[i][j] = table[j][i] if j < i else table[i][j]
+                if i != j and rng.random() < 0.1:
+                    table[i][j] = INF
+
+        def dist(a, b):
+            return table[at[a]][at[b]]
+    got, want, counts = counted_spaces(carrier, dist)
+    res = quantification_decision(p, got)
+    assert res == ref_quantification_decision(p, want)
+    assert got._memo == want._memo and counts[0] == counts[1]
+    if metric == "basis":
+        assert res["pass"]
+
+
+def test_quantification_pins_infinite_self_distance_and_carrier_shape():
+    """A point whose self-distance is infinite lies in no ball, so an
+    up-set that holds it is not open; the reference's defect inf - inf was
+    nan, and missed it.  A carrier that repeats a point, or has another
+    length, does not align with the poset (D26)."""
+    table = {(0, 0): Fraction(0), (0, 1): INF, (1, 0): INF, (1, 1): INF}
+    space = PartialMetricSpace([0, 1], lambda a, b: table[a, b])
+    chain2 = flat(1)
+    res = quantification_decision(chain2, space)
+    assert res["upsets_not_open"] == [{"upset_of": "1", "point": "1"}]
+    assert ref_quantification_decision(chain2, space)["upsets_not_open"] == []
+    for carrier in ([0, 0], [0, 1, 2]):
+        with pytest.raises(ValueError, match="carrier and poset must align"):
+            quantification_decision(chain2, PartialMetricSpace(carrier, unit_metric))
 
 
 # ---------------------------------------------------------------------------
@@ -1526,6 +1685,42 @@ def test_contraction_matches_per_queue_reference(t):
             assert node._hash is None or node._hash == hash(copy_rterm(node))
 
 
+@given(resource_terms(), names, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_demand_counts_the_places_of_the_plan(body, x, applied):
+    """_demand reads the number of places of the plan of the abstraction a
+    bag would meet, the free occurrences of its binder, without compiling
+    the plan."""
+    fun = RAbs(x, body)
+    f = RApp(RAbs("y", fun), (RVar("y"),)) if applied else fun
+    n = taylor._demand(f)
+    assert fun._places is None
+    assert n == len(_places_of(fun).groups) == ref_occurrences(body, x)
+
+
+def test_commutation_compiles_plans_only_to_contract(monkeypatch):
+    """A commutation check expands with bags sized by _demand, then reduces:
+    every plan it compiles is compiled inside _contract, which runs it."""
+    inside, compiled = [0], Counter()
+    contract, compile_ = resource._contract, resource._compile
+
+    def counted_contract(*args):
+        inside[0] += 1
+        try:
+            return contract(*args)
+        finally:
+            inside[0] -= 1
+
+    def counted_compile(*args):
+        compiled[inside[0] > 0] += 1
+        return compile_(*args)
+    monkeypatch.setattr(resource, "_contract", counted_contract)
+    monkeypatch.setattr(resource, "_compile", counted_compile)
+    for m in corpus.normalizing_corpus(30):
+        assert taylor.commutation_check(m, 3, 5, 300)["equal"]
+    assert compiled[True] > 0 and compiled[False] == 0
+
+
 def test_factorial_redex_builds_each_shared_node_once():
     """The 5,040 reducts of (\\x. h<x>...<x>)<v0, ..., v6> share their
     spines: one node per distinct prefix of a queue, sum over j of 7!/(7-j)!,
@@ -2292,6 +2487,22 @@ def test_alpha_walk_matches_tuple_reference(data):
     assert ref_alpha_same(s, t) == same
     assert lamcalc._alpha_same(s, t, [], None) == same
     assert (s == t) == same
+
+
+@pytest.mark.parametrize("x, y", [("x", "y"), ("y", "x"), ("x", "x")])
+def test_heads_below_the_first_differing_binders(x, y):
+    """Every head under one binder each side, of one name or two, bare, as
+    an application's head and argument, and under a further binder, against
+    the tuple walk, as terms and as machine states whose heads these are."""
+    heads = ["x", "y", "z"]
+    shapes = [lambda b, h: Var(h), lambda b, h: App(Var(h), Var(h)),
+              lambda b, h: Abs(b, Var(h))]
+    for shape, a, b in product(shapes, heads, heads):
+        s, t = Abs(x, shape(x, a)), Abs(y, shape(y, b))
+        same = ref_alpha_same(s, t)
+        assert lamcalc._alpha_same(s, t, [], None) == same
+        arg = [Var("w"), None, 1, None]
+        assert lamcalc._same_state(((), s, arg), ((), t, arg)) == same
 
 
 @given(machine_state(), st.lists(names, max_size=2))
