@@ -3,7 +3,6 @@ bracket, the finitary ball test and the genericity semi-test."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,26 +24,24 @@ def _binder_name(depth: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _terms_of_size(size: int, depth: int) -> tuple:
-    """Fixed size-ordered enumeration of plain terms over a 3-variable alphabet.
-
-    Binders are named canonically by nesting depth (x, y, z, v0, ...), so a
-    binder may shadow a free variable; plugging is literal anyway.
-    """
-    if size < 1:
-        return ()
-    out = []
+def _of_size(size: int, depth: int, holes: int) -> tuple:
+    """The terms (holes=0) of T ::= x | \\x.T | T T or the contexts (holes=1) of
+    C ::= [-] | \\x.C | C T | T C with `size` nodes below `depth` binders, over a
+    3-variable alphabet: abstractions first, then applications by the size of the
+    function part, a context's hole going left first, then right.  Binders are named by
+    nesting depth (x, y, z, v0, ...), so one may shadow a free variable; plugging is
+    literal anyway."""
     if size == 1:
+        if holes:
+            return (HOLE,)
         scope = [_binder_name(d) for d in range(depth)]
-        for v in _TERM_VARS + tuple(n for n in scope if n not in _TERM_VARS):
-            out.append(Var(v))
-        return tuple(out)
-    for body in _terms_of_size(size - 1, depth + 1):
-        out.append(Abs(_binder_name(depth), body))
-    for sf in range(1, size):
-        for f in _terms_of_size(sf, depth):
-            for a in _terms_of_size(size - sf, depth):
-                out.append(App(f, a))
+        return tuple(Var(v) for v in _TERM_VARS + tuple(n for n in scope if n not in _TERM_VARS))
+    out = [Abs(_binder_name(depth), body) for body in _of_size(size - 1, depth + 1, holes)]
+    for fun_holes, arg_holes in ((1, 0), (0, 1)) if holes else ((0, 0),):
+        for sf in range(1, size):
+            for f in _of_size(sf, depth, fun_holes):
+                for a in _of_size(size - sf, depth, arg_holes):
+                    out.append(App(f, a))
     return tuple(out)
 
 
@@ -73,31 +70,6 @@ def _plug(t: LambdaTerm, m: LambdaTerm) -> LambdaTerm:
     return App(_plug(t.fun, m), _plug(t.arg, m))
 
 
-@lru_cache(maxsize=None)
-def _contexts_of_size(size: int, depth: int) -> tuple:
-    """C ::= [-] | \\x.C | C T | T C, size-ordered, fixed tie-break.
-
-    Within one size: abstractions first, then hole-left applications, then
-    hole-right ones, each following the subterm enumeration order.
-    """
-    if size < 1:
-        return ()
-    if size == 1:
-        return (HOLE,)
-    out = []
-    for c in _contexts_of_size(size - 1, depth + 1):
-        out.append(Abs(_binder_name(depth), c))
-    for sc in range(1, size):
-        for c in _contexts_of_size(sc, depth):
-            for t in _terms_of_size(size - sc, depth):
-                out.append(App(c, t))
-    for st in range(1, size):
-        for t in _terms_of_size(st, depth):
-            for c in _contexts_of_size(size - st, depth):
-                out.append(App(t, c))
-    return tuple(out)
-
-
 def enumerate_context(n: int) -> Context:
     """The n-th context (0-indexed); injective, total, stable across runs."""
     if n < 0:
@@ -112,7 +84,7 @@ def _context_terms(start: int, stop: int):
     for size in range(1, 13):
         if base >= stop:
             return
-        batch = _contexts_of_size(size, 0)
+        batch = _of_size(size, 0, 1)
         if start < base + len(batch):
             yield from islice(batch, max(start - base, 0), stop - base)
         base += len(batch)
@@ -125,33 +97,29 @@ def _context_terms(start: int, stop: int):
 # Rows hold a byte per context index they reach; past this many, the least
 # recently used row is dropped.
 _MAX_ROWS = 1024
-_ROWS: OrderedDict = OrderedDict()
 
 
-class _Row:
-    """The solvability kinds of C_0[m], C_1[m], ... at one fuel, as the
-    machine's kind codes, filled a prefix at a time.  A row serves every
-    term alpha-equivalent to m, because plugging captures only free names,
-    which such terms share, and head reduction commutes with
-    alpha-equivalence (docs/DECISIONS.md D7).  At a settled index the kind
-    is read off the context alone (D10); a kind does not depend on the
-    order the indices are filled in (D24)."""
+@lru_cache(maxsize=_MAX_ROWS)
+def _kinds(m: LambdaTerm, fuel: int) -> bytearray:
+    """The row of m's alpha class at `fuel`: the solvability kinds of C_0[m],
+    C_1[m], ... as the machine's kind codes, filled a prefix at a time by
+    `_fill`."""
+    return bytearray()
 
-    __slots__ = ("term", "fuel", "kinds")
 
-    def __init__(self, term: LambdaTerm, fuel: int):
-        self.term, self.fuel, self.kinds = term, fuel, bytearray()
-
-    def fill(self, idx: int) -> bytearray:
-        """The kinds, filled through index idx."""
-        kinds = self.kinds
-        start = len(kinds)
-        if start <= idx:
-            term, fuel = self.term, self.fuel
-            settled = _settle(idx, fuel)[start:idx + 1]
-            for mark, c in zip(settled, _context_terms(start, idx + 1)):
-                kinds.append(SOLVABLE if mark else _run(_plug(c, term), fuel)[0])
-        return kinds
+def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
+    """The row of m at `fuel`, filled through index idx.  It serves, and may be
+    plugged by, every term alpha-equivalent to m: plugging captures only free names,
+    which such terms share, and head reduction commutes with alpha-equivalence
+    (docs/DECISIONS.md D7, D27).  A settled index reads the context alone (D10), and
+    no kind depends on the order the indices are filled in (D24)."""
+    kinds = _kinds(m, fuel)
+    start = len(kinds)
+    if start <= idx:
+        settled = _settle(idx, fuel)[start:idx + 1]
+        for mark, c in zip(settled, _context_terms(start, idx + 1)):
+            kinds.append(SOLVABLE if mark else _run(_plug(c, m), fuel)[0])
+    return kinds
 
 
 @lru_cache(maxsize=_MAX_ROWS)
@@ -173,19 +141,6 @@ def _settle(idx: int, fuel: int) -> bytearray:
     return marks
 
 
-def _row(m: LambdaTerm, fuel: int) -> _Row:
-    """The row of m's alpha class at `fuel`, now the most recently used."""
-    k = (m, fuel)
-    row = _ROWS.get(k)
-    if row is None:
-        row = _ROWS[k] = _Row(m, fuel)
-        if len(_ROWS) > _MAX_ROWS:
-            _ROWS.popitem(last=False)
-    else:
-        _ROWS.move_to_end(k)
-    return row
-
-
 # ---------------------------------------------------------------------------
 # Contextual distance
 
@@ -197,7 +152,7 @@ def p_ctx_bracket(m: LambdaTerm, n: LambdaTerm, prefix: int, fuel: int) -> Dista
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
-    km, kn = _row(m, fuel).fill(prefix), _row(n, fuel).fill(prefix)
+    km, kn = _fill(m, fuel, prefix), _fill(n, fuel, prefix)
     # both sums are kept as integer numerators over 2**prefix, where index
     # i weighs 2**(prefix - i) and the tail past the prefix weighs 1
     lower = unknown = 0
@@ -223,11 +178,11 @@ def in_ctx_ball(m: LambdaTerm, candidate: LambdaTerm, epsilon, fuel: int) -> str
     k = 0
     while dyadic(k + 1) >= epsilon:
         k += 1
-    km = _row(m, fuel).fill(k - 1)
+    km = _fill(m, fuel, k - 1)
     # the candidate's kinds are read only where the center does not diverge
     last = max(km.rfind(SOLVABLE, 0, k), km.rfind(UNKNOWN, 0, k))
     pending = False
-    for a, b in zip(km[:last + 1], _row(candidate, fuel).fill(last)):
+    for a, b in zip(km[:last + 1], _fill(candidate, fuel, last)):
         if a == DIVERGENT:
             continue  # center fails here; no constraint on the candidate
         if a == SOLVABLE and b == DIVERGENT:
@@ -247,10 +202,10 @@ def genericity_violations(unsolvable: LambdaTerm, corpus, max_index: int,
     st = solvability(unsolvable, fuel)
     if not st.is_divergent:
         raise ValueError("term is not certified unsolvable at this fuel")
-    ku = _row(unsolvable, fuel).fill(max_index)
+    ku = _fill(unsolvable, fuel, max_index)
     # the corpus's kinds are read only where the unsolvable term converges
     last = ku.rfind(SOLVABLE, 0, max_index + 1)
-    rows = [(n, _row(n, fuel).fill(last)) for n in corpus]
+    rows = [(n, _fill(n, fuel, last)) for n in corpus]
     bad = []
     for idx in range(last + 1):
         if ku[idx] != SOLVABLE:

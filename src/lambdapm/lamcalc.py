@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +601,9 @@ def _state_hash(env, head, stack) -> int:
 
 
 def _alpha_same(s, t, scopes, k) -> bool:
-    """Whether s and t at depth k of `scopes` (`_same_heads`) are alpha-equivalent, node by
-    node; differing binders wait in `above` until read, as most pairs differ in kind first."""
+    """Whether s extends to t at depth k of `scopes` (`_same_heads`), each bag of s into
+    t's bag at its place, node by node: on terms without bags, alpha-equivalence (D27).
+    Differing binders wait in `above` until read, as most pairs differ in kind first."""
     pairs = [(s, t, k, None)]
     while pairs:
         s, t, k, above = pairs.pop()
@@ -627,8 +629,48 @@ def _alpha_same(s, t, scopes, k) -> bool:
         elif kind == "abs":
             above = None if k is None and s.binder == t.binder else ((s.binder,), (t.binder,))
             pairs.append((s.body, t.body, k, above))
-        else:
+        elif type(s) is App:
             pairs += (s.arg, t.arg, k, above), (s.fun, t.fun, k, above)
+        elif len(s.bag) == len(t.bag) == 1:  # the one embedding: the items wait as a pair
+            pairs += (s.bag[0], t.bag[0], k, above), (s.fun, t.fun, k, above)
+        else:
+            if above:  # the items are compared below the pending binders
+                k, above = _same_heads(scopes, k, *above, None, None)[1], None
+            if len(s.bag) > len(t.bag) or not _embeds(s.bag, t.bag, scopes, k):
+                return False
+            pairs.append((s.fun, t.fun, k, above))
+    return True
+
+
+def _embeds(small, big, scopes, k) -> bool:
+    """Whether the items of bag `small` extend to distinct items of bag `big`, each pair
+    walked at depth k of `scopes` once, when first read: a bipartite matching grown by
+    augmenting paths (Kuhn 1955), each searched on an explicit stack (D27)."""
+    n, owner = len(big), [None] * len(big)  # owner[j]: the item of small matched to big[j]
+    edge = lru_cache(maxsize=None)(lambda i, j: _alpha_same(small[i], big[j], scopes, k))
+
+    def edges(i, seen):  # the unseen items of big that small[i] extends to, free ones first
+        return (j for j in sorted(range(n), key=lambda j: owner[j] is not None)
+                if j not in seen and edge(i, j))
+
+    for i in range(len(small)):
+        seen, took = set(), []  # the path is i, took[0], owner[took[0]], took[1], ...
+        search = [edges(i, seen)]
+        while search:
+            j = next(search[-1], None)
+            if j is None:  # a dead end: back up
+                search.pop()
+                del took[-1:]
+            elif owner[j] is None:  # a free item: each item of small on the path moves on
+                for a, b in zip([i] + [owner[b] for b in took], took + [j]):
+                    owner[b] = a
+                break
+            else:
+                seen.add(j)
+                took.append(j)
+                search.append(edges(owner[j], seen))
+        else:
+            return False
     return True
 
 

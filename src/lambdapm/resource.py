@@ -9,8 +9,8 @@ from itertools import islice, permutations
 from typing import NamedTuple
 
 from .distance import DistanceValue, dyadic, exact
-from .lamcalc import (ParseError, Term, _cache, _fresh, _hash_app, _Parser, _rename,
-                      _same_heads, _same_key, free_vars, key)
+from .lamcalc import (ParseError, Term, _alpha_same, _cache, _fresh, _hash_app, _Parser,
+                      _rename, _same_key, free_vars, key)
 from .limits import within_cap
 
 
@@ -602,32 +602,6 @@ def r_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
 
 
 def bag_leq(t: ResourceTerm, u: ResourceTerm) -> bool:
-    """Bag-extension order: context closure of  <>  <=  <t1,...,tn>."""
-    return _bag_leq(t, u, [], None)
-
-
-def _bag_leq(t, u, scopes, k):
-    if isinstance(t, RVar) and isinstance(u, RVar):
-        return _same_heads(scopes, k, (), (), t.name, u.name)[0]
-    if isinstance(t, RAbs) and isinstance(u, RAbs):
-        k = _same_heads(scopes, k, (t.binder,), (u.binder,), None, None)[1]
-        return _bag_leq(t.body, u.body, scopes, k)
-    if isinstance(t, RApp) and isinstance(u, RApp):
-        if not _bag_leq(t.fun, u.fun, scopes, k):
-            return False
-        return _bag_embeds(t.bag, u.bag, scopes, k)
-    return False
-
-
-def _bag_embeds(small, big, scopes, k):
-    """Multiset embedding: each element of `small` matches a distinct element."""
-    if len(small) > len(big):
-        return False
-    if not small:
-        return True
-    first, rest = small[0], small[1:]
-    for i, cand in enumerate(big):
-        if _bag_leq(first, cand, scopes, k):
-            if _bag_embeds(rest, big[:i] + big[i + 1:], scopes, k):
-                return True
-    return False
+    """Bag-extension order: context closure of  <>  <=  <t1,...,tn>, decided
+    by the comparison walk with its bags matched (docs/DECISIONS.md D27)."""
+    return _alpha_same(t, u, [], None)

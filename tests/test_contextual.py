@@ -103,8 +103,7 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     monkeypatch.setattr(contextual, "solvability", counted_status)
     monkeypatch.setattr(contextual, "_run", counted_run)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
-    contextual._ROWS.pop((m, 17), None)
-    contextual._ROWS.pop((n, 17), None)
+    contextual._kinds.cache_clear()
     contextual._settled_marks.cache_clear()
     before = p_ctx_bracket(m, n, 40, 17)
     contexts = [enumerate_context(idx).term for idx in range(41)]

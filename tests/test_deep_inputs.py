@@ -31,10 +31,8 @@ ROW_SECONDS = 10  # as the CI steps' `timeout 10`: a row that takes longer fails
 
 # (entry point, chain shape) pairs that still recurse: the rebuilding
 # `subst` recurses once per level, and p_ctx_bracket reaches it on the
-# plain chain, where (\x. [-]) x substitutes for the chain's free x;
-# bag_leq recurses once per level through `_bag_leq`
-KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain"),
-                  ("bag_leq", "plain"), ("bag_leq", "binders")}
+# plain chain, where (\x. [-]) x substitutes for the chain's free x
+KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain")}
 
 
 class TooSlow(Exception):
@@ -130,7 +128,7 @@ CALLS = {
 @pytest.mark.parametrize("name", list(CALLS))
 def test_entry_points_answer_on_deep_chains(name, binder):
     c = chains(binder)  # fresh, so that no cache filled by another call helps
-    contextual._ROWS.clear()  # nor a row filled for an alpha-equivalent chain
+    contextual._kinds.cache_clear()  # nor a row filled for an alpha-equivalent chain
     shape = "binders" if binder else "plain"
     limit = sys.getrecursionlimit()
     alarm = signal.signal(signal.SIGALRM, too_slow)

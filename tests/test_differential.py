@@ -21,13 +21,16 @@ isometry against Fraction sums, print/parse round trips for resource and
 partial terms, the one renaming walk and the printing of partial terms
 through their embedding against the walks they replaced, the one
 builder of partial trees and partial equality against the recursions and
-the key comparison they replaced, and the walks that read heads off the
-in-place binder scope against the environment-tuple walks they replaced."""
+the key comparison they replaced, the walks that read heads off the
+in-place binder scope against the environment-tuple walks they replaced,
+bag matching among them, and the one term and context enumerator against
+the two it replaced."""
 
 import itertools
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -940,25 +943,24 @@ MIXED_QUERIES = [("ball", 0, 1, 3, 2), ("p_ctx", 0, 1, 6, 2),
 @example([corpus.OMEGA3, corpus.OMEGA], MIXED_QUERIES)
 @settings(max_examples=100, deadline=None)
 def test_outcome_rows_match_memo_free_loops(terms, queries):
-    contextual._ROWS.clear()
+    contextual._kinds.cache_clear()
     check_context_queries(terms, queries)
     for t in terms:
-        assert contextual._row(alpha_variant(t), 12) is contextual._row(t, 12)
+        assert contextual._kinds(alpha_variant(t), 12) is contextual._kinds(t, 12)
 
 
 @given(st.lists(some_terms, min_size=1, max_size=4), context_queries)
 @example([corpus.OMEGA3, corpus.OMEGA], MIXED_QUERIES)
 @settings(max_examples=100, deadline=None)
 def test_evicted_rows_give_the_same_answers(terms, queries):
-    saved = contextual._MAX_ROWS
-    contextual._MAX_ROWS = 2
+    saved = contextual._kinds
+    contextual._kinds = lru_cache(maxsize=2)(saved.__wrapped__)  # a bound of two rows
     try:
-        contextual._ROWS.clear()
         check_context_queries(terms, queries)
         check_context_queries(terms, queries[::-1])
-        assert len(contextual._ROWS) <= 2
+        assert contextual._kinds.cache_info().currsize <= 2
     finally:
-        contextual._MAX_ROWS = saved
+        contextual._kinds = saved
 
 
 # Names that context binders capture, self-applications and the two
@@ -973,10 +975,10 @@ ROW_CODES = {"solvable": lamcalc.SOLVABLE,
 def check_rows_over_every_index(terms):
     """Each row kind up to index 1,024 is the reference's for C_i[m], both
     where the index is settled and where it is plugged and run."""
-    contextual._ROWS.clear()
+    contextual._kinds.cache_clear()
     contextual._settled_marks.cache_clear()
     for fuel in (1, 2, 3, 30):
-        rows = [contextual._row(m, fuel).fill(1024) for m in terms]
+        rows = [contextual._fill(m, fuel, 1024) for m in terms]
         seen = set()
         for idx in range(1025):
             settled = bool(contextual._settle(idx, fuel)[idx])
@@ -1004,7 +1006,7 @@ def test_settled_contexts_match_reference_on_plugged_terms():
         assert contextual._settle(3144, fuel)[3144] == (fuel >= 2)
         for m in PLUGGED:
             kind, _, _ = ref_solvability(ref_plug(ctx.term, m), fuel)
-            assert contextual._row(m, fuel).fill(3144)[3144] == ROW_CODES[kind]
+            assert contextual._fill(m, fuel, 3144)[3144] == ROW_CODES[kind]
 
 
 @given(lam_terms())
@@ -1066,7 +1068,7 @@ def ref_row_ball(m, cand, epsilon, fuel):
 
 def cold_rows(cold):
     if cold:
-        contextual._ROWS.clear()
+        contextual._kinds.cache_clear()
         contextual._settled_marks.cache_clear()
 
 
@@ -1095,6 +1097,109 @@ def test_kind_only_run_matches_solvability(a, b, idx, fuel):
         st_ = solvability(t, fuel)
         kind, steps, _, _ = lamcalc._run(t, fuel)
         assert (kind, steps) == (ROW_CODES[st_.kind], st_.steps)
+
+
+# ---------------------------------------------------------------------------
+# The one enumerator of terms and contexts against the two it replaced
+# (docs/DECISIONS.md D27)
+
+@lru_cache(maxsize=None)
+def ref_terms_of_size(size, depth):
+    """The plain terms enumerator that `_of_size(size, depth, 0)` replaced."""
+    if size < 1:
+        return ()
+    out = []
+    if size == 1:
+        scope = [contextual._binder_name(d) for d in range(depth)]
+        for v in contextual._TERM_VARS + tuple(n for n in scope if n not in contextual._TERM_VARS):
+            out.append(Var(v))
+        return tuple(out)
+    for body in ref_terms_of_size(size - 1, depth + 1):
+        out.append(Abs(contextual._binder_name(depth), body))
+    for sf in range(1, size):
+        for f in ref_terms_of_size(sf, depth):
+            for a in ref_terms_of_size(size - sf, depth):
+                out.append(App(f, a))
+    return tuple(out)
+
+
+def ref_contexts(size, depth):
+    """The contexts enumerator that `_of_size(size, depth, 1)` replaced, yielding
+    each context as its loops build it: abstractions first, then hole-left
+    applications, then hole-right ones."""
+    if size == 1:
+        yield contextual.HOLE
+        return
+    for c in ref_contexts_of_size(size - 1, depth + 1):
+        yield Abs(contextual._binder_name(depth), c)
+    for sc in range(1, size):
+        for c in ref_contexts_of_size(sc, depth):
+            for t in ref_terms_of_size(size - sc, depth):
+                yield App(c, t)
+    for st_ in range(1, size):
+        for t in ref_terms_of_size(st_, depth):
+            for c in ref_contexts_of_size(size - st_, depth):
+                yield App(t, c)
+
+
+@lru_cache(maxsize=None)
+def ref_contexts_of_size(size, depth):
+    return tuple(ref_contexts(size, depth))
+
+
+def node_numbers(terms, memo, table):
+    """A number per term, shared by two terms iff they are equal node for
+    node, names included.  `memo` numbers each node object once, so a term
+    whose parts were numbered costs one step."""
+    def number(t):
+        n = memo.get(id(t))
+        if n is None:
+            if isinstance(t, Var):
+                shape = ("v", t.name)
+            elif isinstance(t, Abs):
+                shape = ("l", t.binder, number(t.body))
+            else:
+                shape = ("a", number(t.fun), number(t.arg))
+            n = memo[id(t)] = table.setdefault(shape, len(table))
+        return n
+    return [number(t) for t in terms]
+
+
+def test_one_enumerator_matches_the_two_it_replaced():
+    """Every batch of sizes 1 to 6 at depths 0 to 3, node for node; a batch of
+    size 7 holds over a million terms."""
+    ours, theirs, table = {}, {}, {}
+    try:
+        for holes, depth, size in product((0, 1), range(4), range(1, 7)):
+            ref = (ref_contexts_of_size if holes else ref_terms_of_size)(size, depth)
+            got = contextual._of_size(size, depth, holes)
+            assert len(got) == len(ref) > 0, (holes, depth, size)
+            assert node_numbers(got, ours, table) == node_numbers(ref, theirs, table), \
+                (holes, depth, size)
+    finally:  # the depth-3 batches are far beyond what queries read
+        contextual._of_size.cache_clear()
+        ref_terms_of_size.cache_clear()
+        ref_contexts_of_size.cache_clear()
+
+
+def test_context_indices_match_the_replaced_enumerator():
+    """Every 7th context up to index 200,000, which lies in size 7, against
+    the old batches read one after another; the old size-7 batch is read as
+    it is built, not kept."""
+    old = itertools.chain.from_iterable(
+        ref_contexts(size, 0) if size == 7 else ref_contexts_of_size(size, 0)
+        for size in range(1, 8))
+    try:
+        for idx, (new, ref) in enumerate(zip(contextual._context_terms(0, 200001), old)):
+            if idx % 7 == 0:
+                assert show(new) == show(ref), idx
+                if idx % 7_000 == 0:
+                    assert str(enumerate_context(idx)) == show(ref)
+        assert idx == 200000
+    finally:  # the size-7 batch holds about 185 MB
+        contextual._of_size.cache_clear()
+        ref_terms_of_size.cache_clear()
+        ref_contexts_of_size.cache_clear()
 
 
 def self_loop(k):
@@ -2529,14 +2634,38 @@ def bag_extension(data, t):
     return RApp(bag_extension(data, t.fun), bag)
 
 
+# items that extend to one another in a chain, so that a bag drawn from them
+# holds repeated and mutually comparable items
+CHAINED_ITEMS = [parse_resource(t) for t in ("x<>", "x<y>", "x<y, y>", "x<y, z>", "x<x<>>")]
+
+
+def comparable_bags(data):
+    """Two applications of one head to bags of up to 6 items each, drawn with
+    repeats from chained items, drawn terms and their bag extensions, under
+    binder lists of one length: an item often extends to several others, so
+    that a first choice of one may be wrong."""
+    drawn = data.draw(st.lists(resource_terms(3), max_size=2))
+    pool = CHAINED_ITEMS + drawn + [bag_extension(data, t) for t in drawn]
+    head = data.draw(resource_terms(3))
+    t, u = (RApp(head, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=6))))
+            for _ in range(2))
+    n = data.draw(st.integers(0, 2))
+    for b, c in zip(*(data.draw(st.lists(names, min_size=n, max_size=n)) for _ in range(2))):
+        t, u = RAbs(b, t), RAbs(c, u)
+    return t, u
+
+
 @given(resource_terms(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_bag_leq_matches_tuple_reference(t, data):
-    kind = data.draw(st.sampled_from(["extension", "renamed extension", "other", "shared"]))
+    kind = data.draw(st.sampled_from(["extension", "renamed extension", "other", "shared",
+                                      "comparable bags"]))
     if kind == "other":
         u = data.draw(resource_terms())
     elif kind == "shared":
         t, u = under_binders(data, t, RAbs)
+    elif kind == "comparable bags":
+        t, u = comparable_bags(data)
     else:
         u = bag_extension(data, t)
         if kind == "renamed extension":  # binders renamed c<depth>: reused names

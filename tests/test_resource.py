@@ -185,6 +185,34 @@ def test_bag_order_embedding():
     assert not bag_leq(parse_resource("x<>"), parse_resource("x<><>"))
 
 
+def test_bag_order_needs_an_augmenting_path():
+    # x<> extends to both items and x<y> only to x<y>: the first item's
+    # first choice, x<y>, has to move to x<z> so that the second finds one
+    assert bag_leq(parse_resource("f<x<>, x<y>>"), parse_resource("f<x<y>, x<z>>"))
+    assert not bag_leq(parse_resource("f<x<y>, x<y>>"), parse_resource("f<x<y>, x<z>>"))
+
+
+def adversarial_bags(k, pairs):
+    """f<x<>, ..., x<>, x<y> (pairs times)> against f<x<y>, x<>, ..., x<>>, k
+    items each: every x<> extends to every item, x<y> to the first alone, so
+    the bag order holds iff pairs is 1, and trying every assignment of the
+    small bag's items takes factorial time."""
+    small = ["x<>"] * (k - pairs) + ["x<y>"] * pairs
+    big = ["x<y>"] + ["x<>"] * (k - 1)
+    return (parse_resource(f"f<{', '.join(small)}>"), parse_resource(f"f<{', '.join(big)}>"))
+
+
+@pytest.mark.parametrize("k", [8, 9, 10, 11, 40])
+def test_bag_order_is_matched_not_backtracked(k):
+    # at k = 11 the backtracking embedding took 74 s on the False pair and
+    # 10 s on the True one; the matching takes well under a millisecond
+    for pairs, expected in ((2, False), (1, True)):
+        t, u = adversarial_bags(k, pairs)
+        start = time.perf_counter()
+        assert bag_leq(t, u) is expected
+        assert time.perf_counter() - start < 1.0
+
+
 def test_is_normal():
     assert is_normal(parse_resource("\\x. x<y>"))
     assert not is_normal(parse_resource("(\\x. x<>) <>"))
