@@ -10,7 +10,7 @@ from itertools import islice
 
 from .distance import DistanceValue, bracket, dyadic
 from .lamcalc import (DIVERGENT, SOLVABLE, UNKNOWN, Abs, App, LambdaTerm, Var, _run,
-                      free_vars, show, solvability)
+                      _start, _unwind, decompose, free_vars, show, solvability)
 
 # The hole is a variable whose name the parser cannot produce, so no term
 # contains it; `show` prints a context with the hole as [-].
@@ -109,17 +109,61 @@ def _kinds(m: LambdaTerm, fuel: int) -> bytearray:
 
 def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
     """The row of m at `fuel`, filled through index idx.  It serves, and may be
-    plugged by, every term alpha-equivalent to m: plugging captures only free names,
+    run on, every term alpha-equivalent to m: plugging captures only free names,
     which such terms share, and head reduction commutes with alpha-equivalence
     (docs/DECISIONS.md D7, D27).  A settled index reads the context alone (D10), and
     no kind depends on the order the indices are filled in (D24)."""
     kinds = _kinds(m, fuel)
     start = len(kinds)
     if start <= idx:
-        settled = _settle(idx, fuel)[start:idx + 1]
-        for mark, c in zip(settled, _context_terms(start, idx + 1)):
-            kinds.append(SOLVABLE if mark else _run(_plug(c, m), fuel)[0])
+        settled, run = _settle(idx, fuel), _runs(m, fuel)
+        for i, c in enumerate(_context_terms(start, idx + 1), start):
+            kinds.append(SOLVABLE if settled[i] else run(i, c)[0])
     return kinds
+
+
+# Per context index: (env, spine) where C_i is \xs. [-] N1 ... Nk, with env the
+# binders xs innermost first and spine the body [-] N1 ... Nk; False for any
+# other context, and None until an unsettled index first needs it.
+_SHAPES: list = []
+_ENVS: dict = {}  # one env tuple per binder list, shared by the shapes
+
+
+def _shape(i: int, c: LambdaTerm):
+    if i >= len(_SHAPES):
+        _SHAPES.extend([None] * (i + 1 - len(_SHAPES)))
+    shape = _SHAPES[i]
+    if shape is None:
+        env, spine = (), c
+        while spine._kind == "abs":
+            env, spine = (spine.binder,) + env, spine.body
+        h = spine
+        while h._kind == "app":
+            h = h.fun
+        shape = _SHAPES[i] = h is HOLE and (_ENVS.setdefault(env, env), spine)
+    return shape
+
+
+def _runs(m: LambdaTerm, fuel: int):
+    """run(i, c): the machine's outcome on C_i[m] at `fuel`, c being C_i.  A context
+    \\xs. [-] N1 ... Nk starts the machine at decompose(C_i[m]) without building C_i[m]:
+    m unwound over the cells of N1 ... Nk (docs/DECISIONS.md D28).  Where m is an
+    application with a variable head, that head is C_i[m]'s, solvable at step 0.  The
+    step-0 reducts are kept per first argument for the row's fill; any other context
+    is plugged and run."""
+    ys, h, _ = decompose(m)
+    solved = (SOLVABLE, 0, None, None) if not ys and h._kind == "var" else None
+    memo = {}
+
+    def run(i, c):
+        shape = _shape(i, c)
+        if not shape:
+            return _run(_plug(c, m), fuel)
+        if solved:
+            return solved
+        env, spine = shape
+        return _start(*_unwind(env, m, _unwind(env, spine, None)[2]), fuel, memo)
+    return run
 
 
 @lru_cache(maxsize=_MAX_ROWS)

@@ -747,9 +747,27 @@ def _run(t: LambdaTerm, fuel: int):
     binders, head, args = decompose(t)
     if head._kind == "var":  # most runs
         return SOLVABLE, 0, (binders, head, args), None
-    env, stack = binders[::-1], None
+    stack = None
     for a in reversed(args):
         stack = [a, stack, stack[2] + 1 if stack else 1, None]
+    return _start(binders[::-1], head, stack, fuel)
+
+
+def _start(env, head, stack, fuel: int, memo=None):
+    """`_run`'s outcome from the state lambda env. head stack, for fuel >= 1; a
+    variable head is a head normal form at step 0.  `memo`, a dict its caller
+    keeps, holds the step-0 reducts by first argument: the substitution is a
+    pure function of the head and that argument, which the entry keeps alive,
+    so that its id stays its own (docs/DECISIONS.md D28)."""
+    if head._kind == "var":
+        return SOLVABLE, 0, (env, head, stack), None
+    reduct = None
+    if memo is not None:
+        a = stack[0]
+        hit = memo.get(id(a))
+        if hit is None or hit[1] is not head:
+            hit = memo[id(a)] = a, head, subst(head.body, head.binder, a)
+        reduct = hit[2]
     states = {}  # filing key -> [(step, state)]
     step = 0
     while True:
@@ -767,7 +785,10 @@ def _run(t: LambdaTerm, fuel: int):
             return DIVERGENT, step, state, first
         if step == fuel:
             return UNKNOWN, fuel, state, None
-        env, head, stack = _unwind(env, subst(head.body, head.binder, stack[0]), stack[1])
+        if reduct is None:
+            reduct = subst(head.body, head.binder, stack[0])
+        env, head, stack = _unwind(env, reduct, stack[1])
+        reduct = None
         step += 1
         if head._kind == "var":
             return SOLVABLE, step, (env, head, stack), None

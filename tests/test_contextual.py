@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambdapm import contextual
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
 from lambdapm.corpus import OMEGA, normalizing_corpus
-from lambdapm.lamcalc import alpha_eq, parse, solvability
+from lambdapm.lamcalc import UNKNOWN, alpha_eq, decompose, parse, solvability
+from test_bohm import salted_terms, term_pairs
 
 I = parse("\\x. x")
 ETA_I = parse("\\x. \\y. x y")
@@ -88,20 +90,27 @@ def test_genericity_semi_test():
 
 def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     """A cold bracket at prefix 40 runs each context term once for the
-    settled marks, reading it in place off the size batches, and plugs each
-    open context once per row; a second call runs the machine zero times."""
-    contexts_run, plugged_run = [], []
-    status, run = contextual.solvability, contextual._run
+    settled marks, reading it in place off the size batches, and starts the
+    machine once per row and open context: on the plugged term, or at the
+    hole of a context [-] N1 ... Nk under binders; a second call runs the
+    machine zero times."""
+    contexts_run, starts = [], []
+    status, run, start = contextual.solvability, contextual._run, contextual._start
 
     def counted_status(t, fuel):
         contexts_run.append(t)
         return status(t, fuel)
 
     def counted_run(t, fuel):
-        plugged_run.append(t)
+        starts.append(("run", t))
         return run(t, fuel)
+
+    def counted_start(env, head, stack, fuel, memo=None):
+        starts.append(("start", head))
+        return start(env, head, stack, fuel, memo)
     monkeypatch.setattr(contextual, "solvability", counted_status)
     monkeypatch.setattr(contextual, "_run", counted_run)
+    monkeypatch.setattr(contextual, "_start", counted_start)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
     contextual._kinds.cache_clear()
     contextual._settled_marks.cache_clear()
@@ -111,7 +120,47 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     marks = contextual._settled_marks(17)
     opened = [c for c, settled in zip(contexts, marks) if not settled]
     assert len(marks) == 41 and 0 < len(opened) < 41
-    assert plugged_run == [contextual._plug(c, t) for t in (m, n) for c in opened]
+    shapes = [(u, c, decompose(c)) for u in (m, n) for c in opened]
+    assert [kind for kind, _ in starts] == \
+        ["start" if head is contextual.HOLE else "run" for _, _, (_, head, _) in shapes]
+    assert {kind for kind, _ in starts} == {"run", "start"}
+    for (kind, t), (u, c, (_, _, args)) in zip(starts, shapes):
+        if kind == "run":
+            assert t == contextual._plug(c, u)
+        else:  # u over the arguments, or u's own head where the hole has none
+            assert t is (u if args else decompose(u)[1])
     contexts_run.clear()
-    plugged_run.clear()
-    assert p_ctx_bracket(m, n, 40, 17) == before and contexts_run == plugged_run == []
+    starts.clear()
+    assert p_ctx_bracket(m, n, 40, 17) == before and contexts_run == starts == []
+
+
+# ---------------------------------------------------------------------------
+# Properties over salted random terms (ROADMAP item 8)
+
+@st.composite
+def ctx_budgets(draw):
+    """Prefixes p <= p2 and fuels f <= f2."""
+    p, p2 = sorted(draw(st.integers(1, 200)) for _ in range(2))
+    f, f2 = sorted(draw(st.integers(1, 30)) for _ in range(2))
+    return p, f, p2, f2
+
+
+@given(term_pairs(), ctx_budgets())
+@settings(max_examples=150, deadline=None)
+def test_p_ctx_brackets_nest_as_budgets_grow(pair, budgets):
+    """A bracket contains every bracket at a larger prefix and fuel.  The tail
+    2**-prefix keeps a bracket from being exact, so the exact values are the
+    decided kinds of the rows: one decided at fuel f is the same at f2."""
+    p, f, p2, f2 = budgets
+    assert p_ctx_bracket(*pair, p, f).contains(p_ctx_bracket(*pair, p2, f2))
+    for t in pair:
+        decided, refined = contextual._fill(t, f, p), contextual._fill(t, f2, p)
+        assert all(a == b for a, b in zip(decided, refined) if a != UNKNOWN)
+
+
+@given(st.lists(salted_terms(), min_size=1, max_size=4), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_genericity_holds_on_random_pools(pool, fuel):
+    """Wherever a context converges on Omega, no term of a random pool is
+    certified to diverge (the genericity lemma)."""
+    assert genericity_violations(OMEGA, pool, 64, fuel) == []

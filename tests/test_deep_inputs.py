@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from lambdapm import bohm, contextual, lamcalc, resource, taylor
 from lambdapm.bohm import BOT, Node
+from lambdapm.corpus import OMEGA
 from lambdapm.distance import dyadic, exact
 from lambdapm.lamcalc import Abs, App, Var, free_vars
 from lambdapm.limits import CapExceeded
@@ -30,9 +31,11 @@ HEADROOM = 100  # frames above the caller's stack that a call may use
 ROW_SECONDS = 10  # as the CI steps' `timeout 10`: a row that takes longer fails
 
 # (entry point, chain shape) pairs that still recurse: the rebuilding
-# `subst` recurses once per level, and p_ctx_bracket reaches it on the
-# plain chain, where (\x. [-]) x substitutes for the chain's free x
-KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain")}
+# `subst` recurses once per level, and p_ctx_bracket and
+# genericity_violations reach it on the plain chain, where (\x. [-]) x
+# substitutes for the chain's free x
+KNOWN_FAILURES = {("subst", "plain"), ("subst", "binders"), ("p_ctx_bracket", "plain"),
+                  ("genericity_violations", "plain")}
 
 
 class TooSlow(Exception):
@@ -108,6 +111,8 @@ CALLS = {
     "p_ctx_bracket": lambda c: (contextual.p_ctx_bracket(c.m, c.m2, 64, 30)
                                 == contextual.p_ctx_bracket(c.m2, c.m, 64, 30)),
     "in_ctx_ball": lambda c: contextual.in_ctx_ball(c.m, c.m2, Fraction(1, 2 ** 6), 30) == "yes",
+    "genericity_violations": lambda c: contextual.genericity_violations(
+        OMEGA, [c.m, c.m2], 64, 30) == [],
     "r_metric": lambda c: (resource.r_metric(c.r, c.r2) == exact(dyadic(N + 1))
                            and resource.r_metric(c.r, c.rz) == exact(dyadic(N))),
     "r_leq": lambda c: resource.r_leq(c.r, c.r2) and not resource.r_leq(c.r, c.rz),

@@ -3,7 +3,8 @@ reference implementations that scan an outermost-first environment, the
 cached keys and hashes of terms built by substitution, plugging and head
 reduction against uncached references, the contextual queries served from
 outcome rows and settled contexts against memo-free loops and the per-index
-rows that the prefix fill replaced, the head-reduction machine behind
+rows that the prefix fill replaced, the machine started at a context's hole
+against the plugged run, the head-reduction machine behind
 solvability and normalize against runs that rebuild and key every term and
 a recursive normalizer, poset
 validation and the monotone-table DFS against pairwise reference loops and a
@@ -1097,6 +1098,52 @@ def test_kind_only_run_matches_solvability(a, b, idx, fuel):
         st_ = solvability(t, fuel)
         kind, steps, _, _ = lamcalc._run(t, fuel)
         assert (kind, steps) == (ROW_CODES[st_.kind], st_.steps)
+
+
+# ---------------------------------------------------------------------------
+# Rows started at the hole against plugged runs (docs/DECISIONS.md D28)
+
+CAPTURED = ["x", "y", "z", "v0"]  # the binder names of the contexts' first four depths
+
+
+@st.composite
+def hole_terms(draw):
+    """\\ys. h P1 ... Pj with leading binders that the context binders capture,
+    a variable head, free or bound by ys, or an abstraction head, which makes a
+    redex over the arguments, and arguments that may diverge."""
+    ys = draw(st.lists(st.sampled_from(CAPTURED), max_size=3))
+    if draw(st.booleans()):
+        head = Var(draw(st.sampled_from(CAPTURED + ys)))
+    else:
+        head = Abs(draw(st.sampled_from(CAPTURED)), draw(lam_terms(3)))
+    args = draw(st.lists(st.one_of(lam_terms(3), st.sampled_from(SPECIAL)), max_size=3))
+    return spine(tuple(ys), head, args)
+
+
+@given(st.one_of(hole_terms(), st.sampled_from(PLUGGED)), st.integers(1, 40), st.booleans())
+@example(corpus.OMEGA, 1, True)
+@example(parse("(\\v. v x) (\\y. y z)"), 2, True)
+@example(parse("\\z. x (z z)"), 30, False)
+@example(parse("\\x. \\y. (\\z. z y) x"), 3, True)
+@settings(max_examples=100, deadline=None)
+def test_direct_start_matches_plugged_run(m, fuel, cold):
+    """Every open context through index 300 gives m, and an alpha-variant that shares
+    m's row, the (kind, step) of the plugged run, at fuels below and above the
+    contexts' argument counts: cold, and again with the step-0 reducts kept."""
+    if cold:
+        cold_rows(True)
+        contextual._SHAPES.clear()
+    marks = contextual._settle(300, fuel)
+    opened = [(i, c) for i, c in enumerate(contextual._context_terms(0, 301)) if not marks[i]]
+    variant = alpha_variant(m)
+    for u in (m, variant):
+        run = contextual._runs(u, fuel)
+        want = [lamcalc._run(contextual._plug(c, u), fuel)[:2] for _, c in opened]
+        for _ in range(2):
+            assert [run(i, c)[:2] for i, c in opened] == want
+    row = contextual._fill(variant, fuel, 300)
+    assert contextual._fill(m, fuel, 300) is row
+    assert [row[i] for i, _ in opened] == [kind for kind, _ in want]
 
 
 # ---------------------------------------------------------------------------
