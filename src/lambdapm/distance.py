@@ -10,7 +10,8 @@ INF = float("inf")  # absorbing top; never mixed into finite arithmetic
 
 
 def is_inf(v) -> bool:
-    return v == INF
+    # the type first: comparing a Fraction with a float is slow
+    return type(v) is float and v == INF
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def _rat_json(v) -> dict:
 
 
 def exact(q) -> DistanceValue:
-    q = q if is_inf(q) else Fraction(q)
+    if type(q) is not Fraction and not is_inf(q):
+        q = Fraction(q)
     return DistanceValue(q, q)
 
 

@@ -171,7 +171,9 @@ class _Plan(NamedTuple):
     in head position.  The bare items of one bag form one group, since
     their order in it does not matter; every other occurrence is a group
     of its own.  A bag is told apart by the visit that meets it, not by its
-    node, since one node may sit at two places of the body.
+    node, since one node may sit at two places of the body.  `spines[i]`
+    holds the sizes of the bags applied to head place `heads[i]`, innermost
+    first (D29).
 
     `steps` rebuild the nodes in which `name` is free, in post-order, each
     into its own slot of a value list whose tail holds the nodes kept as
@@ -184,6 +186,7 @@ class _Plan(NamedTuple):
     a suffix of it."""
     groups: list
     heads: list
+    spines: list
     steps: list
     his: list
     template: list  # the value list, its slots empty and the kept nodes set
@@ -192,6 +195,7 @@ class _Plan(NamedTuple):
 
 
 _END = object()  # marks a node whose children are done
+_SPINES = {}  # one tuple per distinct spine of bag sizes, shared by the plans
 
 
 def _places_of(fun: RAbs) -> _Plan:
@@ -224,13 +228,14 @@ def _occurrences(body: ResourceTerm, name: str) -> int:
 def _compile(body: ResourceTerm, name: str) -> _Plan:
     """The plan of `body` for `name`, in one walk on an explicit stack that
     enters only the subterms in which `name` is free."""
-    groups, heads, bag_group = [], [], {}
+    groups, heads, spines, bag_group = [], [], [], {}
     steps, his, outer, kept, refs = [], [], [], [], []
     visits = slots = 0
     free_rvars(body)  # fills the free names of every node below, read as _fv
     if name not in body._fv:
-        return _Plan(groups, heads, steps, his, [body], -1, name)
-    todo = [(body, None, False)]  # (subterm, visit of the bag holding it, is a head)
+        return _Plan(groups, heads, spines, steps, his, [body], -1, name)
+    # (subterm, visit of the bag holding it, sizes of the bags applied to it)
+    todo = [(body, None, ())]
     while todo:
         t, bag, head = todo.pop()
         if bag is _END:  # refs ends with the slots of t's children entered
@@ -251,28 +256,29 @@ def _compile(body: ResourceTerm, name: str) -> _Plan:
             p = len(groups)
             if head:
                 heads.append(p)
+                spines.append(_SPINES.setdefault(head, head))
             groups.append(p if bag is None else bag_group.setdefault(bag, p))
             step = (0, slots, p)
         elif t._kind == "abs":
             outer.append((steps, his))
             steps, his = [], []
             todo.append((t, _END, len(groups)))
-            todo.append((t.body, None, False))
+            todo.append((t.body, None, ()))
             continue
         else:
             visits += 1
-            todo.append((t, _END, False))
+            todo.append((t, _END, ()))
             for u in reversed(t.bag):
                 if name in u._fv:
-                    todo.append((u, visits, False))
+                    todo.append((u, visits, ()))
             if name in t.fun._fv:
-                todo.append((t.fun, None, True))
+                todo.append((t.fun, None, (len(t.bag),) + head))
             continue
         steps.append(step)
         his.append(len(groups))
         refs.append(slots)
         slots += 1
-    return _Plan(groups, heads, steps, his, [None] * slots + kept[::-1],
+    return _Plan(groups, heads, spines, steps, his, [None] * slots + kept[::-1],
                  refs[0], name)
 
 
@@ -296,13 +302,19 @@ def _run(plan, steps, his, vals, j, queue, base, avoid):
         s = steps[i]
         kind = s[0]
         if kind == 1:
-            f, bag, part = vals[s[2]], [], []
-            for r in s[3]:
-                bag.append(u := vals[r])
-                part.append(u._hash or hash(u))
-            part.sort()
-            v = RApp(f, tuple(bag))
-            v._hash = _hash_app(f._hash or hash(f), tuple(part))
+            f, refs = vals[s[2]], s[3]
+            if len(refs) == 1:
+                u = vals[refs[0]]
+                v = RApp(f, (u,))
+                v._hash = _hash_app(f._hash or hash(f), (u._hash or hash(u),))
+            else:
+                bag, part = [], []
+                for r in refs:
+                    bag.append(u := vals[r])
+                    part.append(u._hash or hash(u))
+                part.sort()
+                v = RApp(f, tuple(bag))
+                v._hash = _hash_app(f._hash or hash(f), tuple(part))
         elif kind == 0:
             v = queue[base + s[2]]
         else:
@@ -380,14 +392,16 @@ def _assignments(groups: list, members: list):
 
 
 def _contract(fun: RAbs, items: tuple) -> list:
-    """The reducts of (\\x. body)<items>: the items distributed over the free
-    occurrences of x, one reduct per distinct assignment (docs/DECISIONS.md
-    D8).  Raises CapExceeded before building any when there are more than
-    LAMBDA_PM_CAP of them.  A reduct rebuilds only the steps whose places
-    reach past the prefix its queue shares with the previous one, and
-    shares the others with the reducts before it (D17)."""
+    """The reducts of (\\x. body)<items> that can reach a normal form: the
+    items distributed over the free occurrences of x, one reduct per
+    distinct assignment (docs/DECISIONS.md D8) that puts no abstraction at
+    a head place whose bags it cannot consume (D29).  Raises CapExceeded
+    before building any when there are more than LAMBDA_PM_CAP assignments.
+    A reduct rebuilds only the steps whose places reach past the prefix its
+    queue shares with the previous one built, and shares the others with
+    the reducts before it (D17)."""
     plan = _places_of(fun)
-    groups, heads = plan.groups, plan.heads
+    groups = plan.groups
     if len(groups) != len(items):
         return []
     if not items:
@@ -401,22 +415,55 @@ def _contract(fun: RAbs, items: tuple) -> list:
     # a reduct is normal when the body and the items are, unless an
     # abstraction lands in head position
     normal = _is_normal(fun.body) and all(map(_is_normal, items))
+    checks = list(zip(plan.heads, plan.spines))
+    steps, his, root = plan.steps, plan.his, plan.root
+    dead = {}  # (id(item), sizes) -> the created redex reduces to nothing
     vals, out, prev = plan.template[:], [], ()
     for queue in queues:
-        j = 0  # the length of the prefix shared with the previous queue
-        for a, b in zip(queue, prev):
-            if a is not b:
-                break
-            j += 1
-        _run(plan, plan.steps, plan.his, vals, j, queue, 0, None)
-        prev = queue
-        r = vals[plan.root]
-        out.append(r)
-        if normal and not any(isinstance(queue[i], RAbs) for i in heads):
-            while type(r) is RAbs:
-                r = r.body
-            r._neutral = True
+        created = False
+        for p, sizes in checks:
+            u = queue[p]
+            if type(u) is RAbs:
+                created = True
+                k = (id(u), sizes)
+                d = dead.get(k)
+                if d is None:
+                    d = dead[k] = _dead_at(u, sizes)
+                if d:
+                    break
+        else:
+            j = 0  # the length of the prefix shared with the previous queue
+            for a, b in zip(queue, prev):
+                if a is not b:
+                    break
+                j += 1
+            _run(plan, steps, his, vals, j, queue, 0, None)
+            prev = queue
+            r = vals[root]
+            out.append(r)
+            if normal and not created:
+                while type(r) is RAbs:
+                    r = r.body
+                r._neutral = True
     return out
+
+
+def _dead_at(fun: RAbs, sizes: tuple) -> bool:
+    """True when fun, applied to bags of these sizes, innermost first,
+    makes a redex whose bag size is not its binder's degree.  A term that
+    holds it reduces to nothing, since no step elsewhere changes either
+    number (docs/DECISIONS.md D29).  The first degree is read off fun's own
+    plan, which contracting the redex uses when it lives."""
+    if len(_places_of(fun).groups) != sizes[0]:
+        return True
+    t = fun.body
+    for n in sizes[1:]:
+        if type(t) is not RAbs:
+            return False
+        if _occurrences(t.body, t.binder) != n:
+            return True
+        t = t.body
+    return False
 
 
 def _is_normal(t: ResourceTerm) -> bool:
@@ -478,7 +525,10 @@ def resource_reduce(t: ResourceTerm) -> frozenset:
             done.add(cur)
             continue
         for u in nxt:
-            if _is_normal(u):
+            v = u
+            while type(v) is RAbs:  # _is_normal(u), read inline
+                v = v.body
+            if v._neutral if v._neutral is not None else _is_normal(v):
                 done.add(u)
             elif u not in queued:
                 queued.add(u)

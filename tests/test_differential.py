@@ -1667,29 +1667,35 @@ def rsubterms(t, env=()):
 
 
 # Items for bag redexes: free names the body's binders can capture, repeats,
-# and alpha-equal abstractions under different binder names, one of which
-# makes a new redex when it lands in head position.
+# and alpha-equal abstractions under different binder names, which make a new
+# redex when they land in head position; the last three have nested binders,
+# one shadowing the other, and a redex they make may live or die at either
+# binder.
 RITEMS = [RVar("y"), RVar("z"), RAbs("a", RVar("a")), RAbs("b", RVar("b")),
           RAbs("a", RVar("c")), RAbs("y", RApp(RVar("y"), ())),
-          RApp(RVar("y"), (RVar("z"),))]
+          RApp(RVar("y"), (RVar("z"),)),
+          RAbs("a", RAbs("b", RApp(RVar("a"), (RVar("b"),)))),
+          RAbs("a", RAbs("b", RVar("a"))), RAbs("a", RAbs("a", RVar("a")))]
 
 
 def _occurrence(kind):
     x = RVar("x")
     return {"bare": x, "head": RApp(x, ()), "under": RAbs("y", x),
             "nested": RApp(RVar("w"), (x,)), "pair": RApp(RVar("w"), (x, x)),
-            "shadowed": RAbs("z", RApp(RVar("z"), (x,)))}[kind]
+            "shadowed": RAbs("z", RApp(RVar("z"), (x,))),
+            "spine": RApp(RApp(x, (RVar("z"),)), ())}[kind]
 
 
 @st.composite
 def bag_redexes(draw):
     """(\\x. h<...>...<...>)<items>: the occurrences of x sit bare in a bag,
-    in head position, under a binder or nested, cut into bags at random;
-    now and then one occurrence too few or too many.  Now and then every
-    place of one kind holds the same node, as in taylor_of_term's bags."""
+    in head position under one bag or two, under a binder or nested, cut
+    into bags at random; now and then one occurrence too few or too many.
+    Now and then every place of one kind holds the same node, as in
+    taylor_of_term's bags."""
     k = draw(st.integers(1, 5))
     kinds = draw(st.lists(st.sampled_from(["bare", "bare", "head", "under",
-                                           "nested", "pair", "shadowed"]),
+                                           "nested", "pair", "shadowed", "spine"]),
                           min_size=k, max_size=k))
     cuts = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
     made = {}
@@ -1810,31 +1816,83 @@ def rapps(t):
             todo.extend(u.bag)
 
 
+def ref_holds_dead_redex(t):
+    """t holds (\\y1. ... \\yr. u)<b1>...<bs> where, for some i <= min(r, s),
+    yi occurs in the scope of its binder other than |bi| times: a redex, or
+    one that contracting the redexes before it makes, whose bag size is not
+    its binder's degree."""
+    for u, _ in rsubterms(t):
+        bags = []
+        while isinstance(u, RApp):
+            bags.append(u.bag)
+            u = u.fun
+        for bag in reversed(bags):
+            if not isinstance(u, RAbs):
+                break
+            if ref_occurrences(u.body, u.binder) != len(bag):
+                return True
+            u = u.body
+    return False
+
+
+def ref_reducts(t):
+    """The reduct of each queue of _assignments, in order, each built on its
+    own by ref_queue_subst; None when the bag size is not the binder's
+    degree."""
+    fun, items = t.fun, t.bag
+    groups = _places_of(fun).groups
+    if len(groups) != len(items):
+        assert ref_occurrences(fun.body, fun.binder) != len(items)
+        return None
+    by_class = {}
+    for u in items:
+        by_class.setdefault(u, []).append(u)
+    return [ref_queue_subst(fun.body, fun.binder, q)
+            for q in _assignments(groups, list(by_class.values()))]
+
+
 @given(bag_redexes())
 @example(parse_resource("(\\x. \\y. \\y0. y<x, y0>)<y>"))
 @example(parse_resource("(\\x. \\y. \\y0. \\y00. y<y0<x>, y00, x>)<y, y0>"))
 @example(parse_resource("(\\x. \\y. \\z. \\y0. y<z<x>, y0, x>)<y, z>"))
 @example(parse_resource("(\\x. h<\\y. x<y>, \\y. x<y>>)<y<>, z>"))
+@example(parse_resource("(\\x. h<x<z><>, x<>>)<\\a. \\b. a, \\a. \\b. a<b>>"))
 @settings(max_examples=300, deadline=None)
 def test_contraction_matches_per_queue_reference(t):
     """_contract builds, reduct for reduct and binder name for binder name,
-    what filling each queue of _assignments on its own builds, and every
-    hash it stores is the hash of the node."""
-    fun, items = t.fun, t.bag
-    got = _contract(fun, items)
-    groups = _places_of(fun).groups
-    if len(groups) != len(items):
-        assert got == [] and ref_occurrences(fun.body, fun.binder) != len(items)
+    what filling each queue of _assignments on its own builds, leaving out
+    exactly the reducts that hold a redex whose bag size is not its
+    binder's degree (docs/DECISIONS.md D29), and every hash it stores is
+    the hash of the node."""
+    got = _contract(t.fun, t.bag)
+    want = ref_reducts(t)
+    if want is None:
+        assert got == []
         return
-    by_class = {}
-    for u in items:
-        by_class.setdefault(u, []).append(u)
-    want = [ref_queue_subst(fun.body, fun.binder, q)
-            for q in _assignments(groups, list(by_class.values()))]
+    want = [r for r in want if not ref_holds_dead_redex(r)]
     assert list(map(show_resource, got)) == list(map(show_resource, want))
     for r in got:
         for node in rapps(r):
             assert node._hash is None or node._hash == hash(copy_rterm(node))
+
+
+@given(bag_redexes())
+@example(parse_resource("(\\x. h<x<z><>, x<>>)<\\a. \\b. a, \\a. \\b. a<b>>"))
+@settings(max_examples=250, deadline=None)
+def test_dropped_reducts_reduce_to_nothing(t):
+    """Every queue that _contract leaves out gives a reduct that the
+    permutation reducer takes to the empty sum (D29); the kept ones are the
+    others, in order."""
+    want = ref_reducts(t)
+    assume(want is not None)
+    got = iter(map(show_resource, _contract(t.fun, t.bag)))
+    kept = next(got, None)
+    for r in want:
+        if show_resource(r) == kept:
+            kept = next(got, None)
+        else:
+            assert ref_resource_reduce(r) == frozenset()
+    assert kept is None
 
 
 @given(resource_terms(), names, st.booleans())
@@ -1871,6 +1929,25 @@ def test_commutation_compiles_plans_only_to_contract(monkeypatch):
     for m in corpus.normalizing_corpus(30):
         assert taylor.commutation_check(m, 3, 5, 300)["equal"]
     assert compiled[True] > 0 and compiled[False] == 0
+
+
+def test_commutation_builds_no_dead_reduct(monkeypatch):
+    """In the commutation checks of the corpus, no reduct that _contract
+    returns holds a redex whose bag size is not its binder's degree, and
+    _contract runs at most 600 times; it ran 1,609 times when it built
+    every reduct (docs/DECISIONS.md D29)."""
+    calls, contract = [0], resource._contract
+
+    def checked_contract(*args):
+        calls[0] += 1
+        out = contract(*args)
+        for r in out:
+            assert not ref_holds_dead_redex(r)
+        return out
+    monkeypatch.setattr(resource, "_contract", checked_contract)
+    for m in corpus.normalizing_corpus(30):
+        assert taylor.commutation_check(m, 3, 5, 300)["equal"]
+    assert 0 < calls[0] <= 600
 
 
 def test_factorial_redex_builds_each_shared_node_once():

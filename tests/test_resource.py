@@ -255,6 +255,23 @@ def test_cap_is_checked_before_any_reduct_is_built(monkeypatch):
         resource_reduce(_singleton_bags_redex(4))
 
 
+def test_cap_counts_the_assignments_that_die(monkeypatch):
+    """Each of the 24 assignments puts an abstraction of degree 1 at a head
+    place with an empty bag, so none is built (docs/DECISIONS.md D29); the
+    cap still counts all of them."""
+    items = ", ".join(f"\\a. a<y{i}>" for i in range(4))
+    t = parse_resource(f"(\\x. h<x<>><x<>><x<>><x<>>)<{items}>")
+    monkeypatch.setenv("LAMBDA_PM_CAP", "23")
+    with pytest.raises(CapExceeded, match="exceeds cap 23"):
+        resource_reduce(t)
+
+    def build(*args):
+        raise AssertionError("a reduct was built")
+    monkeypatch.setenv("LAMBDA_PM_CAP", "24")
+    monkeypatch.setattr(resource, "_run", build)
+    assert resource_reduce(t) == frozenset()
+
+
 def test_contraction_cap_reads_the_environment(monkeypatch):
     monkeypatch.setenv("LAMBDA_PM_CAP", "24")
     assert len(resource_reduce(_singleton_bags_redex(4))) == 24
