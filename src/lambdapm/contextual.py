@@ -111,78 +111,67 @@ def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
     """The row of m at `fuel`, filled through index idx.  It serves, and may be
     run on, every term alpha-equivalent to m: plugging captures only free names,
     which such terms share, and head reduction commutes with alpha-equivalence
-    (docs/DECISIONS.md D7, D27).  A settled index reads the context alone (D10), and
-    no kind depends on the order the indices are filled in (D24)."""
+    (docs/DECISIONS.md D7, D27).  Each index follows its route (D30), and no kind
+    depends on the order the indices are filled in (D24)."""
     kinds = _kinds(m, fuel)
     start = len(kinds)
     if start <= idx:
-        settled, run = _settle(idx, fuel), _runs(m, fuel)
+        routes, run = _fill_routes(idx, fuel), _runs(m, fuel)
         for i, c in enumerate(_context_terms(start, idx + 1), start):
-            kinds.append(SOLVABLE if settled[i] else run(i, c)[0])
+            route = routes[i]
+            kinds.append(SOLVABLE if route is True else run(route, c)[0])
     return kinds
 
 
-# Per context index: (env, spine) where C_i is \xs. [-] N1 ... Nk, with env the
-# binders xs innermost first and spine the body [-] N1 ... Nk; False for any
-# other context, and None until an unsettled index first needs it.
-_SHAPES: list = []
-_ENVS: dict = {}  # one env tuple per binder list, shared by the shapes
-
-
-def _shape(i: int, c: LambdaTerm):
-    if i >= len(_SHAPES):
-        _SHAPES.extend([None] * (i + 1 - len(_SHAPES)))
-    shape = _SHAPES[i]
-    if shape is None:
-        env, spine = (), c
-        while spine._kind == "abs":
-            env, spine = (spine.binder,) + env, spine.body
-        h = spine
-        while h._kind == "app":
-            h = h.fun
-        shape = _SHAPES[i] = h is HOLE and (_ENVS.setdefault(env, env), spine)
-    return shape
-
-
 def _runs(m: LambdaTerm, fuel: int):
-    """run(i, c): the machine's outcome on C_i[m] at `fuel`, c being C_i.  A context
-    \\xs. [-] N1 ... Nk starts the machine at decompose(C_i[m]) without building C_i[m]:
-    m unwound over the cells of N1 ... Nk (docs/DECISIONS.md D28).  Where m is an
-    application with a variable head, that head is C_i[m]'s, solvable at step 0.  The
-    step-0 reducts are kept per first argument for the row's fill; any other context
-    is plugged and run."""
+    """run(route, c): the machine's outcome on C[m] at `fuel`, c being a context
+    whose route is not True.  The route (env, spine) of \\xs. [-] N1 ... Nk starts the
+    machine at C[m]'s start state without building C[m]: m unwound over the cells of
+    N1 ... Nk (docs/DECISIONS.md D28).  Where m is an application with a variable
+    head, that head is C[m]'s, solvable at step 0.  The step-0 reducts are kept per
+    first argument for the row's fill; the route None plugs and runs."""
     ys, h, _ = decompose(m)
     solved = (SOLVABLE, 0, None, None) if not ys and h._kind == "var" else None
     memo = {}
 
-    def run(i, c):
-        shape = _shape(i, c)
-        if not shape:
+    def run(route, c):
+        if route is None:
             return _run(_plug(c, m), fuel)
         if solved:
             return solved
-        env, spine = shape
+        env, spine = route
         return _start(*_unwind(env, m, _unwind(env, spine, None)[2]), fuel, memo)
     return run
 
 
 @lru_cache(maxsize=_MAX_ROWS)
-def _settled_marks(fuel: int) -> bytearray:
-    """A mark per context index at `fuel`, filled a prefix at a time by
-    `_settle`."""
-    return bytearray()
+def _routes(fuel: int) -> list:
+    """A route per context index at `fuel`, filled a prefix at a time by
+    `_fill_routes`."""
+    return []
 
 
-def _settle(idx: int, fuel: int) -> bytearray:
-    """The marks at `fuel`, filled through idx: 1 where C_i is settled, so
-    that C_i[m] is solvable for every m at `fuel`: C_i, with the hole left
-    free, reaches a head normal form within `fuel` steps whose head is not
-    the hole (docs/DECISIONS.md D10)."""
-    marks = _settled_marks(fuel)
-    for c in _context_terms(len(marks), idx + 1):
+def _fill_routes(idx: int, fuel: int) -> list:
+    """The routes at `fuel`, filled through idx, each read off the run of
+    `solvability` on C_i with the hole left free (docs/DECISIONS.md D30): True
+    where C_i settles, reaching a head normal form whose head is not the hole, so
+    that C_i[m] is solvable for every m (D10); (env, spine) where C_i is head normal
+    at step 0 with the hole at the head, which makes it \\xs. [-] N1 ... Nk, with env
+    the binders xs innermost first and spine the body [-] N1 ... Nk (D28); None
+    elsewhere."""
+    routes = _routes(fuel)
+    for c in _context_terms(len(routes), idx + 1):
         st = solvability(c, fuel)
-        marks.append(st.is_solvable and st.head.head != HOLE.name)
-    return marks
+        route = None
+        if st.is_solvable and st.head.head != HOLE.name:
+            route = True
+        elif st.is_solvable and not st.steps:
+            env = st.head.binders[::-1]
+            for _ in env:
+                c = c.body
+            route = env, c
+        routes.append(route)
+    return routes
 
 
 # ---------------------------------------------------------------------------

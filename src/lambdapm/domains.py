@@ -245,7 +245,6 @@ def quantification_decision(p: FinitePoset, space: PartialMetricSpace) -> dict:
 
 @dataclass
 class TowerLevel:
-    n: int
     poset: FinitePoset
     maps: list = None            # MonotoneMap views when n > 0
     metric: object = None        # callable (i, j) -> Fraction
@@ -300,11 +299,13 @@ def build_tower(d0: FinitePoset, p0, depth: int) -> Tower:
     follow the applicative scheme with weights 1/2**i over the element
     enumeration of the previous level.
     """
-    levels = [TowerLevel(0, d0, metric=cache(p0))]
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    levels = [TowerLevel(d0, metric=cache(p0))]
     for n in range(depth):
         prev = levels[n]
         poset, maps = function_space(prev.poset, prev.poset)
-        levels.append(TowerLevel(n + 1, poset, maps=maps,
+        levels.append(TowerLevel(poset, maps=maps,
                                  metric=_level_metric(prev.metric, maps),
                                  index={m.table: i for i, m in enumerate(maps)}))
         prev.inj = tuple(levels[n + 1].index[_inject_table(levels, n, f)]

@@ -116,10 +116,10 @@ def _same_heads(scopes, k, xs, ys, x, y):
     return scopes[0].at(k, xs, x) == scopes[1].at(k, ys, y), k + len(xs)
 
 
-def key(t: Term, env=()):
-    """Hashable de Bruijn encoding of a term of any family under `env`, its
-    binders innermost first; alpha-equivalent terms share keys."""
-    return _encode(t, env, tuple)
+def key(t: Term):
+    """Hashable de Bruijn encoding of a term of any family; alpha-equivalent
+    terms share keys."""
+    return _encode(t, (), tuple)
 
 
 def _encode(t: Term, env: tuple, seal):
@@ -725,12 +725,9 @@ def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
     certificate are built from the run's outcome (D24)."""
     kind, step, state, first = _run(t, fuel)
     if kind == SOLVABLE:
-        if step:
-            env, head, stack = state
-            binders, args = env[::-1], _args(stack)
-        else:
-            binders, head, args = state
-        return SolvabilityStatus("solvable", steps=step, head=HeadForm(binders, head.name, args))
+        env, head, stack = state
+        return SolvabilityStatus("solvable", steps=step,
+                                 head=HeadForm(env[::-1], head.name, _args(stack)))
     if kind == DIVERGENT:
         return SolvabilityStatus("divergent", steps=step, certificate=(
             first, step, show(canonical(_rebuild(*state)))))
@@ -740,17 +737,10 @@ def solvability(t: LambdaTerm, fuel: int) -> SolvabilityStatus:
 def _run(t: LambdaTerm, fuel: int):
     """The head-reduction machine on t for up to `fuel` steps; its outcome
     is (kind code, step, final state, step of the state it repeats or
-    None).  A head normal form at step 0 builds no cells: its state is
-    `decompose`'s (binders, head, args)."""
+    None)."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    binders, head, args = decompose(t)
-    if head._kind == "var":  # most runs
-        return SOLVABLE, 0, (binders, head, args), None
-    stack = None
-    for a in reversed(args):
-        stack = [a, stack, stack[2] + 1 if stack else 1, None]
-    return _start(binders[::-1], head, stack, fuel)
+    return _start(*_unwind((), t, None), fuel)
 
 
 def _start(env, head, stack, fuel: int, memo=None):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import eq
 
 from .distance import DistanceValue, exact, is_inf
@@ -52,8 +52,10 @@ def check_axioms(space: PartialMetricSpace, mode: str = "pm") -> list:
         dxy, dxx = space.d(x, y), space.d(x, x)
         if not (dxx <= dxy):
             report("P1", (x, y), dxx, dxy)
-        if space.d(y, x) != dxy:
-            report("P3", (x, y), dxy, space.d(y, x))
+    for x, y in combinations(pts, 2):  # `d` stores a pair and its swap at once
+        dxy, dyx = space.dist(x, y), space.dist(y, x)
+        if dxy != dyx:
+            report("P3", (x, y), dxy, dyx)
     if mode == "pm":
         for x, y in product(pts, repeat=2):
             if x != y and space.d(x, x) == space.d(x, y) == space.d(y, y):

@@ -163,6 +163,17 @@ def test_out_of_range_element_index_is_named(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tower", "--base", "sierpinski", "--depth", "-1"],
+    ["pinf", "--base", "sierpinski", "--depth", "-1", "--x", "0", "--y", "0"],
+], ids=["tower", "pinf"])
+def test_negative_tower_depth_is_refused(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "depth must be >= 0" in captured.err
+
+
 def test_parse_verb_prints_a_long_spine(capsys):
     term = "x" + " y" * 3000
     code, out = run(capsys, "parse", "--term", term)

@@ -90,7 +90,7 @@ def test_genericity_semi_test():
 
 def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     """A cold bracket at prefix 40 runs each context term once for the
-    settled marks, reading it in place off the size batches, and starts the
+    routes, reading it in place off the size batches, and starts the
     machine once per row and open context: on the plugged term, or at the
     hole of a context [-] N1 ... Nk under binders; a second call runs the
     machine zero times."""
@@ -113,13 +113,13 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     monkeypatch.setattr(contextual, "_start", counted_start)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
     contextual._kinds.cache_clear()
-    contextual._settled_marks.cache_clear()
+    contextual._routes.cache_clear()
     before = p_ctx_bracket(m, n, 40, 17)
     contexts = [enumerate_context(idx).term for idx in range(41)]
     assert len(contexts_run) == 41 and all(a is b for a, b in zip(contexts_run, contexts))
-    marks = contextual._settled_marks(17)
-    opened = [c for c, settled in zip(contexts, marks) if not settled]
-    assert len(marks) == 41 and 0 < len(opened) < 41
+    routes = contextual._routes(17)
+    opened = [c for c, route in zip(contexts, routes) if route is not True]
+    assert len(routes) == 41 and 0 < len(opened) < 41
     shapes = [(u, c, decompose(c)) for u in (m, n) for c in opened]
     assert [kind for kind, _ in starts] == \
         ["start" if head is contextual.HOLE else "run" for _, _, (_, head, _) in shapes]

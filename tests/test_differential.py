@@ -775,7 +775,7 @@ def assert_cached_keys_match(t):
     assert key(t) == ref_key(t)
     assert hash(t) == ref_hash(ref_key(t)) == hash(copy_term(t))
     for u, env in subterms(t):
-        assert key(u, env) == ref_key(u, env[::-1])
+        assert lamcalc._encode(u, env, tuple) == ref_key(u, env[::-1])
         assert free_vars(u) == ref_free_vars(u)
 
 
@@ -977,12 +977,12 @@ def check_rows_over_every_index(terms):
     """Each row kind up to index 1,024 is the reference's for C_i[m], both
     where the index is settled and where it is plugged and run."""
     contextual._kinds.cache_clear()
-    contextual._settled_marks.cache_clear()
+    contextual._routes.cache_clear()
     for fuel in (1, 2, 3, 30):
         rows = [contextual._fill(m, fuel, 1024) for m in terms]
         seen = set()
         for idx in range(1025):
-            settled = bool(contextual._settle(idx, fuel)[idx])
+            settled = contextual._fill_routes(idx, fuel)[idx] is True
             seen.add(settled)
             ctx = enumerate_context(idx).term
             for m, row in zip(terms, rows):
@@ -999,12 +999,12 @@ def test_settled_contexts_match_reference_on_plugged_terms():
     ctx = enumerate_context(70)
     assert str(ctx) == "(\\x. y) [-]"
     assert solvability(ctx.term, 1).steps == 1
-    assert contextual._settle(70, 1)[70]
+    assert contextual._fill_routes(70, 1)[70] is True
     # the first context that runs out of fuel 1 and settles later, at step 2
     ctx = enumerate_context(3144)
     assert str(ctx) == "(\\x. x [-]) (\\x. y)"
     for fuel in (1, 2, 3):
-        assert contextual._settle(3144, fuel)[3144] == (fuel >= 2)
+        assert (contextual._fill_routes(3144, fuel)[3144] is True) == (fuel >= 2)
         for m in PLUGGED:
             kind, _, _ = ref_solvability(ref_plug(ctx.term, m), fuel)
             assert contextual._fill(m, fuel, 3144)[3144] == ROW_CODES[kind]
@@ -1014,6 +1014,45 @@ def test_settled_contexts_match_reference_on_plugged_terms():
 @settings(max_examples=10, deadline=None)
 def test_settled_contexts_match_reference_on_drawn_terms(m):
     check_rows_over_every_index([m])
+
+
+def ref_shape(c):
+    """The shape that the routes replaced (docs/DECISIONS.md D28): (env, spine)
+    where c is \\xs. [-] N1 ... Nk, with env the binders xs innermost first and
+    spine the body [-] N1 ... Nk; False for any other context."""
+    env, body = (), c
+    while isinstance(body, Abs):
+        env, body = (body.binder,) + env, body.body
+    h = body
+    while isinstance(h, App):
+        h = h.fun
+    return h is contextual.HOLE and (env, body)
+
+
+def ref_settled(c, fuel):
+    """The settled mark that the routes replaced (D10): c, with the hole left
+    free, reaches a head normal form within `fuel` steps whose head is not the
+    hole."""
+    kind, _, hf = ref_solvability(c, fuel)
+    return kind == "solvable" and hf[1] != contextual.HOLE.name
+
+
+def test_routes_match_shape_and_settled_references():
+    """Every route through index 1,024 at fuels 1, 2, 3 and 30 is True where the
+    context is settled, its shape where it has one, and None elsewhere (D30)."""
+    contextual._routes.cache_clear()
+    for fuel in (1, 2, 3, 30):
+        routes = contextual._fill_routes(1024, fuel)
+        assert len(routes) == 1025
+        for c, route in zip(contextual._context_terms(0, 1025), routes):
+            if ref_settled(c, fuel):
+                assert route is True
+            elif shape := ref_shape(c):
+                env, body = route
+                assert env == shape[0] and body is shape[1]
+            else:
+                assert route is None
+        assert {type(route) for route in routes} == {bool, tuple, type(None)}
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1109,7 @@ def ref_row_ball(m, cand, epsilon, fuel):
 def cold_rows(cold):
     if cold:
         contextual._kinds.cache_clear()
-        contextual._settled_marks.cache_clear()
+        contextual._routes.cache_clear()
 
 
 @given(some_terms, some_terms, st.integers(1, 300), st.integers(1, 40), st.booleans())
@@ -1130,17 +1169,16 @@ def test_direct_start_matches_plugged_run(m, fuel, cold):
     """Every open context through index 300 gives m, and an alpha-variant that shares
     m's row, the (kind, step) of the plugged run, at fuels below and above the
     contexts' argument counts: cold, and again with the step-0 reducts kept."""
-    if cold:
-        cold_rows(True)
-        contextual._SHAPES.clear()
-    marks = contextual._settle(300, fuel)
-    opened = [(i, c) for i, c in enumerate(contextual._context_terms(0, 301)) if not marks[i]]
+    cold_rows(cold)
+    routes = contextual._fill_routes(300, fuel)
+    opened = [(i, c) for i, c in enumerate(contextual._context_terms(0, 301))
+              if routes[i] is not True]
     variant = alpha_variant(m)
     for u in (m, variant):
         run = contextual._runs(u, fuel)
         want = [lamcalc._run(contextual._plug(c, u), fuel)[:2] for _, c in opened]
         for _ in range(2):
-            assert [run(i, c)[:2] for i, c in opened] == want
+            assert [run(routes[i], c)[:2] for i, c in opened] == want
     row = contextual._fill(variant, fuel, 300)
     assert contextual._fill(m, fuel, 300) is row
     assert [row[i] for i, _ in opened] == [kind for kind, _ in want]
@@ -1363,7 +1401,7 @@ def self_loop_under_binder(k):
 
 
 def test_first_repeat_ends_the_run_at_its_own_step(monkeypatch):
-    steps = []  # in solvability, one unwind per head step
+    steps = []  # in solvability, one unwind for the start, then one per head step
     unwind = lamcalc._unwind
 
     def counted(*state):
@@ -1379,7 +1417,7 @@ def test_first_repeat_ends_the_run_at_its_own_step(monkeypatch):
                 assert_runs_like_reference(t, fuel)
                 steps.clear()
                 st_ = solvability(t, fuel)
-                assert len(steps) == st_.steps == min(again, fuel)
+                assert len(steps) - 1 == st_.steps == min(again, fuel)
             assert solvability(t, 30).certificate[:2] == (0, again)
 
 
@@ -1737,7 +1775,7 @@ def test_resource_hash_is_the_key_hash(t, u, warm, data):
     assert (t == u) <= (hash(t) == hash(u))
     for w, env in rsubterms(t):
         assert hash(w) == ref_rhash(ref_rkey(w))
-        assert rkey(w, env) == ref_rkey(w, env[::-1])
+        assert lamcalc._encode(w, env, tuple) == ref_rkey(w, env[::-1])
         assert free_rvars(w) == ref_free_rvars(w)
         assert gen_height(w) == ref_gen_height(w)
         assert is_normal(w) == (ref_step(w) is None)
@@ -2869,11 +2907,11 @@ resource_shared = shared_terms(RVar, RAbs, lambda pick, draw: RApp(
 XY = App(Var("x"), Var("y"))
 
 
-def assert_shared_encodings_match(t, walk, encode, ref_k, ref_h, ref_fv, copy, abs_):
+def assert_shared_encodings_match(t, walk, ref_k, ref_h, ref_fv, copy, abs_):
     """The whole term first, in one call each, then every subterm under
     every environment it sits under; its hash there is read through new
     binders around it."""
-    assert encode(t) == ref_k(t)
+    assert key(t) == ref_k(t)
     assert hash(t) == ref_h(ref_k(t)) == hash(copy(t))
     assert t == copy(t)
     seen = set()
@@ -2882,7 +2920,7 @@ def assert_shared_encodings_match(t, walk, encode, ref_k, ref_h, ref_fv, copy, a
             continue
         seen.add((id(u), env))
         k = ref_k(u, env[::-1])
-        assert encode(u, env) == k
+        assert lamcalc._encode(u, env, tuple) == k
         wrapped = u
         for b in env:
             wrapped = abs_(b, wrapped)
@@ -2896,14 +2934,14 @@ def assert_shared_encodings_match(t, walk, encode, ref_k, ref_h, ref_fv, copy, a
 @example(App(Abs("x", Abs("y", XY)), Abs("z", Abs("y", XY))))
 @settings(max_examples=150, deadline=None)
 def test_shared_lambda_subterms_match_references(t):
-    assert_shared_encodings_match(t, subterms, key, ref_key, ref_hash,
+    assert_shared_encodings_match(t, subterms, ref_key, ref_hash,
                                   ref_free_vars, copy_term, Abs)
 
 
 @given(resource_shared)
 @settings(max_examples=150, deadline=None)
 def test_shared_resource_subterms_match_references(t):
-    assert_shared_encodings_match(t, rsubterms, rkey, ref_rkey, ref_rhash,
+    assert_shared_encodings_match(t, rsubterms, ref_rkey, ref_rhash,
                                   ref_free_rvars, copy_rterm, RAbs)
 
 

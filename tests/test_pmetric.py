@@ -40,6 +40,13 @@ def test_axiom_checker_flags_p1_and_p4u():
     assert any(v["axiom"] == "P1" for v in bad)
 
 
+def test_axiom_checker_flags_p3_on_raw_distances():
+    table = {(0, 1): 2, (1, 0): 1, (0, 0): 1, (1, 1): 0}
+    sp = PartialMetricSpace([0, 1], lambda x, y: Fraction(table[x, y]), "asymmetric")
+    assert check_axioms(sp, "ppm") == [
+        {"axiom": "P3", "witnesses": [0, 1], "lhs": "2", "rhs": "1"}]
+
+
 def test_induced_order_examples():
     assert induced_order(sierpinski_space()) == {(0, 0), (0, 1), (1, 1)}
     disc = PartialMetricSpace([0, 1], lambda x, y: Fraction(0) if x == y
