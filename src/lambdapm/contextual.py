@@ -10,7 +10,8 @@ from itertools import islice
 
 from .distance import DistanceValue, bracket, dyadic
 from .lamcalc import (DIVERGENT, SOLVABLE, UNKNOWN, Abs, App, LambdaTerm, Var, _run,
-                      _start, _unwind, decompose, free_vars, show, solvability)
+                      _same_state, _start, _unwind, decompose, free_vars, show,
+                      solvability)
 
 # The hole is a variable whose name the parser cannot produce, so no term
 # contains it; `show` prints a context with the hole as [-].
@@ -123,25 +124,88 @@ def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
     return kinds
 
 
+# The cell that a row's own run stands on in place of a context's arguments
+# (docs/DECISIONS.md D31); its hash is set, so no run encodes its argument.
+_TAIL = [HOLE, None, 0, 0]
+
+
 def _runs(m: LambdaTerm, fuel: int):
-    """run(route, c): the machine's outcome on C[m] at `fuel`, c being a context
-    whose route is not True.  The route (env, spine) of \\xs. [-] N1 ... Nk starts the
-    machine at C[m]'s start state without building C[m]: m unwound over the cells of
-    N1 ... Nk (docs/DECISIONS.md D28).  Where m is an application with a variable
-    head, that head is C[m]'s, solvable at step 0.  The step-0 reducts are kept per
-    first argument for the row's fill; the route None plugs and runs."""
+    """run(route, c): the machine's (kind, step) on C[m] at `fuel`, c being a context
+    whose route is not True; the route None plugs and runs.  The route (env, spine)
+    of \\xs. [-] N1 ... Nk starts the machine at C[m]'s start state without building
+    C[m]: m unwound over the cells of N1 ... Nk (docs/DECISIONS.md D28).  No state
+    before the boundary, the first one whose head is an abstraction over those cells
+    alone, reads them, so m's own run up to there, made over `_TAIL` once per fill,
+    answers every context that it decides, and a context with k >= 1 resumes at the
+    boundary.  Where m is \\y1 ... yj. h A and h is not bound by its first
+    min(j, k) binders, C[m] is solvable at step min(j, k) (D31).  The first step's
+    reducts are kept per top argument for the fill."""
     ys, h, _ = decompose(m)
-    solved = (SOLVABLE, 0, None, None) if not ys and h._kind == "var" else None
-    memo = {}
+    bound = 0
+    if ys and h._kind == "var":  # m is head normal: the position of h's binder
+        # in ys, counted from 1 and found innermost first, or past ys if h is free
+        bound = next((i for i in range(len(ys), 0, -1) if ys[i - 1] == h.name),
+                     len(ys) + 1)
+    # the outcome of m's own run where it ends before the boundary, the same
+    # for every context: at step 0, with no cell built, where m has a variable
+    # head and no binders
+    decided = (SOLVABLE, 0, None, None) if not ys and h._kind == "var" else None
+    boundary, memo, by_depth = None, {}, {}
 
     def run(route, c):
+        nonlocal decided, boundary
         if route is None:
             return _run(_plug(c, m), fuel)
-        if solved:
-            return solved
+        if decided:
+            return decided
+        if boundary is None:  # m's own run, made at the fill's first (env, spine) route
+            outcome = _start(*_unwind((), m, _TAIL), fuel, tail=_TAIL)
+            if outcome[0] is not None:
+                decided = outcome
+                return decided
+            boundary = outcome[1], outcome[2][1]
+            # the states before the boundary, by their depth above _TAIL
+            for bucket in outcome[3].values():
+                for first, (_, head, cells) in bucket:
+                    by_depth.setdefault(cells[2], []).append((first, head, cells))
         env, spine = route
-        return _start(*_unwind(env, m, _unwind(env, spine, None)[2]), fuel, memo)
+        cells = _unwind(env, spine, None)[2]
+        k = cells[2] if cells else 0
+        n = k if k < len(ys) else len(ys)  # min(j, k)
+        if n < bound:
+            return (SOLVABLE, n, None, None) if n <= fuel else (UNKNOWN, fuel, None, None)
+        if not k:
+            return _start(*_unwind(env, m, None), fuel, memo)
+        step, head = boundary
+        return _start(env, head, cells, fuel, memo, step, None,
+                      _seen(by_depth, env, cells) if by_depth else None)
     return run
+
+
+def _seen(by_depth, env, cells):
+    """seen(state, step) for a run resumed at the boundary over `cells` under
+    `env`: the step of the state before the boundary that `state` repeats, each
+    state met rebuilt over these cells, or `step` (docs/DECISIONS.md D31)."""
+    k = cells[2]
+
+    def seen(state, step):
+        if state[0] is env:
+            for first, head, above in by_depth.get(state[2][2] - k, ()):
+                if _same_state(state, (env, head, _over(above, cells))):
+                    return first
+        return step
+    return seen
+
+
+def _over(cells, tail):
+    """The cells above `_TAIL` in `cells`, pushed in order over `tail`."""
+    args = []
+    while cells is not _TAIL:
+        args.append(cells[0])
+        cells = cells[1]
+    for a in reversed(args):
+        tail = [a, tail, tail[2] + 1, None]
+    return tail
 
 
 @lru_cache(maxsize=_MAX_ROWS)
@@ -208,6 +272,8 @@ def in_ctx_ball(m: LambdaTerm, candidate: LambdaTerm, epsilon, fuel: int) -> str
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if fuel < 1:
+        raise ValueError("fuel must be >= 1")
     k = 0
     while dyadic(k + 1) >= epsilon:
         k += 1

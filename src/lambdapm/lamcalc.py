@@ -743,14 +743,18 @@ def _run(t: LambdaTerm, fuel: int):
     return _start(*_unwind((), t, None), fuel)
 
 
-def _start(env, head, stack, fuel: int, memo=None):
-    """`_run`'s outcome from the state lambda env. head stack, for fuel >= 1; a
-    variable head is a head normal form at step 0.  `memo`, a dict its caller
-    keeps, holds the step-0 reducts by first argument: the substitution is a
-    pure function of the head and that argument, which the entry keeps alive,
-    so that its id stays its own (docs/DECISIONS.md D28)."""
+def _start(env, head, stack, fuel: int, memo=None, step=0, tail=None, seen=None):
+    """`_run`'s outcome from the state lambda env. head stack at `step`, for
+    fuel >= 1; a variable head is a head normal form there.  `memo`, a dict its
+    caller keeps, holds the first step's reducts by top argument: the
+    substitution is a pure function of the head and that argument, which the
+    entry keeps alive, so that its id stays its own (docs/DECISIONS.md D28).  A
+    run over the cell `tail` stops at the first state whose head is an
+    abstraction over `tail` alone, before filing it, with the outcome (None,
+    step, state, the states filed); `seen(state, step)` is the step of an
+    earlier state filed apart that equals `state`, or `step` (D31)."""
     if head._kind == "var":
-        return SOLVABLE, 0, (env, head, stack), None
+        return SOLVABLE, step, (env, head, stack), None
     reduct = None
     if memo is not None:
         a = stack[0]
@@ -759,9 +763,10 @@ def _start(env, head, stack, fuel: int, memo=None):
             hit = memo[id(a)] = a, head, subst(head.body, head.binder, a)
         reduct = hit[2]
     states = {}  # filing key -> [(step, state)]
-    step = 0
     while True:
         state = env, head, stack
+        if stack is tail:
+            return None, step, state, states
         if step < _HASHED:
             first = _enter(states, (len(env), stack[2]), step, state)
         else:
@@ -771,6 +776,8 @@ def _start(env, head, stack, fuel: int, memo=None):
                     for s, u in bucket:
                         states.setdefault(_state_hash(*u), []).append((s, u))
             first = _enter(states, _state_hash(*state), step, state)
+        if seen is not None and first == step:
+            first = seen(state, step)
         if first != step:
             return DIVERGENT, step, state, first
         if step == fuel:

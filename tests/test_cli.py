@@ -163,6 +163,15 @@ def test_out_of_range_element_index_is_named(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("fuel, eps", [("0", "1"), ("-5", "1"), ("0", "1/4")])
+def test_ctx_ball_refuses_fuel_below_one(capsys, fuel, eps):
+    code = main(["ctx-ball", "--center", "\\x.x", "--cand", "\\x.x x",
+                 "--eps", eps, f"--fuel={fuel}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "fuel must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["tower", "--base", "sierpinski", "--depth", "-1"],
     ["pinf", "--base", "sierpinski", "--depth", "-1", "--x", "0", "--y", "0"],

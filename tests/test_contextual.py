@@ -82,6 +82,17 @@ def test_in_ctx_ball_validates_epsilon():
         in_ctx_ball(I, I, 0, 10)
 
 
+@pytest.mark.parametrize("fuel", [0, -5])
+def test_in_ctx_ball_refuses_fuel_below_one(fuel):
+    """At epsilon 1 no index is tested and no row is filled, and the fuel is
+    refused all the same."""
+    contextual._kinds.cache_clear()
+    for epsilon in (1, Fraction(1, 4)):
+        with pytest.raises(ValueError, match="fuel must be >= 1"):
+            in_ctx_ball(I, ETA_I, epsilon, fuel)
+    assert contextual._kinds.cache_info().currsize == 0
+
+
 def test_genericity_semi_test():
     assert genericity_violations(OMEGA, normalizing_corpus(8), 40, 300) == []
     with pytest.raises(ValueError):
@@ -91,8 +102,11 @@ def test_genericity_semi_test():
 def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     """A cold bracket at prefix 40 runs each context term once for the
     routes, reading it in place off the size batches, and starts the
-    machine once per row and open context: on the plugged term, or at the
-    hole of a context [-] N1 ... Nk under binders; a second call runs the
+    machine at most once per row and open context: on the plugged term, or at
+    the hole of a context [-] N1 ... Nk under binders, after m's own run, made
+    once per row over the shared tail at the first such context.  Where m is
+    \\y1 ... yj. h A and k is below the position of h's binder, min(j, k) steps
+    answer without a start (docs/DECISIONS.md D31).  A second call runs the
     machine zero times."""
     contexts_run, starts = [], []
     status, run, start = contextual.solvability, contextual._run, contextual._start
@@ -105,13 +119,15 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
         starts.append(("run", t))
         return run(t, fuel)
 
-    def counted_start(env, head, stack, fuel, memo=None):
-        starts.append(("start", head))
-        return start(env, head, stack, fuel, memo)
+    def counted_start(env, head, stack, fuel, memo=None, step=0, tail=None, seen=None):
+        starts.append(("own" if stack is contextual._TAIL else "start", head))
+        assert step == 0 and (tail is contextual._TAIL) == (stack is tail)
+        return start(env, head, stack, fuel, memo, step, tail, seen)
     monkeypatch.setattr(contextual, "solvability", counted_status)
     monkeypatch.setattr(contextual, "_run", counted_run)
     monkeypatch.setattr(contextual, "_start", counted_start)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
+    binder_of_head = {m: 1, n: 2}
     contextual._kinds.cache_clear()
     contextual._routes.cache_clear()
     before = p_ctx_bracket(m, n, 40, 17)
@@ -120,15 +136,30 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     routes = contextual._routes(17)
     opened = [c for c, route in zip(contexts, routes) if route is not True]
     assert len(routes) == 41 and 0 < len(opened) < 41
-    shapes = [(u, c, decompose(c)) for u in (m, n) for c in opened]
-    assert [kind for kind, _ in starts] == \
-        ["start" if head is contextual.HOLE else "run" for _, _, (_, head, _) in shapes]
-    assert {kind for kind, _ in starts} == {"run", "start"}
-    for (kind, t), (u, c, (_, _, args)) in zip(starts, shapes):
+    shapes, want = [], []
+    for u in (m, n):
+        own = False
+        for c in opened:
+            _, head, args = decompose(c)
+            if head is not contextual.HOLE:
+                want.append("run")
+            else:
+                if not own:
+                    own = True
+                    want.append("own")
+                if len(args) < binder_of_head[u]:
+                    continue  # the min(j, k) steps answer
+                want.append("start")
+            shapes.append((u, c, decompose(c)))
+    assert [kind for kind, _ in starts] == want
+    assert {kind for kind, _ in starts} == {"run", "own", "start"}
+    assert 0 < len(shapes) < 2 * len(opened)
+    for (kind, t), (u, c, (_, _, args)) in zip([s for s in starts if s[0] != "own"], shapes):
         if kind == "run":
             assert t == contextual._plug(c, u)
         else:  # u over the arguments, or u's own head where the hole has none
             assert t is (u if args else decompose(u)[1])
+    assert [t for kind, t in starts if kind == "own"] == [m, n]
     contexts_run.clear()
     starts.clear()
     assert p_ctx_bracket(m, n, 40, 17) == before and contexts_run == starts == []

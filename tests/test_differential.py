@@ -48,9 +48,9 @@ from lambdapm.domains import (FinitePoset, LazyTop, build_tower, flat,
                               quantification_decision)
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
-from lambdapm.lamcalc import (Abs, App, Var, _fresh, canonical, decompose,
-                              free_vars, key, normalize, parse, show,
-                              solvability, spine, subst)
+from lambdapm.lamcalc import (DIVERGENT, SOLVABLE, UNKNOWN, Abs, App, Var, _fresh,
+                              canonical, decompose, free_vars, key, normalize,
+                              parse, show, solvability, spine, subst)
 from lambdapm.pmetric import (LiftedSet, PartialMetricSpace, hausdorff_star,
                               weighted_basis_metric)
 from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
@@ -1182,6 +1182,101 @@ def test_direct_start_matches_plugged_run(m, fuel, cold):
     row = contextual._fill(variant, fuel, 300)
     assert contextual._fill(m, fuel, 300) is row
     assert [row[i] for i, _ in opened] == [kind for kind, _ in want]
+
+
+# ---------------------------------------------------------------------------
+# Rows that run m's own steps once against the per-context runs they replaced
+# (docs/DECISIONS.md D31)
+
+SELF = parse("(\\a. \\y. a a y) (\\a. \\y. a a y)")
+# redexes whose own steps return an abstraction, which reaches the boundary
+BOUNDARY_TERMS = [SELF, parse("(\\x. x) (\\x. x)"), parse("(\\a. \\y. a a) (\\a. \\y. a a)"),
+                  parse("(\\a. \\y. y (a a)) (\\a. \\y. y (a a))"),
+                  parse("(\\a. \\y. \\z. a z y) (\\x. x)")]
+
+
+def ref_direct_start(m, route, fuel):
+    """The per-context run that the shared prefix replaced (D28): m unwound over
+    the cells of N1 ... Nk and run from step 0."""
+    env, body = route
+    return lamcalc._start(*lamcalc._unwind(env, m, lamcalc._unwind(env, body, None)[2]), fuel)
+
+
+@st.composite
+def redex_heads(draw):
+    """(\\a. B) P1 ... Pj, whose own steps come before any context argument is
+    read; a body that returns an abstraction reaches the boundary."""
+    body = draw(st.one_of(lam_terms(3), st.sampled_from(SPECIAL + BOUNDARY_TERMS),
+                          st.builds(Abs, st.sampled_from(CAPTURED), lam_terms(3))))
+    args = draw(st.lists(st.one_of(lam_terms(3), st.sampled_from(SPECIAL + BOUNDARY_TERMS)),
+                         min_size=1, max_size=3))
+    return spine((), Abs(draw(st.sampled_from(CAPTURED)), body), args)
+
+
+@st.composite
+def head_normal_abstractions(draw):
+    """\\y1 ... yj. h A with binders that shadow each other and the context's,
+    and h bound by any of them, by the context or free."""
+    ys = draw(st.lists(st.sampled_from(["x", "y", "w"]), min_size=1, max_size=4))
+    head = Var(draw(st.sampled_from(ys + CAPTURED)))
+    args = draw(st.lists(st.one_of(lam_terms(3), st.sampled_from(SPECIAL)), max_size=2))
+    return spine(tuple(ys), head, args)
+
+
+def outcomes(run, opened):
+    return [(o[0], o[1], o[3]) for o in (run(route, c) for _, c, route in opened)]
+
+
+@given(st.one_of(hole_terms(), redex_heads(), head_normal_abstractions(),
+                 st.sampled_from(BOUNDARY_TERMS)), st.integers(1, 40), st.booleans())
+@example(BOUNDARY_TERMS[1], 1, True)
+@example(SELF, 2, True)
+@example(parse("\\y. \\y. y"), 2, False)
+@settings(max_examples=150, deadline=None)
+def test_shared_prefix_matches_per_context_runs(m, fuel, cold):
+    """Every context \\xs. [-] N1 ... Nk through index 300 gives m the kind, the step
+    and the repeated step of m's run over its own N1 ... Nk from step 0, cold and
+    warm, and the row holds those kinds."""
+    cold_rows(cold)
+    routes = contextual._fill_routes(300, fuel)
+    opened = [(i, c, routes[i]) for i, c in enumerate(contextual._context_terms(0, 301))
+              if type(routes[i]) is tuple]
+    want = [(o[0], o[1], o[3]) for o in (ref_direct_start(m, route, fuel)
+                                         for _, _, route in opened)]
+    run = contextual._runs(m, fuel)
+    for _ in range(2):
+        assert outcomes(run, opened) == want
+    row = contextual._fill(m, fuel, 300)
+    assert [row[i] for i, _, _ in opened] == [kind for kind, _, _ in want]
+
+
+def test_shared_prefix_pinned_rows():
+    """Three rows at the edges of the shared prefix."""
+    contextual._kinds.cache_clear()
+    contexts = list(contextual._context_terms(0, 32))
+    assert [show(contexts[i]) for i in (0, 1, 2, 31)] == ["[-]", "\\x. [-]", "[-] x", "[-] x y"]
+    # m's own run reaches the boundary at step 1, where fuel 1 is spent: with
+    # no argument C[m] is solvable there, with one it runs out of fuel
+    m = BOUNDARY_TERMS[1]
+    assert list(contextual._fill(m, 1, 4)) == [SOLVABLE, SOLVABLE, UNKNOWN, UNKNOWN, UNKNOWN]
+    routes = contextual._fill_routes(31, 1)
+    run = contextual._runs(m, 1)
+    assert outcomes(run, [(i, contexts[i], routes[i]) for i in (0, 1, 2)]) == \
+        [(SOLVABLE, 1, None), (SOLVABLE, 1, None), (UNKNOWN, 1, None)]
+    # under [-] x, SELF repeats at step 2 its state at step 0, before the
+    # boundary at step 1: a resume that filed states only from the boundary
+    # on would run out of fuel
+    routes = contextual._fill_routes(31, 2)
+    assert outcomes(contextual._runs(SELF, 2), [(2, contexts[2], routes[2])]) == \
+        [(DIVERGENT, 2, 0)]
+    # h is bound by the second binder, not by the first, which has its name
+    m = parse("\\y. \\y. y")
+    routes = contextual._fill_routes(31, 3)
+    opened = [(i, contexts[i], routes[i]) for i in (0, 1, 2, 31)]
+    assert outcomes(contextual._runs(m, 3), opened) == \
+        [(SOLVABLE, 0, None), (SOLVABLE, 0, None), (SOLVABLE, 1, None), (SOLVABLE, 2, None)]
+    for _, c, route in opened:
+        assert lamcalc._run(contextual._plug(c, m), 3)[:2] == ref_direct_start(m, route, 3)[:2]
 
 
 # ---------------------------------------------------------------------------
