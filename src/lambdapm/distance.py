@@ -26,14 +26,26 @@ class DistanceValue:
     upper: object  # Fraction or INF
 
     def __post_init__(self):
-        if not is_inf(self.lower) and self.lower < 0:
+        lo, hi = self.lower, self.upper
+        if type(lo) is Fraction:
+            # read off the integers: a Fraction's denominator is positive
+            if lo.numerator < 0:
+                raise ValueError("distances are nonnegative")
+            if lo is hi:
+                return
+            if type(hi) is Fraction:
+                if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+                    raise ValueError(f"bad bracket [{lo}, {hi}]")
+                return
+        elif not is_inf(lo) and lo < 0:
             raise ValueError("distances are nonnegative")
-        if self.lower > self.upper:
-            raise ValueError(f"bad bracket [{self.lower}, {self.upper}]")
+        if lo > hi:
+            raise ValueError(f"bad bracket [{lo}, {hi}]")
 
     @property
     def is_exact(self) -> bool:
-        return self.lower == self.upper
+        # exact() puts one object at both ends; `is` skips Fraction.__eq__
+        return self.lower is self.upper or self.lower == self.upper
 
     @property
     def is_infinite(self) -> bool:
@@ -87,9 +99,13 @@ def _rat_json(v) -> dict:
     return {"num": num, "den": den}
 
 
+def _rational(v):
+    """v as a distance end: a Fraction or INF as given, else Fraction(v)."""
+    return v if type(v) is Fraction or is_inf(v) else Fraction(v)
+
+
 def exact(q) -> DistanceValue:
-    if type(q) is not Fraction and not is_inf(q):
-        q = Fraction(q)
+    q = _rational(q)
     return DistanceValue(q, q)
 
 
@@ -98,13 +114,19 @@ def infinite() -> DistanceValue:
 
 
 def bracket(lo, hi) -> DistanceValue:
-    lo = lo if is_inf(lo) else Fraction(lo)
-    hi = hi if is_inf(hi) else Fraction(hi)
-    return DistanceValue(lo, hi)
+    return DistanceValue(_rational(lo), _rational(hi))
+
+
+# 2**-k for 0 <= k < _SHARED_LEVELS, built once and shared by every caller;
+# any other k is built on each call, so the table never grows (D32)
+_SHARED_LEVELS = 64
+_DYADICS = tuple(Fraction(1, 1 << k) for k in range(_SHARED_LEVELS))
 
 
 def dyadic(k: int) -> Fraction:
     """2**-k as an exact rational."""
+    if 0 <= k < _SHARED_LEVELS:
+        return _DYADICS[k]
     return Fraction(1, 1 << k) if k >= 0 else Fraction(1 << (-k))
 
 

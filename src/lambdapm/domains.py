@@ -172,8 +172,9 @@ def product_metric(p_x, p_y, pair1, pair2) -> DistanceValue:
 
 def applicative_metric(p_y, basis, theta, f, g) -> DistanceValue:
     """Sum of theta**n * p_Y(f(a_n), g(a_n)) over the (finite) basis, n from 1."""
-    theta = Fraction(theta)
-    if not (0 < theta <= Fraction(1, 2)):
+    if type(theta) is not Fraction:
+        theta = Fraction(theta)
+    if not (0 < theta <= dyadic(1)):
         raise ValueError("theta must be in (0, 1/2]")
     total = Fraction(0)
     for n, a in enumerate(basis, start=1):

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, cycle, islice
+from itertools import chain, combinations_with_replacement
 
 from . import bohm, resource
 from .bohm import BOT, Bottom, Node, PartialTerm
@@ -209,20 +209,23 @@ def _tree_depth(a: Node, other: PartialTerm):
     return best
 
 
-def _side_fast(a: PartialTerm, other: PartialTerm, b: int) -> Fraction:
-    """sup over the a-fragment of the inf of r against the other fragment."""
+def _side_fast(a: PartialTerm, other: PartialTerm, b: int):
+    """The level n, or math.inf, of the side 2**-n: the sup over the
+    a-fragment of the inf of r against the other fragment."""
     if isinstance(a, Bottom):
-        return Fraction(0)  # sup over the empty set
+        return math.inf  # sup over the empty set, 0
     if b == 0:  # the one element is the root with empty bags
         a = bohm.truncate(a, 1)
-    return dyadic(min(bohm.height(a), _tree_depth(a, other)))
+    return min(bohm.height(a), _tree_depth(a, other))
 
 
 def hstar_fragments(a: PartialTerm, other: PartialTerm, mult_bound: int) -> Fraction:
-    """Exact H*_r between the bounded expansions of two partial terms."""
+    """Exact H*_r between the bounded expansions of two partial terms: the
+    larger side is the one at the lesser level (docs/DECISIONS.md D32)."""
     if mult_bound < 0:
         raise ValueError("mult_bound must be >= 0")
-    return max(_side_fast(a, other, mult_bound), _side_fast(other, a, mult_bound))
+    level = min(_side_fast(a, other, mult_bound), _side_fast(other, a, mult_bound))
+    return Fraction(0) if level == math.inf else dyadic(level)
 
 
 def isometry_check(a: PartialTerm, b: PartialTerm, mult_bound: int) -> dict:
@@ -397,17 +400,21 @@ def enumeration_isometry(a: PartialTerm, b: PartialTerm, prefix: int) -> dict:
     # both sums are kept as integer numerators over 2**K and 2**(2K)
     pb_num = sum(1 << (K - n) for n, t in enumerate(terms, start=1)
                  if not (bohm.partial_leq(t, a) and bohm.partial_leq(t, b)))
+    tail = dyadic(K)
     pb_sum = Fraction(pb_num, 1 << K)
-    pb = bracket(pb_sum, pb_sum + dyadic(K))
+    pb = bracket(pb_sum, pb_sum + tail)
 
     pp_num = 0
     for n, src in enumerate(terms, start=1):
-        # per_term(src, m) for m = 1..K, keying src once
-        for m, v in enumerate(islice(cycle(faithful_pool(src)), K), start=1):
-            if not (box_relation(v, a) and box_relation(v, b)):
+        # per_term(src, m) for m = 1..K is pool[(m - 1) % len(pool)]: each
+        # element of the pool's first K is tested once, keying src once
+        pool = faithful_pool(src)
+        missing = [not (box_relation(v, a) and box_relation(v, b)) for v in pool[:K]]
+        for m in range(1, K + 1):
+            if missing[(m - 1) % len(pool)]:
                 pp_num += 1 << (2 * K - n - m)
     pp_sum = Fraction(pp_num, 1 << (2 * K))
-    unexplored = (1 - dyadic(K)) * dyadic(K) + dyadic(K)
+    unexplored = (1 - tail) * tail + tail
     pp = bracket(pp_sum, pp_sum + unexplored)
 
     gap = abs(pp.midpoint() - pb.midpoint())

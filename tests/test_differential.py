@@ -2298,14 +2298,40 @@ def other_term(data, a):
     return perturbed(data, a)
 
 
+def side_value(level):
+    """The H* side 2**-level that a level of taylor._side_fast stands for;
+    math.inf is the empty side, 0."""
+    return Fraction(0) if level == math.inf else dyadic(level)
+
+
+def fraction_side(a, other, b):
+    """taylor._side_fast as it was when it returned the side's Fraction."""
+    if a is BOT:
+        return Fraction(0)
+    if b == 0:
+        a = bohm.truncate(a, 1)
+    return dyadic(min(bohm.height(a), taylor._tree_depth(a, other)))
+
+
 @given(partial_terms(), st.data(), st.sampled_from([0, 1, 2, 3]))
 @settings(max_examples=300, deadline=None)
 def test_hstar_side_matches_truncation_loop(a, data, b):
     other = other_term(data, a)
     if data.draw(st.booleans()):
         other = alpha_partial(other)
-    assert taylor._side_fast(a, other, b) == ref_side_fast(a, other, b)
-    assert taylor._side_fast(other, a, b) == ref_side_fast(other, a, b)
+    assert side_value(taylor._side_fast(a, other, b)) == ref_side_fast(a, other, b)
+    assert side_value(taylor._side_fast(other, a, b)) == ref_side_fast(other, a, b)
+
+
+@given(st.one_of(st.just(BOT), partial_terms()), st.data(), st.sampled_from([0, 1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_hstar_fragments_is_the_larger_fraction_side(a, data, b):
+    """The least level of the two sides names the same Fraction as the max
+    of the two Fraction-valued sides (docs/DECISIONS.md D32)."""
+    other = BOT if data.draw(st.integers(0, 4)) == 0 else other_term(data, a)
+    got = taylor.hstar_fragments(a, other, b)
+    assert got == max(fraction_side(a, other, b), fraction_side(other, a, b))
+    assert type(got) is Fraction
 
 
 def draw_element(data, a):
@@ -2945,7 +2971,7 @@ def test_walks_over_partial_pairs_match_tuple_references(a, data):
             t = draw_element(data, x)
             assert box_relation(t, y) == ref_box(t, y)
             b_ = data.draw(st.sampled_from([0, 1, 2]))
-            assert taylor._side_fast(x, y, b_) == ref_side_fast(x, y, b_)
+            assert side_value(taylor._side_fast(x, y, b_)) == ref_side_fast(x, y, b_)
 
 
 def test_tree_depth_is_the_least_failing_depth_in_any_argument():
@@ -2959,7 +2985,8 @@ def test_tree_depth_is_the_least_failing_depth_in_any_argument():
         a, b = parse_partial(a), parse_partial(b)
         assert taylor._tree_depth(a, b) == taylor._tree_depth(b, a) == 1
         for mult in (1, 2):
-            assert taylor._side_fast(a, b, mult) == ref_side_fast(a, b, mult) == dyadic(1)
+            assert taylor._side_fast(a, b, mult) == 1
+            assert side_value(taylor._side_fast(a, b, mult)) == ref_side_fast(a, b, mult) == dyadic(1)
 
 
 def test_enumeration_order_is_the_tuple_reference_order():
