@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lamcalc
-from .distance import DistanceValue, bracket, dyadic, exact, truncation_below
+from .distance import DistanceValue, bracket, dyadic, exact
 from .lamcalc import LambdaTerm, Term, Var, _cache, _same_heads, key, solvability
 
 
@@ -187,8 +187,9 @@ def partial_leq(a: PartialTerm, b: PartialTerm) -> bool:
 
 
 def truncation_leq(a: PartialTerm, b: PartialTerm) -> bool:
-    """The order the tree metric induces: a is a full level-truncation of b."""
-    return truncation_below(a, b, height, truncate)
+    """The order the tree metric induces: a is b truncated at a's height."""
+    h = height(a)
+    return height(b) >= h and truncate(b, h) == a
 
 
 def direct_approximant(t: LambdaTerm) -> PartialTerm:

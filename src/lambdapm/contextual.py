@@ -101,11 +101,11 @@ _MAX_ROWS = 1024
 
 
 @lru_cache(maxsize=_MAX_ROWS)
-def _kinds(m: LambdaTerm, fuel: int) -> bytearray:
-    """The row of m's alpha class at `fuel`: the solvability kinds of C_0[m],
-    C_1[m], ... as the machine's kind codes, filled a prefix at a time by
-    `_fill`."""
-    return bytearray()
+def _row(m: LambdaTerm, fuel: int) -> tuple:
+    """The row of m's alpha class at `fuel`: (kinds, run), kinds the solvability
+    kinds of C_0[m], C_1[m], ... as the machine's kind codes, filled a prefix at a
+    time by `_fill`, and run the `_runs(m, fuel)` that finds them."""
+    return bytearray(), _runs(m, fuel)
 
 
 def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
@@ -114,10 +114,12 @@ def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
     which such terms share, and head reduction commutes with alpha-equivalence
     (docs/DECISIONS.md D7, D27).  Each index follows its route (D30), and no kind
     depends on the order the indices are filled in (D24)."""
-    kinds = _kinds(m, fuel)
+    if idx < 0:  # no index is read, and making the row runs m (D33)
+        return bytearray()
+    kinds, run = _row(m, fuel)
     start = len(kinds)
     if start <= idx:
-        routes, run = _fill_routes(idx, fuel), _runs(m, fuel)
+        routes = _fill_routes(idx, fuel)
         for i, c in enumerate(_context_terms(start, idx + 1), start):
             route = routes[i]
             kinds.append(SOLVABLE if route is True else run(route, c)[0])
@@ -131,54 +133,41 @@ _TAIL = [HOLE, None, 0, 0]
 
 def _runs(m: LambdaTerm, fuel: int):
     """run(route, c): the machine's (kind, step) on C[m] at `fuel`, c being a context
-    whose route is not True; the route None plugs and runs.  The route (env, spine)
-    of \\xs. [-] N1 ... Nk starts the machine at C[m]'s start state without building
-    C[m]: m unwound over the cells of N1 ... Nk (docs/DECISIONS.md D28).  No state
-    before the boundary, the first one whose head is an abstraction over those cells
-    alone, reads them, so m's own run up to there, made over `_TAIL` once per fill,
-    answers every context that it decides, and a context with k >= 1 resumes at the
-    boundary.  Where m is \\y1 ... yj. h A and h is not bound by its first
-    min(j, k) binders, C[m] is solvable at step min(j, k) (D31).  The first step's
-    reducts are kept per top argument for the fill."""
+    whose route is not True; the route None plugs and runs.  The route (env, cells)
+    of \\xs. [-] N1 ... Nk is C's start state, and C[m]'s is m unwound there
+    (docs/DECISIONS.md D28).  No state before the boundary, the first one whose head
+    is an abstraction over those cells alone, reads them, so m's own run up to there,
+    made over `_TAIL` once per row, answers every context that it decides, and every
+    other one resumes at the boundary: with k = 0 its binder moves into env, so no
+    later state repeats an earlier one (D33).  Where m is \\y1 ... yj. h A and h is
+    not bound by its first min(j, k) binders, C[m] is solvable at step min(j, k)
+    (D31).  The first step's reducts are kept per top argument for the row."""
     ys, h, _ = decompose(m)
     bound = 0
     if ys and h._kind == "var":  # m is head normal: the position of h's binder
         # in ys, counted from 1 and found innermost first, or past ys if h is free
         bound = next((i for i in range(len(ys), 0, -1) if ys[i - 1] == h.name),
                      len(ys) + 1)
-    # the outcome of m's own run where it ends before the boundary, the same
-    # for every context: at step 0, with no cell built, where m has a variable
-    # head and no binders
-    decided = (SOLVABLE, 0, None, None) if not ys and h._kind == "var" else None
-    boundary, memo, by_depth = None, {}, {}
+    own = _start(*_unwind((), m, _TAIL), fuel, tail=_TAIL)
+    memo, by_depth = {}, {}
+    if own[0] is None:  # the states before the boundary, by their depth above _TAIL
+        for bucket in own[3].values():
+            for first, (_, head, cells) in bucket:
+                by_depth.setdefault(cells[2], []).append((first, head, cells))
 
     def run(route, c):
-        nonlocal decided, boundary
         if route is None:
             return _run(_plug(c, m), fuel)
-        if decided:
-            return decided
-        if boundary is None:  # m's own run, made at the fill's first (env, spine) route
-            outcome = _start(*_unwind((), m, _TAIL), fuel, tail=_TAIL)
-            if outcome[0] is not None:
-                decided = outcome
-                return decided
-            boundary = outcome[1], outcome[2][1]
-            # the states before the boundary, by their depth above _TAIL
-            for bucket in outcome[3].values():
-                for first, (_, head, cells) in bucket:
-                    by_depth.setdefault(cells[2], []).append((first, head, cells))
-        env, spine = route
-        cells = _unwind(env, spine, None)[2]
+        if own[0] is not None:
+            return own
+        env, cells = route
         k = cells[2] if cells else 0
         n = k if k < len(ys) else len(ys)  # min(j, k)
         if n < bound:
             return (SOLVABLE, n, None, None) if n <= fuel else (UNKNOWN, fuel, None, None)
-        if not k:
-            return _start(*_unwind(env, m, None), fuel, memo)
-        step, head = boundary
-        return _start(env, head, cells, fuel, memo, step, None,
-                      _seen(by_depth, env, cells) if by_depth else None)
+        head = own[2][1]  # the boundary's
+        return _start(*_unwind(env, head, cells), fuel, memo, own[1], None,
+                      _seen(by_depth, env, cells) if by_depth and k else None)
     return run
 
 
@@ -216,24 +205,20 @@ def _routes(fuel: int) -> list:
 
 
 def _fill_routes(idx: int, fuel: int) -> list:
-    """The routes at `fuel`, filled through idx, each read off the run of
-    `solvability` on C_i with the hole left free (docs/DECISIONS.md D30): True
-    where C_i settles, reaching a head normal form whose head is not the hole, so
-    that C_i[m] is solvable for every m (D10); (env, spine) where C_i is head normal
-    at step 0 with the hole at the head, which makes it \\xs. [-] N1 ... Nk, with env
-    the binders xs innermost first and spine the body [-] N1 ... Nk (D28); None
-    elsewhere."""
+    """The routes at `fuel`, filled through idx (docs/DECISIONS.md D30).  Where
+    C_i's start state has the hole at its head, C_i is \\xs. [-] N1 ... Nk and its
+    route is that state's (env, cells): the binders xs innermost first and the
+    cells of N1 ... Nk (D28, D33).  Elsewhere `solvability` runs C_i with the hole
+    left free: True where C_i settles, reaching a head normal form whose head is
+    not the hole, so that C_i[m] is solvable for every m (D10); None elsewhere."""
     routes = _routes(fuel)
     for c in _context_terms(len(routes), idx + 1):
-        st = solvability(c, fuel)
-        route = None
-        if st.is_solvable and st.head.head != HOLE.name:
-            route = True
-        elif st.is_solvable and not st.steps:
-            env = st.head.binders[::-1]
-            for _ in env:
-                c = c.body
-            route = env, c
+        env, head, cells = _unwind((), c, None)
+        if head is HOLE:
+            route = env, cells
+        else:
+            st = solvability(c, fuel)
+            route = True if st.is_solvable and st.head.head != HOLE.name else None
         routes.append(route)
     return routes
 

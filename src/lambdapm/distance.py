@@ -1,5 +1,4 @@
-"""Exact distance values: nonnegative rationals, +infinity, or sound brackets;
-and the truncation order shared by the tree metrics."""
+"""Exact distance values: nonnegative rationals, +infinity, or sound brackets."""
 
 from __future__ import annotations
 
@@ -128,9 +127,3 @@ def dyadic(k: int) -> Fraction:
     if 0 <= k < _SHARED_LEVELS:
         return _DYADICS[k]
     return Fraction(1, 1 << k) if k >= 0 else Fraction(1 << (-k))
-
-
-def truncation_below(a, b, height, truncate) -> bool:
-    """a is b truncated at a's height: the order the tree metrics induce."""
-    h = height(a)
-    return height(b) >= h and truncate(b, h) == a

@@ -232,12 +232,13 @@ def isometry_check(a: PartialTerm, b: PartialTerm, mult_bound: int) -> dict:
     """Compare H*_r on bounded expansions against the tree distance."""
     lhs = exact(hstar_fragments(a, b, mult_bound))
     rhs = bohm.p_tree(a, b)
-    lhs_next = exact(hstar_fragments(a, b, mult_bound + 1))
     return {
         "lhs": lhs,
         "rhs": rhs,
         "equal": lhs == rhs,
-        "stable": lhs == lhs_next,
+        # H* reads its bound only as 0 or not, so past 0 the next bound's
+        # value is this one (docs/DECISIONS.md D19)
+        "stable": mult_bound > 0 or lhs == exact(hstar_fragments(a, b, 1)),
     }
 
 

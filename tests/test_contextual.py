@@ -86,11 +86,23 @@ def test_in_ctx_ball_validates_epsilon():
 def test_in_ctx_ball_refuses_fuel_below_one(fuel):
     """At epsilon 1 no index is tested and no row is filled, and the fuel is
     refused all the same."""
-    contextual._kinds.cache_clear()
+    contextual._row.cache_clear()
     for epsilon in (1, Fraction(1, 4)):
         with pytest.raises(ValueError, match="fuel must be >= 1"):
             in_ctx_ball(I, ETA_I, epsilon, fuel)
-    assert contextual._kinds.cache_info().currsize == 0
+    assert contextual._row.cache_info().currsize == 0
+
+
+def test_fills_that_read_no_index_make_no_row():
+    """Making a row runs m (docs/DECISIONS.md D33), so a fill that reads no
+    index makes none: at epsilon 1 for both terms, and for a candidate whose
+    center diverges at every tested index."""
+    contextual._row.cache_clear()
+    assert in_ctx_ball(OMEGA, I, 1, 50) == "yes"
+    assert contextual._row.cache_info().currsize == 0
+    assert in_ctx_ball(OMEGA, I, Fraction(1, 4), 50) == "yes"
+    assert contextual._row.cache_info().currsize == 1
+    assert contextual._fill(OMEGA, 50, 1) is contextual._row(OMEGA, 50)[0]
 
 
 def test_genericity_semi_test():
@@ -100,14 +112,14 @@ def test_genericity_semi_test():
 
 
 def test_cold_bracket_enumerates_each_context_once(monkeypatch):
-    """A cold bracket at prefix 40 runs each context term once for the
-    routes, reading it in place off the size batches, and starts the
-    machine at most once per row and open context: on the plugged term, or at
-    the hole of a context [-] N1 ... Nk under binders, after m's own run, made
-    once per row over the shared tail at the first such context.  Where m is
-    \\y1 ... yj. h A and k is below the position of h's binder, min(j, k) steps
-    answer without a start (docs/DECISIONS.md D31).  A second call runs the
-    machine zero times."""
+    """A cold bracket at prefix 40 runs `solvability` once on each context
+    term whose start head is not the hole, reading it in place off the size
+    batches, and starts the machine at most once per row and open context: on
+    the plugged term, or at the hole of a context [-] N1 ... Nk under binders,
+    after m's own run, made once per row over the shared tail when the row is
+    made.  Where m is \\y1 ... yj. h A and k is below the position of h's
+    binder, min(j, k) steps answer without a start (docs/DECISIONS.md D31,
+    D33).  A second call runs the machine zero times."""
     contexts_run, starts = [], []
     status, run, start = contextual.solvability, contextual._run, contextual._start
 
@@ -128,11 +140,13 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     monkeypatch.setattr(contextual, "_start", counted_start)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
     binder_of_head = {m: 1, n: 2}
-    contextual._kinds.cache_clear()
+    contextual._row.cache_clear()
     contextual._routes.cache_clear()
     before = p_ctx_bracket(m, n, 40, 17)
     contexts = [enumerate_context(idx).term for idx in range(41)]
-    assert len(contexts_run) == 41 and all(a is b for a, b in zip(contexts_run, contexts))
+    run_on = [c for c in contexts if decompose(c)[1] is not contextual.HOLE]
+    assert 0 < len(run_on) < 41 and len(contexts_run) == len(run_on)
+    assert all(a is b for a, b in zip(contexts_run, run_on))
     routes = contextual._routes(17)
     opened = [c for c, route in zip(contexts, routes) if route is not True]
     assert len(routes) == 41 and 0 < len(opened) < 41
@@ -163,6 +177,29 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     contexts_run.clear()
     starts.clear()
     assert p_ctx_bracket(m, n, 40, 17) == before and contexts_run == starts == []
+
+
+@pytest.mark.parametrize("m", ["(\\a. \\y. a a y) (\\a. \\y. a a y)", "(\\x. x) (\\x. x)",
+                               "\\u. u u", "x (\\y. y)", "(\\x. x x) (\\x. x x)"])
+def test_row_filled_in_two_calls_runs_m_once(monkeypatch, m):
+    """m's own run, its boundary states and the first-step memo live as long as
+    the row (docs/DECISIONS.md D33): a row filled to index 64 and then to 1,024
+    runs m over the shared tail once, and holds the kinds of one cold fill."""
+    m, own, start = parse(m), [], contextual._start
+
+    def counted_start(env, head, stack, fuel, memo=None, step=0, tail=None, seen=None):
+        if tail is not None:
+            own.append(head)
+        return start(env, head, stack, fuel, memo, step, tail, seen)
+    monkeypatch.setattr(contextual, "_start", counted_start)
+    contextual._row.cache_clear()
+    assert len(contextual._fill(m, 5, 64)) == 65
+    assert len(own) == 1
+    row = bytes(contextual._fill(m, 5, 1024))
+    assert len(row) == 1025 and len(own) == 1
+    contextual._row.cache_clear()
+    contextual._routes.cache_clear()
+    assert bytes(contextual._fill(m, 5, 1024)) == row and len(own) == 2
 
 
 # ---------------------------------------------------------------------------

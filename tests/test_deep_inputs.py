@@ -133,7 +133,7 @@ CALLS = {
 @pytest.mark.parametrize("name", list(CALLS))
 def test_entry_points_answer_on_deep_chains(name, binder):
     c = chains(binder)  # fresh, so that no cache filled by another call helps
-    contextual._kinds.cache_clear()  # nor a row filled for an alpha-equivalent chain
+    contextual._row.cache_clear()  # nor a row filled for an alpha-equivalent chain
     shape = "binders" if binder else "plain"
     limit = sys.getrecursionlimit()
     alarm = signal.signal(signal.SIGALRM, too_slow)

@@ -41,8 +41,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lambdapm import (bohm, contextual, corpus, lamcalc, resource, taylor,
                       verify)
 from lambdapm.bohm import BOT, Node, parse_partial, pkey, show_partial
-from lambdapm.distance import (INF, bracket, dyadic, exact, is_inf,
-                               truncation_below)
+from lambdapm.distance import INF, bracket, dyadic, exact, is_inf
 from lambdapm.domains import (FinitePoset, LazyTop, build_tower, flat,
                               function_space, iter_monotone_tables,
                               quantification_decision)
@@ -944,24 +943,24 @@ MIXED_QUERIES = [("ball", 0, 1, 3, 2), ("p_ctx", 0, 1, 6, 2),
 @example([corpus.OMEGA3, corpus.OMEGA], MIXED_QUERIES)
 @settings(max_examples=100, deadline=None)
 def test_outcome_rows_match_memo_free_loops(terms, queries):
-    contextual._kinds.cache_clear()
+    contextual._row.cache_clear()
     check_context_queries(terms, queries)
     for t in terms:
-        assert contextual._kinds(alpha_variant(t), 12) is contextual._kinds(t, 12)
+        assert contextual._row(alpha_variant(t), 12) is contextual._row(t, 12)
 
 
 @given(st.lists(some_terms, min_size=1, max_size=4), context_queries)
 @example([corpus.OMEGA3, corpus.OMEGA], MIXED_QUERIES)
 @settings(max_examples=100, deadline=None)
 def test_evicted_rows_give_the_same_answers(terms, queries):
-    saved = contextual._kinds
-    contextual._kinds = lru_cache(maxsize=2)(saved.__wrapped__)  # a bound of two rows
+    saved = contextual._row
+    contextual._row = lru_cache(maxsize=2)(saved.__wrapped__)  # a bound of two rows
     try:
         check_context_queries(terms, queries)
         check_context_queries(terms, queries[::-1])
-        assert contextual._kinds.cache_info().currsize <= 2
+        assert contextual._row.cache_info().currsize <= 2
     finally:
-        contextual._kinds = saved
+        contextual._row = saved
 
 
 # Names that context binders capture, self-applications and the two
@@ -976,7 +975,7 @@ ROW_CODES = {"solvable": lamcalc.SOLVABLE,
 def check_rows_over_every_index(terms):
     """Each row kind up to index 1,024 is the reference's for C_i[m], both
     where the index is settled and where it is plugged and run."""
-    contextual._kinds.cache_clear()
+    contextual._row.cache_clear()
     contextual._routes.cache_clear()
     for fuel in (1, 2, 3, 30):
         rows = [contextual._fill(m, fuel, 1024) for m in terms]
@@ -1039,7 +1038,9 @@ def ref_settled(c, fuel):
 
 def test_routes_match_shape_and_settled_references():
     """Every route through index 1,024 at fuels 1, 2, 3 and 30 is True where the
-    context is settled, its shape where it has one, and None elsewhere (D30)."""
+    context is settled, its shape's start state (env, cells) where it has one,
+    and None elsewhere (D30, D33): env the shape's, and the cells those of the
+    spine's arguments, first on top, each at its depth."""
     contextual._routes.cache_clear()
     for fuel in (1, 2, 3, 30):
         routes = contextual._fill_routes(1024, fuel)
@@ -1048,8 +1049,15 @@ def test_routes_match_shape_and_settled_references():
             if ref_settled(c, fuel):
                 assert route is True
             elif shape := ref_shape(c):
-                env, body = route
-                assert env == shape[0] and body is shape[1]
+                env, cells = route
+                args = decompose(shape[1])[2]
+                assert env == shape[0] and len(lamcalc._args(cells)) == len(args)
+                assert all(a is b for a, b in zip(lamcalc._args(cells), args))
+                depths = []
+                while cells:
+                    depths.append(cells[2])
+                    cells = cells[1]
+                assert depths == list(range(len(args), 0, -1))
             else:
                 assert route is None
         assert {type(route) for route in routes} == {bool, tuple, type(None)}
@@ -1108,7 +1116,7 @@ def ref_row_ball(m, cand, epsilon, fuel):
 
 def cold_rows(cold):
     if cold:
-        contextual._kinds.cache_clear()
+        contextual._row.cache_clear()
         contextual._routes.cache_clear()
 
 
@@ -1195,11 +1203,11 @@ BOUNDARY_TERMS = [SELF, parse("(\\x. x) (\\x. x)"), parse("(\\a. \\y. a a) (\\a.
                   parse("(\\a. \\y. \\z. a z y) (\\x. x)")]
 
 
-def ref_direct_start(m, route, fuel):
+def ref_direct_start(m, c, fuel):
     """The per-context run that the shared prefix replaced (D28): m unwound over
-    the cells of N1 ... Nk and run from step 0."""
-    env, body = route
-    return lamcalc._start(*lamcalc._unwind(env, m, lamcalc._unwind(env, body, None)[2]), fuel)
+    fresh cells of the N1 ... Nk of c = \\xs. [-] N1 ... Nk and run from step 0."""
+    env, _, cells = lamcalc._unwind((), c, None)
+    return lamcalc._start(*lamcalc._unwind(env, m, cells), fuel)
 
 
 @st.composite
@@ -1241,8 +1249,8 @@ def test_shared_prefix_matches_per_context_runs(m, fuel, cold):
     routes = contextual._fill_routes(300, fuel)
     opened = [(i, c, routes[i]) for i, c in enumerate(contextual._context_terms(0, 301))
               if type(routes[i]) is tuple]
-    want = [(o[0], o[1], o[3]) for o in (ref_direct_start(m, route, fuel)
-                                         for _, _, route in opened)]
+    want = [(o[0], o[1], o[3]) for o in (ref_direct_start(m, c, fuel)
+                                         for _, c, _ in opened)]
     run = contextual._runs(m, fuel)
     for _ in range(2):
         assert outcomes(run, opened) == want
@@ -1252,7 +1260,7 @@ def test_shared_prefix_matches_per_context_runs(m, fuel, cold):
 
 def test_shared_prefix_pinned_rows():
     """Three rows at the edges of the shared prefix."""
-    contextual._kinds.cache_clear()
+    contextual._row.cache_clear()
     contexts = list(contextual._context_terms(0, 32))
     assert [show(contexts[i]) for i in (0, 1, 2, 31)] == ["[-]", "\\x. [-]", "[-] x", "[-] x y"]
     # m's own run reaches the boundary at step 1, where fuel 1 is spent: with
@@ -1276,7 +1284,40 @@ def test_shared_prefix_pinned_rows():
     assert outcomes(contextual._runs(m, 3), opened) == \
         [(SOLVABLE, 0, None), (SOLVABLE, 0, None), (SOLVABLE, 1, None), (SOLVABLE, 2, None)]
     for _, c, route in opened:
-        assert lamcalc._run(contextual._plug(c, m), 3)[:2] == ref_direct_start(m, route, 3)[:2]
+        assert lamcalc._run(contextual._plug(c, m), 3)[:2] == ref_direct_start(m, c, 3)[:2]
+
+
+def test_contexts_without_arguments_resume_at_the_boundary():
+    """Where m is no abstraction and reaches the boundary past step 0, every
+    context \\xs. [-] through index 300 resumes there, with the boundary's binder
+    moved into env, and gives the kind, the step and the repeated step of m's run
+    from step 0 (D33)."""
+    contexts = list(contextual._context_terms(0, 301))
+    for m in BOUNDARY_TERMS:
+        for fuel in (1, 2, 3, 4, 30):
+            own = lamcalc._start(*lamcalc._unwind((), m, contextual._TAIL), fuel,
+                                 tail=contextual._TAIL)
+            assert own[0] is None and own[1] > 0
+            contextual._row.cache_clear()
+            routes = contextual._fill_routes(300, fuel)
+            bare = [(i, c, routes[i]) for i, c in enumerate(contexts)
+                    if type(routes[i]) is tuple and routes[i][1] is None]
+            assert [show(c) for _, c, _ in bare[:3]] == ["[-]", "\\x. [-]", "\\x. \\y. [-]"]
+            want = [(o[0], o[1], o[3]) for o in (ref_direct_start(m, c, fuel)
+                                                 for _, c, _ in bare)]
+            assert outcomes(contextual._runs(m, fuel), bare) == want
+            assert [lamcalc._run(contextual._plug(c, m), fuel)[:2] for _, c, _ in bare] == \
+                [w[:2] for w in want]
+            row = contextual._fill(m, fuel, 300)
+            assert [row[i] for i, _, _ in bare] == [w[0] for w in want]
+    # SELF's boundary is at step 1; under [-] the run repeats at step 3 the
+    # state of step 1, right past the boundary, and at fuel 2 runs out
+    routes = contextual._fill_routes(31, 4)
+    assert outcomes(contextual._runs(SELF, 4), [(0, contexts[0], routes[0])]) == \
+        [(DIVERGENT, 3, 1)]
+    routes = contextual._fill_routes(31, 2)
+    assert outcomes(contextual._runs(SELF, 2), [(0, contexts[0], routes[0])]) == \
+        [(UNKNOWN, 2, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -2451,6 +2492,35 @@ def test_hstar_does_not_depend_on_the_multiplicity(a, data):
     assert len(values) == 1
 
 
+def ref_isometry_check(a, b, mult_bound):
+    """isometry_check as it was, with H* made again at the next bound."""
+    lhs = exact(taylor.hstar_fragments(a, b, mult_bound))
+    rhs = bohm.p_tree(a, b)
+    lhs_next = exact(taylor.hstar_fragments(a, b, mult_bound + 1))
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "stable": lhs == lhs_next}
+
+
+@given(st.one_of(st.just(BOT), partial_terms()), st.data(), st.sampled_from([0, 1, 2, 3]))
+@example(BOT, None, 0)
+@settings(max_examples=300, deadline=None)
+def test_isometry_check_matches_the_two_call_form(a, data, mult):
+    """One H* call gives the dict of two: past bound 0 the next bound's H* is
+    this one (D19, D33)."""
+    other = BOT if data is None or data.draw(st.integers(0, 4)) == 0 else other_term(data, a)
+    got, want = taylor.isometry_check(a, other, mult), ref_isometry_check(a, other, mult)
+    assert got == want and list(got) == list(want)
+
+
+@given(partial_terms(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_truncation_leq_is_the_truncation_order(a, data):
+    """bohm.truncation_leq against the truncation order that `distance` kept for
+    both tree families, on drawn pairs and on truncations of a."""
+    b = other_term(data, a)
+    for x, y in ((a, b), (b, a), (bohm.truncate(a, data.draw(st.integers(0, 4))), a)):
+        assert bohm.truncation_leq(x, y) == truncation_below(x, y, bohm.height, bohm.truncate)
+
+
 @st.composite
 def thin_partial_terms(draw, live, depth=1):
     """Partial terms of height <= 3 in which at most `live` arguments of the
@@ -3139,6 +3209,13 @@ def ref_r_metric(t, u):
             break
         level = n
     return exact(dyadic(level))
+
+
+def truncation_below(a, b, height, truncate) -> bool:
+    """a is b truncated at a's height: the order the tree metrics induce, as
+    `distance` defined it for both tree families."""
+    h = height(a)
+    return height(b) >= h and truncate(b, h) == a
 
 
 def ref_r_leq(t, u):
