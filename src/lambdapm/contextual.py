@@ -133,15 +133,16 @@ _TAIL = [HOLE, None, 0, 0]
 
 def _runs(m: LambdaTerm, fuel: int):
     """run(route, c): the machine's (kind, step) on C[m] at `fuel`, c being a context
-    whose route is not True; the route None plugs and runs.  The route (env, cells)
-    of \\xs. [-] N1 ... Nk is C's start state, and C[m]'s is m unwound there
-    (docs/DECISIONS.md D28).  No state before the boundary, the first one whose head
-    is an abstraction over those cells alone, reads them, so m's own run up to there,
-    made over `_TAIL` once per row, answers every context that it decides, and every
-    other one resumes at the boundary: with k = 0 its binder moves into env, so no
-    later state repeats an earlier one (D33).  Where m is \\y1 ... yj. h A and h is
-    not bound by its first min(j, k) binders, C[m] is solvable at step min(j, k)
-    (D31).  The first step's reducts are kept per top argument for the row."""
+    whose route is not True; the route None plugs and runs.  C[m]'s start state for
+    the route (env, spine) of \\xs. [-] N1 ... Nk is m unwound over the cells of
+    N1 ... Nk (docs/DECISIONS.md D28).  No state before the boundary, the first one
+    whose head is an abstraction over those cells alone, reads them, so m's own run
+    up to there, made over `_TAIL` once per row, answers every context that it
+    decides, and every other one resumes at the boundary: with k = 0 its binder
+    moves into env, so no later state repeats an earlier one (D33).  Where m is
+    \\y1 ... yj. h A and h is not bound by its first min(j, k) binders, C[m] is
+    solvable at step min(j, k) (D31).  The first step's reducts are kept per top
+    argument for the row."""
     ys, h, _ = decompose(m)
     bound = 0
     if ys and h._kind == "var":  # m is head normal: the position of h's binder
@@ -160,7 +161,8 @@ def _runs(m: LambdaTerm, fuel: int):
             return _run(_plug(c, m), fuel)
         if own[0] is not None:
             return own
-        env, cells = route
+        env, spine = route
+        cells = _unwind(env, spine, None)[2]
         k = cells[2] if cells else 0
         n = k if k < len(ys) else len(ys)  # min(j, k)
         if n < bound:
@@ -207,15 +209,17 @@ def _routes(fuel: int) -> list:
 def _fill_routes(idx: int, fuel: int) -> list:
     """The routes at `fuel`, filled through idx (docs/DECISIONS.md D30).  Where
     C_i's start state has the hole at its head, C_i is \\xs. [-] N1 ... Nk and its
-    route is that state's (env, cells): the binders xs innermost first and the
-    cells of N1 ... Nk (D28, D33).  Elsewhere `solvability` runs C_i with the hole
-    left free: True where C_i settles, reaching a head normal form whose head is
-    not the hole, so that C_i[m] is solvable for every m (D10); None elsewhere."""
+    route is (env, spine): the binders xs innermost first and the body
+    [-] N1 ... Nk below them (D28, D33).  Elsewhere `solvability` runs C_i with the
+    hole left free: True where C_i settles, reaching a head normal form whose head
+    is not the hole, so that C_i[m] is solvable for every m (D10); None elsewhere."""
     routes = _routes(fuel)
     for c in _context_terms(len(routes), idx + 1):
-        env, head, cells = _unwind((), c, None)
+        env, head, _ = _unwind((), c, None)
         if head is HOLE:
-            route = env, cells
+            for _ in env:
+                c = c.body
+            route = env, c
         else:
             st = solvability(c, fuel)
             route = True if st.is_solvable and st.head.head != HOLE.name else None
@@ -234,6 +238,8 @@ def p_ctx_bracket(m: LambdaTerm, n: LambdaTerm, prefix: int, fuel: int) -> Dista
     """
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
+    if fuel < 1:
+        raise ValueError("fuel must be >= 1")
     km, kn = _fill(m, fuel, prefix), _fill(n, fuel, prefix)
     # both sums are kept as integer numerators over 2**prefix, where index
     # i weighs 2**(prefix - i) and the tail past the prefix weighs 1

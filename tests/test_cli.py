@@ -172,6 +172,15 @@ def test_ctx_ball_refuses_fuel_below_one(capsys, fuel, eps):
     assert "fuel must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("fuel", ["0", "-1"])
+def test_pctx_refuses_fuel_below_one(capsys, fuel):
+    code = main(["pctx", "--m", "\\x.x", "--n", "\\x.x x", "--prefix", "2",
+                 f"--fuel={fuel}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "fuel must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["tower", "--base", "sierpinski", "--depth", "-1"],
     ["pinf", "--base", "sierpinski", "--depth", "-1", "--x", "0", "--y", "0"],

@@ -93,6 +93,19 @@ def test_in_ctx_ball_refuses_fuel_below_one(fuel):
     assert contextual._row.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("fuel", [0, -1])
+@pytest.mark.parametrize("prefix", [1, 2, 3, 4])
+def test_p_ctx_bracket_refuses_fuel_below_one(prefix, fuel):
+    """C_0 ... C_4 all have the hole at the head, so no route runs
+    `solvability`; the fuel is refused before any row or route is made."""
+    contextual._row.cache_clear()
+    contextual._routes.cache_clear()
+    with pytest.raises(ValueError, match="fuel must be >= 1"):
+        p_ctx_bracket(parse("(\\x. x x x) (\\x. x x x)"), I, prefix, fuel)
+    assert contextual._row.cache_info().currsize == 0
+    assert contextual._routes.cache_info().currsize == 0
+
+
 def test_fills_that_read_no_index_make_no_row():
     """Making a row runs m (docs/DECISIONS.md D33), so a fill that reads no
     index makes none: at epsilon 1 for both terms, and for a candidate whose
