@@ -3,6 +3,8 @@ bracket, the finitary ball test and the genericity semi-test."""
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -11,7 +13,7 @@ from itertools import islice
 from .distance import DistanceValue, bracket, dyadic
 from .lamcalc import (DIVERGENT, SOLVABLE, UNKNOWN, Abs, App, LambdaTerm, Var, _run,
                       _same_state, _start, _unwind, decompose, free_vars, show,
-                      solvability)
+                      solvability, spine)
 
 # The hole is a variable whose name the parser cannot produce, so no term
 # contains it; `show` prints a context with the hole as [-].
@@ -64,11 +66,21 @@ def _plug(t: LambdaTerm, m: LambdaTerm) -> LambdaTerm:
     hole are shared with the context, cached keys included."""
     if HOLE.name not in free_vars(t):
         return t
-    if isinstance(t, Var):
+    return _plug_below(t, m)
+
+
+def _plug_below(t: LambdaTerm, m: LambdaTerm) -> LambdaTerm:
+    """`_plug` on a t that holds the hole and whose free names are filled:
+    `free_vars` fills a node only after its parts, so every node below t has
+    its names too, read off `_fv`."""
+    kind = t._kind
+    if kind == "var":
         return m
-    if isinstance(t, Abs):
-        return Abs(t.binder, _plug(t.body, m))
-    return App(_plug(t.fun, m), _plug(t.arg, m))
+    if kind == "abs":
+        return Abs(t.binder, _plug_below(t.body, m))
+    f, a = t.fun, t.arg
+    return App(_plug_below(f, m) if HOLE.name in f._fv else f,
+               _plug_below(a, m) if HOLE.name in a._fv else a)
 
 
 def enumerate_context(n: int) -> Context:
@@ -99,30 +111,46 @@ def _context_terms(start: int, stop: int):
 # recently used row is dropped.
 _MAX_ROWS = 1024
 
+# The template codes of an index whose context has the hole at its start head
+# and of every other open one; a settled index holds SOLVABLE, the kind it gives
+# every row.  A row copies the template through a table: _KEEP where m's own run
+# is open, else the _ANSWER that writes that run's kind at each _HOLE.
+_HOLE, _OPEN = 3, 4
+_KEEP = bytes(range(256))
+_ANSWER = [_KEEP[:_HOLE] + bytes((kind,)) + _KEEP[_HOLE + 1:]
+           for kind in (SOLVABLE, DIVERGENT, UNKNOWN)]
+
 
 @lru_cache(maxsize=_MAX_ROWS)
 def _row(m: LambdaTerm, fuel: int) -> tuple:
-    """The row of m's alpha class at `fuel`: (kinds, run), kinds the solvability
-    kinds of C_0[m], C_1[m], ... as the machine's kind codes, filled a prefix at a
-    time by `_fill`, and run the `_runs(m, fuel)` that finds them."""
-    return bytearray(), _runs(m, fuel)
+    """The row of m's alpha class at `fuel`: (kinds, table, run, kind), kinds the
+    solvability kinds of C_0[m], C_1[m], ... as the machine's kind codes, filled
+    a prefix at a time by `_fill`, and table, run and kind the `_runs(m, fuel)`
+    that finds them."""
+    return (bytearray(), *_runs(m, fuel))
 
 
 def _fill(m: LambdaTerm, fuel: int, idx: int) -> bytearray:
     """The row of m at `fuel`, filled through index idx.  It serves, and may be
     run on, every term alpha-equivalent to m: plugging captures only free names,
     which such terms share, and head reduction commutes with alpha-equivalence
-    (docs/DECISIONS.md D7, D27).  Each index follows its route (D30), and no kind
-    depends on the order the indices are filled in (D24)."""
+    (docs/DECISIONS.md D7, D27).  The fuel's template gives the settled indices,
+    and every _HOLE index where m's own run decides (D31); the other indices
+    follow their routes (D30, D34).  No kind depends on the order the indices
+    are filled in (D24)."""
     if idx < 0:  # no index is read, and making the row runs m (D33)
         return bytearray()
-    kinds, run = _row(m, fuel)
+    kinds, table, run, kind = _row(m, fuel)
     start = len(kinds)
     if start <= idx:
-        routes = _fill_routes(idx, fuel)
-        for i, c in enumerate(_context_terms(start, idx + 1), start):
-            route = routes[i]
-            kinds.append(SOLVABLE if route is True else run(route, c)[0])
+        marks, holes, hole_routes, opens, open_routes = _fill_routes(idx, fuel)
+        new = marks[start:idx + 1].translate(table)
+        if table is _KEEP:
+            for j in range(bisect_left(holes, start), bisect_right(holes, idx)):
+                new[holes[j] - start] = run(hole_routes[j])[0]
+        for j in range(bisect_left(opens, start), bisect_right(opens, idx)):
+            new[opens[j] - start] = kind(open_routes[j])
+        kinds += new  # last, so a run that raises leaves the row as it was
     return kinds
 
 
@@ -132,17 +160,19 @@ _TAIL = [HOLE, None, 0, 0]
 
 
 def _runs(m: LambdaTerm, fuel: int):
-    """run(route, c): the machine's (kind, step) on C[m] at `fuel`, c being a context
-    whose route is not True; the route None plugs and runs.  C[m]'s start state for
-    the route (env, spine) of \\xs. [-] N1 ... Nk is m unwound over the cells of
-    N1 ... Nk (docs/DECISIONS.md D28).  No state before the boundary, the first one
-    whose head is an abstraction over those cells alone, reads them, so m's own run
-    up to there, made over `_TAIL` once per row, answers every context that it
-    decides, and every other one resumes at the boundary: with k = 0 its binder
-    moves into env, so no later state repeats an earlier one (D33).  Where m is
-    \\y1 ... yj. h A and h is not bound by its first min(j, k) binders, C[m] is
-    solvable at step min(j, k) (D31).  The first step's reducts are kept per top
-    argument for the row."""
+    """(table, run, kind) for m at `fuel`.  run(c) is the machine's outcome on
+    c[m] for a context c = \\xs. [-] N1 ... Nk, whose start state is m unwound
+    over the cells of N1 ... Nk under xs (docs/DECISIONS.md D28).  No state
+    before the boundary, the first one whose head is an abstraction over those
+    cells alone, reads them, so m's own run up to there, made over `_TAIL` once
+    per row, answers every such context if it decides, and table then writes its
+    kind into the template; else every context resumes at the boundary: with
+    k = 0 its binder moves into env, so no later state repeats an earlier one
+    (D33).  Where m is \\y1 ... yj. h A and h is not bound by its first min(j, k)
+    binders, C[m] is solvable at step min(j, k) (D31).  The first step's reducts
+    are kept per top argument for the row.  kind(route) is C[m]'s kind code for
+    an _OPEN route: run on a shifted route's reduct, one step on, where m has no
+    free name among the route's binder names, else the plugged run (D34)."""
     ys, h, _ = decompose(m)
     bound = 0
     if ys and h._kind == "var":  # m is head normal: the position of h's binder
@@ -150,19 +180,16 @@ def _runs(m: LambdaTerm, fuel: int):
         bound = next((i for i in range(len(ys), 0, -1) if ys[i - 1] == h.name),
                      len(ys) + 1)
     own = _start(*_unwind((), m, _TAIL), fuel, tail=_TAIL)
-    memo, by_depth = {}, {}
+    memo, by_depth, free = {}, {}, free_vars(m)
     if own[0] is None:  # the states before the boundary, by their depth above _TAIL
         for bucket in own[3].values():
             for first, (_, head, cells) in bucket:
                 by_depth.setdefault(cells[2], []).append((first, head, cells))
 
-    def run(route, c):
-        if route is None:
-            return _run(_plug(c, m), fuel)
+    def run(c):
         if own[0] is not None:
             return own
-        env, spine = route
-        cells = _unwind(env, spine, None)[2]
+        env, _, cells = _unwind((), c, None)
         k = cells[2] if cells else 0
         n = k if k < len(ys) else len(ys)  # min(j, k)
         if n < bound:
@@ -170,7 +197,18 @@ def _runs(m: LambdaTerm, fuel: int):
         head = own[2][1]  # the boundary's
         return _start(*_unwind(env, head, cells), fuel, memo, own[1], None,
                       _seen(by_depth, env, cells) if by_depth and k else None)
-    return run
+
+    def kind(route):
+        if type(route) is tuple:
+            reduct, names, route = route
+            if names.isdisjoint(free):
+                code, step, _, first = run(reduct)
+                if step < fuel:
+                    return code
+                if code != DIVERGENT or first:  # C[m] meets the fuel first
+                    return UNKNOWN  # else it may repeat its own step 0 (D34)
+        return _run(_plug(route, m), fuel)[0]
+    return (_KEEP if own[0] is None else _ANSWER[own[0]]), run, kind
 
 
 def _seen(by_depth, env, cells):
@@ -200,31 +238,63 @@ def _over(cells, tail):
 
 
 @lru_cache(maxsize=_MAX_ROWS)
-def _routes(fuel: int) -> list:
-    """A route per context index at `fuel`, filled a prefix at a time by
-    `_fill_routes`."""
-    return []
+def _routes(fuel: int) -> tuple:
+    """The template and the routes of the context indices at `fuel`, filled a
+    prefix at a time by `_fill_routes`: (marks, holes, hole_routes, opens,
+    open_routes), marks the template, a code per index, holes and opens the
+    indices coded _HOLE and _OPEN in order, and hole_routes and open_routes
+    their routes."""
+    return bytearray(), array("l"), [], array("l"), []
 
 
-def _fill_routes(idx: int, fuel: int) -> list:
-    """The routes at `fuel`, filled through idx (docs/DECISIONS.md D30).  Where
-    C_i's start state has the hole at its head, C_i is \\xs. [-] N1 ... Nk and its
-    route is (env, spine): the binders xs innermost first and the body
-    [-] N1 ... Nk below them (D28, D33).  Elsewhere `solvability` runs C_i with the
-    hole left free: True where C_i settles, reaching a head normal form whose head
-    is not the hole, so that C_i[m] is solvable for every m (D10); None elsewhere."""
-    routes = _routes(fuel)
-    for c in _context_terms(len(routes), idx + 1):
-        env, head, _ = _unwind((), c, None)
-        if head is HOLE:
-            for _ in env:
-                c = c.body
-            route = env, c
-        else:
-            st = solvability(c, fuel)
-            route = True if st.is_solvable and st.head.head != HOLE.name else None
-        routes.append(route)
+_NAME_SETS: dict = {}  # the shifted routes' binder names, each set kept once
+
+
+def _fill_routes(idx: int, fuel: int) -> tuple:
+    """The template and the routes at `fuel`, filled through idx
+    (docs/DECISIONS.md D30, D34).  Where C_i's start state has the hole at its
+    head, C_i is \\xs. [-] N1 ... Nk, coded _HOLE, and is its own route (D28,
+    D33).  Elsewhere `solvability` runs C_i with the hole left free.  Where C_i
+    settles, reaching a head normal form whose head is not the hole, C_i[m] is
+    solvable for every m, and the code is SOLVABLE (D10).  Every other index is
+    coded _OPEN.  Where C_i is head normal at step 1 with the hole at the head
+    and no hole in the arguments, its route is shifted: (reduct, names, C_i),
+    the reduct \\xs'. [-] N1' ... Nk' built from that head form, and the binder
+    names of C_i and of the reduct, one set per value; elsewhere it is C_i, to
+    be plugged."""
+    routes = marks, holes, hole_routes, opens, open_routes = _routes(fuel)
+    for i, c in enumerate(_context_terms(len(marks), idx + 1), len(marks)):
+        if _unwind((), c, None)[1] is HOLE:
+            marks.append(_HOLE)
+            holes.append(i)
+            hole_routes.append(c)
+            continue
+        st = solvability(c, fuel)
+        if st.is_solvable and st.head.head != HOLE.name:
+            marks.append(SOLVABLE)
+            continue
+        if st.is_solvable and st.steps == 1 and not any(HOLE.name in free_vars(a)
+                                                         for a in st.head.args):
+            reduct = spine(st.head.binders, HOLE, st.head.args)
+            names = _binder_names((c, reduct))
+            c = reduct, _NAME_SETS.setdefault(names, names), c
+        marks.append(_OPEN)  # after the route, so that all three stay in step
+        opens.append(i)
+        open_routes.append(c)
     return routes
+
+
+def _binder_names(terms) -> frozenset:
+    """The names of the binders in `terms`."""
+    names, todo = set(), list(terms)
+    while todo:
+        u = todo.pop()
+        if u._kind == "abs":
+            names.add(u.binder)
+            todo.append(u.body)
+        elif u._kind == "app":
+            todo += u.fun, u.arg
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

@@ -290,23 +290,34 @@ def subst(t: LambdaTerm, name: str, repl: LambdaTerm) -> LambdaTerm:
     and its caches."""
     if name not in free_vars(t):
         return t
-    if isinstance(t, Var):
+    return _subst(t, name, repl)
+
+
+def _subst(t: LambdaTerm, name: str, repl: LambdaTerm) -> LambdaTerm:
+    """`subst` on a t with `name` free, whose free names are filled:
+    `free_vars` fills a node only after its parts, so every node below t has
+    its names too, read off `_fv`."""
+    kind = t._kind
+    if kind == "var":
         return repl
-    if isinstance(t, App):
+    if kind == "app":
         args = []
-        while isinstance(t, App) and name in free_vars(t):
-            args.append(subst(t.arg, name, repl))
+        while t._kind == "app" and name in t._fv:
+            a = t.arg
+            args.append(_subst(a, name, repl) if name in a._fv else a)
             t = t.fun
-        t = subst(t, name, repl)
+        if name in t._fv:
+            t = _subst(t, name, repl)
         for a in reversed(args):
             t = App(t, a)
         return t
-    fv = free_vars(repl)
+    fv, body = free_vars(repl), t.body
     if t.binder in fv:
-        nb = _fresh(t.binder, fv | free_vars(t.body) | {name})
-        body = subst(t.body, t.binder, Var(nb))
-        return Abs(nb, subst(body, name, repl))
-    return Abs(t.binder, subst(t.body, name, repl))
+        nb = _fresh(t.binder, fv | body._fv | {name})
+        body = subst(body, t.binder, Var(nb))
+        free_vars(body)  # the renamed body's nodes are new
+        return Abs(nb, _subst(body, name, repl))
+    return Abs(t.binder, _subst(body, name, repl))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from lambdapm import contextual
 from lambdapm.contextual import (enumerate_context, genericity_violations,
                                  in_ctx_ball, p_ctx_bracket)
 from lambdapm.corpus import OMEGA, normalizing_corpus
-from lambdapm.lamcalc import UNKNOWN, alpha_eq, decompose, parse, solvability
+from lambdapm.lamcalc import (SOLVABLE, UNKNOWN, alpha_eq, decompose, free_vars, parse,
+                              solvability)
 from test_bohm import salted_terms, term_pairs
 
 I = parse("\\x. x")
@@ -124,15 +125,35 @@ def test_genericity_semi_test():
         genericity_violations(I, [I], 10, 50)
 
 
+def routes_through(idx, fuel):
+    """The route of each context index through idx at `fuel`, read off the
+    fuel's template and its route lists (docs/DECISIONS.md D34): True where
+    the index is settled, else its route, the context itself where its start
+    head is the hole."""
+    marks, holes, hole_routes, opens, open_routes = contextual._fill_routes(idx, fuel)
+    routes = [True if code == SOLVABLE else None for code in marks[:idx + 1]]
+    for code, indices, kept in ((contextual._HOLE, holes, hole_routes),
+                                (contextual._OPEN, opens, open_routes)):
+        assert len(indices) == len(kept) == marks.count(code)
+        for i, route in zip(indices, kept):
+            if i <= idx:
+                assert routes[i] is None and marks[i] == code
+                routes[i] = route
+    assert None not in routes
+    return routes
+
+
 def test_cold_bracket_enumerates_each_context_once(monkeypatch):
-    """A cold bracket at prefix 40 runs `solvability` once on each context
+    """A cold bracket at prefix 847 runs `solvability` once on each context
     term whose start head is not the hole, reading it in place off the size
     batches, and starts the machine at most once per row and open context: on
-    the plugged term, or at the hole of a context [-] N1 ... Nk under binders,
-    after m's own run, made once per row over the shared tail when the row is
-    made.  Where m is \\y1 ... yj. h A and k is below the position of h's
-    binder, min(j, k) steps answer without a start (docs/DECISIONS.md D31,
-    D33).  A second call runs the machine zero times."""
+    the plugged term, at the hole of a context [-] N1 ... Nk under binders, or
+    at the hole of a shifted route's reduct, after m's own run, made once per
+    row over the shared tail when the row is made.  A row runs the contexts
+    whose start head is the hole first, then the others, each in index order.
+    Where m is \\y1 ... yj. h A and k is below the position of h's binder,
+    min(j, k) steps answer without a start (docs/DECISIONS.md D31, D33, D34).
+    A second call runs the machine zero times."""
     contexts_run, starts = [], []
     status, run, start = contextual.solvability, contextual._run, contextual._start
 
@@ -153,35 +174,45 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     monkeypatch.setattr(contextual, "_start", counted_start)
     m, n = parse("\\u. u u"), parse("\\u. \\v. v u")
     binder_of_head = {m: 1, n: 2}
+    prefix = 847  # (\x. x x) [-], the first context that is plugged
     contextual._row.cache_clear()
     contextual._routes.cache_clear()
-    before = p_ctx_bracket(m, n, 40, 17)
-    contexts = [enumerate_context(idx).term for idx in range(41)]
+    before = p_ctx_bracket(m, n, prefix, 17)
+    contexts = [enumerate_context(idx).term for idx in range(prefix + 1)]
     run_on = [c for c in contexts if decompose(c)[1] is not contextual.HOLE]
-    assert 0 < len(run_on) < 41 and len(contexts_run) == len(run_on)
+    assert 0 < len(run_on) < prefix + 1 and len(contexts_run) == len(run_on)
     assert all(a is b for a, b in zip(contexts_run, run_on))
-    routes = contextual._routes(17)
-    opened = [c for c, route in zip(contexts, routes) if route is not True]
-    assert len(routes) == 41 and 0 < len(opened) < 41
+    routes = routes_through(prefix, 17)
+    opened = [(c, route) for c, route in zip(contexts, routes) if route is not True]
+    assert len(routes) == prefix + 1 and 0 < len(opened) < prefix + 1
+    opened.sort(key=lambda pair: decompose(pair[0])[1] is not contextual.HOLE)
     shapes, want = [], []
     for u in (m, n):
-        own = False
-        for c in opened:
+        want.append("own")
+        for c, route in opened:
             _, head, args = decompose(c)
             if head is not contextual.HOLE:
-                want.append("run")
+                st_ = solvability(c, 17)
+                # u is closed, so its free names miss every context's binders
+                shifts = st_.steps == 1 and not any(contextual.HOLE.name in free_vars(a)
+                                                    for a in st_.head.args)
+                assert st_.head.head == contextual.HOLE.name
+                assert (type(route) is tuple) == shifts
+                if not shifts:
+                    want.append("run")
+                    shapes.append((u, c, args))
+                    continue
+                args = st_.head.args  # the reduct's
             else:
-                if not own:
-                    own = True
-                    want.append("own")
-                if len(args) < binder_of_head[u]:
-                    continue  # the min(j, k) steps answer
-                want.append("start")
-            shapes.append((u, c, decompose(c)))
+                assert route is c
+            if len(args) < binder_of_head[u]:
+                continue  # the min(j, k) steps answer
+            want.append("start")
+            shapes.append((u, c, args))
     assert [kind for kind, _ in starts] == want
     assert {kind for kind, _ in starts} == {"run", "own", "start"}
     assert 0 < len(shapes) < 2 * len(opened)
-    for (kind, t), (u, c, (_, _, args)) in zip([s for s in starts if s[0] != "own"], shapes):
+    for (kind, t), (u, c, args) in zip([s for s in starts if s[0] != "own"], shapes):
         if kind == "run":
             assert t == contextual._plug(c, u)
         else:  # u over the arguments, or u's own head where the hole has none
@@ -189,7 +220,7 @@ def test_cold_bracket_enumerates_each_context_once(monkeypatch):
     assert [t for kind, t in starts if kind == "own"] == [m, n]
     contexts_run.clear()
     starts.clear()
-    assert p_ctx_bracket(m, n, 40, 17) == before and contexts_run == starts == []
+    assert p_ctx_bracket(m, n, prefix, 17) == before and contexts_run == starts == []
 
 
 @pytest.mark.parametrize("m", ["(\\a. \\y. a a y) (\\a. \\y. a a y)", "(\\x. x) (\\x. x)",
@@ -213,6 +244,29 @@ def test_row_filled_in_two_calls_runs_m_once(monkeypatch, m):
     contextual._row.cache_clear()
     contextual._routes.cache_clear()
     assert bytes(contextual._fill(m, 5, 1024)) == row and len(own) == 2
+
+
+def test_fill_that_raises_keeps_the_filled_prefix(monkeypatch):
+    """A plugged run that raises mid-fill leaves the row as it was: a retry
+    fills the same kinds as a cold fill.  m's free x meets the binder of
+    (\\x. [-]) x, so that context is plugged (docs/DECISIONS.md D34)."""
+    m, run = parse("x y"), contextual._run
+
+    def raising_run(t, fuel):
+        raise RuntimeError("stopped")
+    contextual._row.cache_clear()
+    contextual._routes.cache_clear()
+    assert len(contextual._fill(m, 5, 20)) == 21
+    monkeypatch.setattr(contextual, "_run", raising_run)
+    with pytest.raises(RuntimeError):
+        contextual._fill(m, 5, 200)
+    assert len(contextual._fill(m, 5, 20)) == 21
+    monkeypatch.setattr(contextual, "_run", run)
+    row = bytes(contextual._fill(m, 5, 200))
+    contextual._row.cache_clear()
+    assert bytes(contextual._fill(m, 5, 200)) == row
+    assert list(row) == [run(contextual._plug(enumerate_context(i).term, m), 5)[0]
+                         for i in range(201)]
 
 
 # ---------------------------------------------------------------------------

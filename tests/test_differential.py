@@ -58,6 +58,7 @@ from lambdapm.resource import (RAbs, RApp, RVar, _assignments, _contract,
                                parse_resource, resource_reduce, rkey,
                                show_resource)
 from lambdapm.taylor import box_relation, taylor_of_term
+from test_contextual import routes_through
 from test_taylor import brute_hstar
 
 # A three-name alphabet makes shadowed binders common.
@@ -981,7 +982,7 @@ def check_rows_over_every_index(terms):
         rows = [contextual._fill(m, fuel, 1024) for m in terms]
         seen = set()
         for idx in range(1025):
-            settled = contextual._fill_routes(idx, fuel)[idx] is True
+            settled = contextual._fill_routes(idx, fuel)[0][idx] == SOLVABLE
             seen.add(settled)
             ctx = enumerate_context(idx).term
             for m, row in zip(terms, rows):
@@ -998,12 +999,12 @@ def test_settled_contexts_match_reference_on_plugged_terms():
     ctx = enumerate_context(70)
     assert str(ctx) == "(\\x. y) [-]"
     assert solvability(ctx.term, 1).steps == 1
-    assert contextual._fill_routes(70, 1)[70] is True
+    assert contextual._fill_routes(70, 1)[0][70] == SOLVABLE
     # the first context that runs out of fuel 1 and settles later, at step 2
     ctx = enumerate_context(3144)
     assert str(ctx) == "(\\x. x [-]) (\\x. y)"
     for fuel in (1, 2, 3):
-        assert (contextual._fill_routes(3144, fuel)[3144] is True) == (fuel >= 2)
+        assert (contextual._fill_routes(3144, fuel)[0][3144] == SOLVABLE) == (fuel >= 2)
         for m in PLUGGED:
             kind, _, _ = ref_solvability(ref_plug(ctx.term, m), fuel)
             assert contextual._fill(m, fuel, 3144)[3144] == ROW_CODES[kind]
@@ -1036,22 +1037,42 @@ def ref_settled(c, fuel):
     return kind == "solvable" and hf[1] != contextual.HOLE.name
 
 
+def ref_binder_names(*terms):
+    return {u.binder for t in terms for u, _ in subterms(t) if isinstance(u, Abs)}
+
+
 def test_routes_match_shape_and_settled_references():
     """Every route through index 1,024 at fuels 1, 2, 3 and 30 is True where the
-    context is settled, its shape where it has one, and None elsewhere (D30)."""
+    context is settled, the context itself where it has a shape, whose start
+    state holds the shape's env and arguments, a shifted route where the context
+    is head normal at step 1 with the hole at the head and none in the arguments,
+    and the context itself, to be plugged, elsewhere (D30, D34)."""
     contextual._routes.cache_clear()
     for fuel in (1, 2, 3, 30):
-        routes = contextual._fill_routes(1024, fuel)
+        routes = routes_through(1024, fuel)
         assert len(routes) == 1025
+        kinds = set()
         for c, route in zip(contextual._context_terms(0, 1025), routes):
+            kind, step, hf = ref_solvability(c, fuel)
             if ref_settled(c, fuel):
                 assert route is True
+                kinds.add("settled")
             elif shape := ref_shape(c):
-                env, body = route
-                assert env == shape[0] and body is shape[1]
+                env, head, cells = lamcalc._unwind((), route, None)
+                assert route is c and head is contextual.HOLE and env == shape[0]
+                assert [*map(id, lamcalc._args(cells))] == [*map(id, decompose(shape[1])[2])]
+                kinds.add("shape")
+            elif kind == "solvable" and step == 1 and not any(
+                    contextual.HOLE.name in ref_free_vars(a) for a in hf[2]):
+                reduct, names, context = route
+                assert context is c and decompose(reduct) == (hf[0], contextual.HOLE, hf[2])
+                assert names == ref_binder_names(c, reduct)
+                assert names >= set(hf[0]) and names >= ref_binder_names(*hf[2])
+                kinds.add("shifted")
             else:
-                assert route is None
-        assert {type(route) for route in routes} == {bool, tuple, type(None)}
+                assert route is c
+                kinds.add("plugged")
+        assert kinds == {"settled", "shape", "shifted", "plugged"}
 
 
 # ---------------------------------------------------------------------------
@@ -1166,21 +1187,24 @@ def hole_terms(draw):
 @settings(max_examples=100, deadline=None)
 def test_direct_start_matches_plugged_run(m, fuel, cold):
     """Every open context through index 300 gives m, and an alpha-variant that shares
-    m's row, the (kind, step) of the plugged run, at fuels below and above the
-    contexts' argument counts: cold, and again with the step-0 reducts kept."""
+    m's row, the (kind, step) of the plugged run where its start head is the hole,
+    and the kind elsewhere (D34), at fuels below and above the contexts' argument
+    counts: cold, and again with the step-0 reducts kept."""
     cold_rows(cold)
-    routes = contextual._fill_routes(300, fuel)
-    opened = [(i, c) for i, c in enumerate(contextual._context_terms(0, 301))
+    routes = routes_through(300, fuel)
+    opened = [(i, c, routes[i]) for i, c in enumerate(contextual._context_terms(0, 301))
               if routes[i] is not True]
+    at_hole = [decompose(c)[1] is contextual.HOLE for _, c, _ in opened]
     variant = alpha_variant(m)
     for u in (m, variant):
-        run = contextual._runs(u, fuel)
-        want = [lamcalc._run(contextual._plug(c, u), fuel)[:2] for _, c in opened]
+        _, run, kind = contextual._runs(u, fuel)
+        want = [lamcalc._run(contextual._plug(c, u), fuel)[:2] for _, c, _ in opened]
         for _ in range(2):
-            assert [run(routes[i], c)[:2] for i, c in opened] == want
+            assert [run(route)[:2] if hole else (kind(route), step)
+                    for (_, _, route), hole, (_, step) in zip(opened, at_hole, want)] == want
     row = contextual._fill(variant, fuel, 300)
     assert contextual._fill(m, fuel, 300) is row
-    assert [row[i] for i, _ in opened] == [kind for kind, _ in want]
+    assert [row[i] for i, _, _ in opened] == [kind for kind, _ in want]
 
 
 # ---------------------------------------------------------------------------
@@ -1223,7 +1247,15 @@ def head_normal_abstractions(draw):
 
 
 def outcomes(run, opened):
-    return [(o[0], o[1], o[3]) for o in (run(route, c) for _, c, route in opened)]
+    return [(o[0], o[1], o[3]) for o in (run(route) for _, _, route in opened)]
+
+
+def hole_routes_through(idx, fuel):
+    """(i, C_i, route) for each context C_i = \\xs. [-] N1 ... Nk through idx, whose
+    route at `fuel` is C_i itself (D34)."""
+    routes = routes_through(idx, fuel)
+    return [(i, c, routes[i]) for i, c in enumerate(contextual._context_terms(0, idx + 1))
+            if decompose(c)[1] is contextual.HOLE]
 
 
 @given(st.one_of(hole_terms(), redex_heads(), head_normal_abstractions(),
@@ -1237,12 +1269,11 @@ def test_shared_prefix_matches_per_context_runs(m, fuel, cold):
     and the repeated step of m's run over its own N1 ... Nk from step 0, cold and
     warm, and the row holds those kinds."""
     cold_rows(cold)
-    routes = contextual._fill_routes(300, fuel)
-    opened = [(i, c, routes[i]) for i, c in enumerate(contextual._context_terms(0, 301))
-              if type(routes[i]) is tuple]
+    opened = hole_routes_through(300, fuel)
+    assert all(route is c for _, c, route in opened)
     want = [(o[0], o[1], o[3]) for o in (ref_direct_start(m, c, fuel)
                                          for _, c, _ in opened)]
-    run = contextual._runs(m, fuel)
+    run = contextual._runs(m, fuel)[1]
     for _ in range(2):
         assert outcomes(run, opened) == want
     row = contextual._fill(m, fuel, 300)
@@ -1258,21 +1289,22 @@ def test_shared_prefix_pinned_rows():
     # no argument C[m] is solvable there, with one it runs out of fuel
     m = BOUNDARY_TERMS[1]
     assert list(contextual._fill(m, 1, 4)) == [SOLVABLE, SOLVABLE, UNKNOWN, UNKNOWN, UNKNOWN]
-    routes = contextual._fill_routes(31, 1)
-    run = contextual._runs(m, 1)
+    routes = routes_through(31, 1)
+    run = contextual._runs(m, 1)[1]
     assert outcomes(run, [(i, contexts[i], routes[i]) for i in (0, 1, 2)]) == \
         [(SOLVABLE, 1, None), (SOLVABLE, 1, None), (UNKNOWN, 1, None)]
     # under [-] x, SELF repeats at step 2 its state at step 0, before the
     # boundary at step 1: a resume that filed states only from the boundary
     # on would run out of fuel
-    routes = contextual._fill_routes(31, 2)
-    assert outcomes(contextual._runs(SELF, 2), [(2, contexts[2], routes[2])]) == \
+    routes = routes_through(31, 2)
+    assert outcomes(contextual._runs(SELF, 2)[1], [(2, contexts[2], routes[2])]) == \
         [(DIVERGENT, 2, 0)]
     # h is bound by the second binder, not by the first, which has its name
     m = parse("\\y. \\y. y")
-    routes = contextual._fill_routes(31, 3)
+    routes = routes_through(31, 3)
     opened = [(i, contexts[i], routes[i]) for i in (0, 1, 2, 31)]
-    assert outcomes(contextual._runs(m, 3), opened) == \
+    assert all(route is c for _, c, route in opened)
+    assert outcomes(contextual._runs(m, 3)[1], opened) == \
         [(SOLVABLE, 0, None), (SOLVABLE, 0, None), (SOLVABLE, 1, None), (SOLVABLE, 2, None)]
     for _, c, route in opened:
         assert lamcalc._run(contextual._plug(c, m), 3)[:2] == ref_direct_start(m, c, 3)[:2]
@@ -1290,25 +1322,161 @@ def test_contexts_without_arguments_resume_at_the_boundary():
                                  tail=contextual._TAIL)
             assert own[0] is None and own[1] > 0
             contextual._row.cache_clear()
-            routes = contextual._fill_routes(300, fuel)
-            bare = [(i, c, routes[i]) for i, c in enumerate(contexts)
-                    if type(routes[i]) is tuple and routes[i][1] is contextual.HOLE]
+            bare = [(i, c, route) for i, c, route in hole_routes_through(300, fuel)
+                    if not decompose(route)[2]]
             assert [show(c) for _, c, _ in bare[:3]] == ["[-]", "\\x. [-]", "\\x. \\y. [-]"]
             want = [(o[0], o[1], o[3]) for o in (ref_direct_start(m, c, fuel)
                                                  for _, c, _ in bare)]
-            assert outcomes(contextual._runs(m, fuel), bare) == want
+            assert outcomes(contextual._runs(m, fuel)[1], bare) == want
             assert [lamcalc._run(contextual._plug(c, m), fuel)[:2] for _, c, _ in bare] == \
                 [w[:2] for w in want]
             row = contextual._fill(m, fuel, 300)
             assert [row[i] for i, _, _ in bare] == [w[0] for w in want]
     # SELF's boundary is at step 1; under [-] the run repeats at step 3 the
     # state of step 1, right past the boundary, and at fuel 2 runs out
-    routes = contextual._fill_routes(31, 4)
-    assert outcomes(contextual._runs(SELF, 4), [(0, contexts[0], routes[0])]) == \
+    routes = routes_through(31, 4)
+    assert outcomes(contextual._runs(SELF, 4)[1], [(0, contexts[0], routes[0])]) == \
         [(DIVERGENT, 3, 1)]
-    routes = contextual._fill_routes(31, 2)
-    assert outcomes(contextual._runs(SELF, 2), [(0, contexts[0], routes[0])]) == \
+    routes = routes_through(31, 2)
+    assert outcomes(contextual._runs(SELF, 2)[1], [(0, contexts[0], routes[0])]) == \
         [(UNKNOWN, 2, None)]
+
+
+# ---------------------------------------------------------------------------
+# Shifted routes against the plugged runs they replace (docs/DECISIONS.md D34)
+
+# the context binders and the names that the reducts' renamed binders take
+SHIFT_NAMES = CAPTURED + ["x0", "y0"]
+THETA = "(\\t. \\a. \\b. t t b a) (\\t. \\a. \\b. t t b a)"  # swaps its arguments
+SHIFT_TERMS = [parse(s) for s in (
+    "(\\a. a) y0", "(\\w. (\\x. w w) y) (\\w. (\\x. w w) y)",
+    "(\\a. (\\x. x x) (\\x. x x)) y0", THETA + " x y", THETA + " y y0", THETA + " a b")]
+
+
+@st.composite
+def named_terms(draw, depth=0):
+    """Terms over the context binders and the renamed names, free and bound."""
+    kind = draw(st.sampled_from(["var", "abs", "app", "app"] if depth < 4 else ["var"]))
+    if kind == "var":
+        return Var(draw(st.sampled_from(SHIFT_NAMES)))
+    if kind == "abs":
+        return Abs(draw(st.sampled_from(SHIFT_NAMES + ["w"])), draw(named_terms(depth + 1)))
+    return App(draw(named_terms(depth + 1)), draw(named_terms(depth + 1)))
+
+
+@given(st.one_of(named_terms(), redex_heads(),
+                 st.sampled_from(SHIFT_TERMS + BOUNDARY_TERMS + PLUGGED)))
+@example(SHIFT_TERMS[1])
+@example(parse(THETA + " x y"))
+@settings(max_examples=90, deadline=None)
+def test_rows_match_plugged_runs_at_every_index(m):
+    """Every row kind through index 1,024 at fuels 1-6 and 30 is the kind of the
+    plugged run on C_i[m], for terms whose free names meet the binders of the
+    contexts and of their reducts."""
+    contexts = list(contextual._context_terms(0, 1025))
+    contextual._row.cache_clear()
+    for fuel in (1, 2, 3, 4, 5, 6, 30):
+        row = contextual._fill(m, fuel, 1024)
+        assert list(row) == [lamcalc._run(contextual._plug(c, m), fuel)[0] for c in contexts]
+
+
+def shifted(idx, fuel, context, reduct):
+    """The shifted route of C_idx at `fuel`, checked against its printed form."""
+    route = routes_through(idx, fuel)[idx]
+    assert type(route) is tuple and show(route[2]) == context and show(route[0]) == reduct
+    return route
+
+
+def counted_plugs(monkeypatch):
+    plugged, run = [], contextual._run
+
+    def counted(t, fuel):
+        plugged.append(t)
+        return run(t, fuel)
+    monkeypatch.setattr(contextual, "_run", counted)
+    return plugged
+
+
+def test_shifted_route_solvable_at_the_fuel_is_unknown(monkeypatch):
+    """Under [-], (\\a. a) y0 is solvable at step 1; under (\\x. [-]) y, which
+    reduces to [-] in one step, it is solvable at step 2, so at fuel 1 the shifted
+    route gives unknown, without a plugged run."""
+    plugged = counted_plugs(monkeypatch)
+    m = SHIFT_TERMS[0]
+    for fuel, want in ((1, UNKNOWN), (2, SOLVABLE), (3, SOLVABLE)):
+        reduct, names, c = route = shifted(28, fuel, "(\\x. [-]) y", "[-]")
+        assert names == {"x"}
+        _, run, kind = contextual._runs(m, fuel)
+        assert run(reduct)[:2] == (SOLVABLE, 1)
+        assert kind(route) == want and plugged == []
+        assert lamcalc._run(contextual._plug(c, m), fuel)[:2] == (want, min(fuel, 2))
+        plugged.clear()
+
+
+def test_shifted_route_divergent_at_the_fuel_plugs_only_on_a_step_0_repeat(monkeypatch):
+    """A reduct's run that repeats at exactly the fuel says nothing of C[m], one
+    step behind it, unless the repeat is of step 0, which C[m]'s own step 0 may
+    also match: then, and only then, the plugged run decides."""
+    plugged = counted_plugs(monkeypatch)
+    cases = [  # m, fuel, the reduct's outcome, C[m]'s kind, plugged
+        # W W with W = \\w. (\\x. w w) y steps to (\\x. W W) y and back, which is
+        # C[m] itself: C[m] repeats its step 0 at step 2
+        (SHIFT_TERMS[1], 2, (DIVERGENT, 2, 0), DIVERGENT, True),
+        # Omega repeats step 0 at step 1; C[Omega] repeats only at step 2
+        (corpus.OMEGA, 1, (DIVERGENT, 1, 0), UNKNOWN, True),
+        (corpus.OMEGA, 2, (DIVERGENT, 1, 0), DIVERGENT, False),
+        # (\\a. Omega) y0 repeats step 1 at step 2, and C[m] at step 3
+        (SHIFT_TERMS[2], 2, (DIVERGENT, 2, 1), UNKNOWN, False),
+        (SHIFT_TERMS[2], 3, (DIVERGENT, 2, 1), DIVERGENT, False)]
+    for m, fuel, inner, want, plugs in cases:
+        reduct, _, c = route = shifted(28, fuel, "(\\x. [-]) y", "[-]")
+        _, run, kind = contextual._runs(m, fuel)
+        assert (run(reduct)[0], run(reduct)[1], run(reduct)[3]) == inner
+        assert kind(route) == want and len(plugged) == plugs, show(m)
+        assert lamcalc._run(contextual._plug(c, m), fuel)[0] == want
+        plugged.clear()
+
+
+def test_shifted_route_plugs_where_m_meets_its_binder_names(monkeypatch):
+    """Plugging captures free names: (\\x. [-]) y substitutes y for the x of
+    THETA x y, whose two arguments then agree, so C[m] repeats at step 3, where
+    THETA x y under [-] repeats at step 6 only.  m plugs wherever a free name of
+    it is among the binder names of the context and of its reduct, as under
+    (\\x. [-]) x and (\\x. \\y. [-]) y, where the kinds would agree."""
+    plugged = counted_plugs(monkeypatch)
+    m = parse(THETA + " x y")
+    for fuel, inner in ((3, UNKNOWN), (5, UNKNOWN), (6, DIVERGENT)):
+        reduct, _, c = route = shifted(28, fuel, "(\\x. [-]) y", "[-]")
+        _, run, kind = contextual._runs(m, fuel)
+        assert run(reduct)[0] == inner
+        assert kind(route) == DIVERGENT == lamcalc._run(contextual._plug(c, m), fuel)[0]
+        assert len(plugged) == 1
+        plugged.clear()
+    for idx, context, reduct, names in ((27, "(\\x. [-]) x", "[-]", {"x"}),
+                                        (323, "(\\x. \\y. [-]) y", "\\y. [-]", {"x", "y"})):
+        for m in map(parse, ("x", "y", "x y", THETA + " x y", "\\y. y x")):
+            for fuel in (1, 2, 3, 6, 30):
+                route = shifted(idx, fuel, context, reduct)
+                assert route[1] == names
+                kind = contextual._runs(m, fuel)[2](route)
+                assert len(plugged) == (not names.isdisjoint(free_vars(m)))
+                assert kind == lamcalc._run(contextual._plug(route[2], m), fuel)[0]
+                plugged.clear()
+
+
+def test_contexts_whose_reduct_holds_the_hole_twice_plug(monkeypatch):
+    """(\\x. x x) [-] is head normal at step 1 with the hole at its head, but its
+    reduct [-] [-] holds the hole twice, so its route is the context, plugged for
+    every m."""
+    plugged = counted_plugs(monkeypatch)
+    c = enumerate_context(847).term
+    assert show(c) == "(\\x. x x) [-]"
+    for fuel in (1, 2, 30):
+        assert routes_through(847, fuel)[847] is c and solvability(c, fuel).steps == 1
+        for m in [parse("z")] + SHIFT_TERMS[:2] + [corpus.OMEGA]:
+            assert contextual._runs(m, fuel)[2](c) == lamcalc._run(contextual._plug(c, m), fuel)[0]
+            assert len(plugged) == 1
+            plugged.clear()
 
 
 # ---------------------------------------------------------------------------
